@@ -58,6 +58,16 @@ def _parse_lambda(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid rational {text!r}")
 
 
+def _parse_max_len(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nijalg",
@@ -82,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="p/q",
         help="repeatable; default 1",
     )
-    check_p.add_argument("--max-len", type=int, default=4)
+    check_p.add_argument("--max-len", type=_parse_max_len, default=4)
     check_p.add_argument("--seed", type=int, default=0)
     check_p.add_argument("--format", choices=("text", "json"), default="text")
     return parser

@@ -130,11 +130,17 @@ def tokenize(text: str):
 
 _ATOM_START = ("NUM", "IDENT", "BPLUS", "BMINUS")
 
+# Deepest accepted nesting of '(' and 'B+(' / 'B-('.  Each level costs about
+# four parser frames and one evaluator frame, so this stays well inside
+# Python's default recursion limit of 1000 even when called from deep stacks.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead=0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -227,14 +233,10 @@ class _Parser:
         if tok.kind in ("BPLUS", "BMINUS"):
             self.advance()
             self.expect_sym("(")
-            inner = self.parse_sum()
-            self.expect_sym(")")
-            return UnaryOp(BPLUS if tok.kind == "BPLUS" else BMINUS, inner)
+            return UnaryOp(BPLUS if tok.kind == "BPLUS" else BMINUS, self.parse_nested(tok))
         if self.at_sym("("):
             self.advance()
-            inner = self.parse_sum()
-            self.expect_sym(")")
-            return inner
+            return self.parse_nested(tok)
         if tok.kind == "NUM" and tok.text == "1":
             self.advance()
             return WordLit(())
@@ -244,6 +246,18 @@ class _Parser:
             f"expected a word, '(' or 'B+'/'B-', got {tok.text or 'end of input'!r}",
             {"word", "(", "B+", "B-"},
         )
+
+    def parse_nested(self, opener: Token) -> Node:
+        """The `sum ')'` after ``opener``'s '(', at most MAX_NESTING deep."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(
+                f"parentheses nested deeper than {MAX_NESTING} levels", opener.line, opener.col
+            )
+        self.depth += 1
+        inner = self.parse_sum()
+        self.expect_sym(")")
+        self.depth -= 1
+        return inner
 
     def parse_word(self) -> Word:
         letters = [self.parse_letter()]

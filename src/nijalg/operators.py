@@ -9,14 +9,14 @@ operator N_τ = R - τ(1 - R).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping, Tuple
+from typing import Callable, Iterable, Mapping, Tuple
 
 from .base import Monomial, check_generator
 from .errors import EmptyWordTermError, UnmappedGeneratorError
 from .products import aug_mod_quasi_shuffle, aug_quasi_shuffle
-from .tensor import TensorElement, Word, b_minus, b_plus, word_str
+from .tensor import TensorElement, Word, b_plus
 
 
 class LinearOperator:
@@ -35,21 +35,14 @@ class LinearOperator:
         return f"LinearOperator({self.name})"
 
 
-def identity_operator() -> LinearOperator:
-    return LinearOperator("id", lambda x: x)
+class DiagonalOperator(LinearOperator):
+    """Coordinatewise multiplication by the vector ``diagonal`` on K^d."""
 
+    __slots__ = ("diagonal",)
 
-def zero_operator() -> LinearOperator:
-    return LinearOperator("zero", lambda x: 0 * x)
-
-
-def shift_up() -> LinearOperator:
-    """B⁺ₑ as a named operator on tensor elements."""
-    return LinearOperator("B+", b_plus)
-
-
-def shift_down() -> LinearOperator:
-    return LinearOperator("B-", b_minus)
+    def __init__(self, name: str, diagonal: "VectorAlgebraElement"):
+        super().__init__(name, diagonal.__mul__)
+        self.diagonal = diagonal
 
 
 class VectorAlgebraElement:
@@ -59,6 +52,17 @@ class VectorAlgebraElement:
 
     def __init__(self, coords: Iterable):
         self._coords = tuple(Fraction(c) for c in coords)
+
+    @classmethod
+    def _trusted(cls, coords: Tuple[Fraction, ...]) -> "VectorAlgebraElement":
+        """Wrap a tuple whose entries are already Fractions, without coercing.
+
+        Arithmetic results come through here: Fraction operands give
+        Fraction results, so re-wrapping them would only repeat the work.
+        """
+        self = object.__new__(cls)
+        self._coords = coords
+        return self
 
     @classmethod
     def unit(cls, dim: int) -> "VectorAlgebraElement":
@@ -77,24 +81,26 @@ class VectorAlgebraElement:
         return len(self._coords)
 
     def __add__(self, other: "VectorAlgebraElement") -> "VectorAlgebraElement":
-        return VectorAlgebraElement(a + b for a, b in zip(self._coords, other._coords))
+        return self._trusted(tuple([a + b for a, b in zip(self._coords, other._coords)]))
 
     def __sub__(self, other: "VectorAlgebraElement") -> "VectorAlgebraElement":
-        return VectorAlgebraElement(a - b for a, b in zip(self._coords, other._coords))
+        return self._trusted(tuple([a - b for a, b in zip(self._coords, other._coords)]))
 
     def __neg__(self) -> "VectorAlgebraElement":
-        return VectorAlgebraElement(-a for a in self._coords)
+        return self._trusted(tuple([-a for a in self._coords]))
 
     def __mul__(self, other):
         if isinstance(other, VectorAlgebraElement):
-            return VectorAlgebraElement(a * b for a, b in zip(self._coords, other._coords))
-        return VectorAlgebraElement(a * Fraction(other) for a in self._coords)
+            return self._trusted(tuple([a * b for a, b in zip(self._coords, other._coords)]))
+        other = Fraction(other)
+        return self._trusted(tuple([a * other for a in self._coords]))
 
     def __rmul__(self, other):
-        return VectorAlgebraElement(Fraction(other) * a for a in self._coords)
+        other = Fraction(other)
+        return self._trusted(tuple([other * a for a in self._coords]))
 
     def __pow__(self, exp: int) -> "VectorAlgebraElement":
-        return VectorAlgebraElement(a ** exp for a in self._coords)
+        return self._trusted(tuple([a ** exp for a in self._coords]))
 
     def __bool__(self):
         return any(self._coords)
@@ -148,33 +154,29 @@ class NijenhuisTarget:
                 raise ValueError(f"image of {name!r} has wrong dimension")
         object.__setattr__(self, "tau", Fraction(self.tau))
 
-    def projection(self) -> LinearOperator:
-        mask = self.mask
+    def masked_diagonal(self, on, off) -> VectorAlgebraElement:
+        """The vector that is ``on`` at the mask's coordinates, ``off`` elsewhere."""
+        return VectorAlgebraElement(on if i in self.mask else off for i in range(self.dim))
 
-        def proj(v: VectorAlgebraElement) -> VectorAlgebraElement:
-            return VectorAlgebraElement(
-                c if i in mask else 0 for i, c in enumerate(v.coords)
-            )
+    def projection(self) -> DiagonalOperator:
+        """R: the coordinate projection onto the mask, diagonal 1 on it, 0 off it."""
+        return DiagonalOperator(f"proj{sorted(self.mask)}", self.masked_diagonal(1, 0))
 
-        return LinearOperator(f"proj{sorted(mask)}", proj)
-
-    def scaled_projection(self, lam) -> LinearOperator:
+    def scaled_projection(self, lam) -> DiagonalOperator:
         """λ·R: a Rota-Baxter operator of weight λ on this algebra."""
         lam = Fraction(lam)
-        proj = self.projection()
-        return LinearOperator(f"{lam}*{proj.name}", lambda v: lam * proj(v))
+        return DiagonalOperator(
+            f"{lam}*proj{sorted(self.mask)}", self.masked_diagonal(lam, 0)
+        )
 
 
-def make_n_tau(target: NijenhuisTarget) -> LinearOperator:
-    """N_τ = R - τ(1 - R) for the target's projection R."""
-    proj = target.projection()
-    tau = target.tau
-
-    def n_tau(v: VectorAlgebraElement) -> VectorAlgebraElement:
-        rv = proj(v)
-        return rv - tau * (v - rv)
-
-    return LinearOperator(f"N_tau[{tau},{proj.name}]", n_tau)
+def make_n_tau(target: NijenhuisTarget) -> DiagonalOperator:
+    """N_τ = R - τ(1 - R) for the target's projection R: diagonal 1 on the
+    mask and -τ off it."""
+    return DiagonalOperator(
+        f"N_tau[{target.tau},proj{sorted(target.mask)}]",
+        target.masked_diagonal(1, -target.tau),
+    )
 
 
 def nijenhuis_defect(operator: Callable, mul: Callable, x, y):
@@ -197,36 +199,75 @@ def hochschild_coboundary(tmap: Callable, mul: Callable, a, b, c):
 
 def phi_monomial(target: NijenhuisTarget, mono: Monomial) -> VectorAlgebraElement:
     """φ extended multiplicatively from generators to monomials; φ(e) = 1."""
-    acc = VectorAlgebraElement.unit(target.dim)
+    acc = None
     for name, exp in mono.exponents:
         try:
             img = target.images[name]
         except KeyError:
             raise UnmappedGeneratorError(f"generator {name!r} has no image") from None
-        acc = acc * img ** exp
-    return acc
+        if exp != 1:
+            img = img ** exp
+        acc = img if acc is None else acc * img
+    return VectorAlgebraElement.unit(target.dim) if acc is None else acc
 
 
 def phi_extend(
-    target: NijenhuisTarget, x: TensorElement, operator: LinearOperator = None
+    target: NijenhuisTarget, x: TensorElement, operator: DiagonalOperator = None
 ) -> VectorAlgebraElement:
     """The unique operator-compatible extension of φ to augmented elements.
 
-    On a word a₁…aₙ it evaluates φ(a₁)·N(φ(a₂)·N(…·N(φ(aₙ))…)); sums extend
-    linearly.  ``operator`` defaults to the target's N_τ; pass a weight-λ
-    Rota-Baxter operator for the Rota-Baxter variant.
+    On a word a₁…aₙ, φ̃ is φ(a₁)·N(φ(a₂)·N(…·N(φ(aₙ))…)); sums extend
+    linearly.  ``operator`` must be one of the target's diagonal operators
+    (``make_n_tau``, ``projection``, ``scaled_projection``): N multiplies
+    coordinatewise by a vector d, and K^d is commutative, so the word
+    evaluates in closed form to d^(n-1)·φ(a₁)⋯φ(aₙ), coordinate by
+    coordinate.  ``operator`` defaults to the target's N_τ; pass
+    ``target.scaled_projection(λ)`` for the Rota-Baxter variant.
     """
     if operator is None:
         operator = make_n_tau(target)
-    total = VectorAlgebraElement.zero(target.dim)
+    if not isinstance(operator, DiagonalOperator) or operator.diagonal.dim != target.dim:
+        raise TypeError(
+            f"phi_extend needs a diagonal operator on K^{target.dim}, got {operator!r}"
+        )
+    # Exact integer arithmetic: a vector is a tuple of (numerator,
+    # denominator) pairs, and each coordinate sums its terms per denominator,
+    # so no Fraction is built until the result.
+    diagonal = _pairs(operator.diagonal)
+    powers = [((1, 1),) * target.dim]  # powers[k] = d^k
+    images = {}  # letter -> φ(letter) as pairs
+    sums = [{} for _ in range(target.dim)]  # per coordinate: denominator -> numerator
     for word, coeff in x.iterterms():
         if not word:
             raise EmptyWordTermError("phi_extend is defined on the augmented module only")
-        acc = phi_monomial(target, word[-1])
-        for mono in word[-2::-1]:
-            acc = phi_monomial(target, mono) * operator(acc)
-        total = total + coeff * acc
-    return total
+        while len(powers) < len(word):
+            powers.append(
+                tuple([(p * q, r * s) for (p, r), (q, s) in zip(powers[-1], diagonal)])
+            )
+        factors = [powers[len(word) - 1]]
+        for mono in word:
+            image = images.get(mono)
+            if image is None:
+                image = images[mono] = _pairs(phi_monomial(target, mono))
+            factors.append(image)
+        for i, by_den in enumerate(sums):
+            num, den = coeff.numerator, coeff.denominator
+            for image in factors:
+                p, q = image[i]
+                num *= p
+                den *= q
+            if num:
+                by_den[den] = by_den.get(den, 0) + num
+    return VectorAlgebraElement._trusted(
+        tuple(
+            sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
+            for by_den in sums
+        )
+    )
+
+
+def _pairs(v: VectorAlgebraElement) -> Tuple[Tuple[int, int], ...]:
+    return tuple([(c.numerator, c.denominator) for c in v.coords])
 
 
 def factorization_check(w: Word) -> TensorElement:
@@ -242,20 +283,38 @@ def factorization_check(w: Word) -> TensorElement:
     return acc
 
 
-def _operator_sanity(target: NijenhuisTarget, operator: LinearOperator, lam=None) -> None:
+def _operator_sanity(operator: LinearOperator, relation: Callable, dim: int) -> None:
     # cheap defect check on a deterministic sample before trusting the target
     samples = [
-        VectorAlgebraElement(range(1, target.dim + 1)),
-        VectorAlgebraElement(Fraction(i, 2) - 1 for i in range(target.dim)),
+        VectorAlgebraElement(range(1, dim + 1)),
+        VectorAlgebraElement(Fraction(i, 2) - 1 for i in range(dim)),
     ]
     for x in samples:
         for y in samples:
-            if lam is None:
-                defect = nijenhuis_defect(operator, vec_mul, x, y)
-            else:
-                defect = rota_baxter_defect(operator, vec_mul, lam, x, y)
-            if defect:
+            if relation(x, y):
                 raise ValueError(f"target operator {operator.name} fails its relation")
+
+
+def _universal_check(target, pairs, product, operator, label, relation) -> list:
+    """Check multiplicativity of φ̃ for ``product`` and its intertwining of B⁺ₑ
+    with ``operator``, after ``relation`` (the operator's defect on two
+    vectors) has passed a sanity check; ``label`` names the operator's
+    parameter in each record."""
+    _operator_sanity(operator, relation, target.dim)
+    records = []
+    for x, y in pairs:
+        inputs = f"X={x}; Y={y}; {label}; mask={sorted(target.mask)}"
+        phix = phi_extend(target, x, operator)
+        phiy = phi_extend(target, y, operator)
+        mult = phi_extend(target, product(x, y), operator) - phix * phiy
+        records.append(
+            {"inputs": inputs, "check": "multiplicative", "defect": str(mult), "pass": not mult}
+        )
+        twine = phi_extend(target, b_plus(x), operator) - operator(phix)
+        records.append(
+            {"inputs": inputs, "check": "intertwine", "defect": str(twine), "pass": not twine}
+        )
+    return records
 
 
 def universal_property_check(target: NijenhuisTarget, pairs) -> list:
@@ -264,39 +323,25 @@ def universal_property_check(target: NijenhuisTarget, pairs) -> list:
     Returns one report record per check: {"inputs", "check", "defect", "pass"}.
     """
     operator = make_n_tau(target)
-    _operator_sanity(target, operator)
-    records = []
-    for x, y in pairs:
-        label = f"X={x}; Y={y}; tau={target.tau}; mask={sorted(target.mask)}"
-        phix = phi_extend(target, x, operator)
-        phiy = phi_extend(target, y, operator)
-        mult = phi_extend(target, aug_mod_quasi_shuffle(x, y), operator) - phix * phiy
-        records.append(
-            {"inputs": label, "check": "multiplicative", "defect": str(mult), "pass": not mult}
-        )
-        twine = phi_extend(target, b_plus(x), operator) - operator(phix)
-        records.append(
-            {"inputs": label, "check": "intertwine", "defect": str(twine), "pass": not twine}
-        )
-    return records
+    return _universal_check(
+        target,
+        pairs,
+        aug_mod_quasi_shuffle,
+        operator,
+        f"tau={target.tau}",
+        lambda x, y: nijenhuis_defect(operator, vec_mul, x, y),
+    )
 
 
 def rb_universal_check(lam, target: NijenhuisTarget, pairs) -> list:
     """Rota-Baxter analog: ⊡ at weight λ against the operator λ·projection."""
     lam = Fraction(lam)
     operator = target.scaled_projection(lam)
-    _operator_sanity(target, operator, lam=lam)
-    records = []
-    for x, y in pairs:
-        label = f"X={x}; Y={y}; lambda={lam}; mask={sorted(target.mask)}"
-        phix = phi_extend(target, x, operator)
-        phiy = phi_extend(target, y, operator)
-        mult = phi_extend(target, aug_quasi_shuffle(x, y, lam), operator) - phix * phiy
-        records.append(
-            {"inputs": label, "check": "multiplicative", "defect": str(mult), "pass": not mult}
-        )
-        twine = phi_extend(target, b_plus(x), operator) - operator(phix)
-        records.append(
-            {"inputs": label, "check": "intertwine", "defect": str(twine), "pass": not twine}
-        )
-    return records
+    return _universal_check(
+        target,
+        pairs,
+        lambda x, y: aug_quasi_shuffle(x, y, lam),
+        operator,
+        f"lambda={lam}",
+        lambda x, y: rota_baxter_defect(operator, vec_mul, lam, x, y),
+    )

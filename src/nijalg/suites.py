@@ -308,38 +308,49 @@ def random_augmented_pairs(rng: random.Random, count: int, max_total: int = 6):
     return pairs
 
 
-def universal_sweep(max_len=6, seed=0, samples=500) -> Tuple[int, list]:
-    """Nijenhuis universal property over the K^4 target family."""
+def _universal_sweep(max_len, seed, samples, check) -> Tuple[int, list]:
+    """Draw one seeded sample of images and pairs and run ``check(images,
+    pairs)``, which yields one record list per target; returns (records
+    checked, failing records)."""
     rng = random.Random(seed)
     images = random_images(rng)
     pairs = random_augmented_pairs(rng, samples, max_len)
     checked = 0
     failures = []
-    for mask in MASKS:
-        for tau in TAUS:
-            target = NijenhuisTarget(dim=4, mask=mask, tau=tau, images=images)
-            for record in universal_property_check(target, pairs):
-                checked += 1
-                if not record["pass"]:
-                    failures.append(record)
+    for records in check(images, pairs):
+        for record in records:
+            checked += 1
+            if not record["pass"]:
+                failures.append(record)
     return checked, failures
+
+
+def universal_sweep(max_len=6, seed=0, samples=500) -> Tuple[int, list]:
+    """Nijenhuis universal property over the K^4 target family."""
+    return _universal_sweep(
+        max_len,
+        seed,
+        samples,
+        lambda images, pairs: (
+            universal_property_check(NijenhuisTarget(4, mask, tau, images), pairs)
+            for mask in MASKS
+            for tau in TAUS
+        ),
+    )
 
 
 def rb_universal_sweep(max_len=6, seed=0, samples=500) -> Tuple[int, list]:
     """Rota-Baxter analog with the weight-λ operator λ·projection."""
-    rng = random.Random(seed)
-    images = random_images(rng)
-    pairs = random_augmented_pairs(rng, samples, max_len)
-    checked = 0
-    failures = []
-    for mask in (frozenset({0, 1}), frozenset(range(4))):
-        for lam in RB_LAMBDAS:
-            target = NijenhuisTarget(dim=4, mask=mask, tau=Fraction(0), images=images)
-            for record in rb_universal_check(lam, target, pairs):
-                checked += 1
-                if not record["pass"]:
-                    failures.append(record)
-    return checked, failures
+    return _universal_sweep(
+        max_len,
+        seed,
+        samples,
+        lambda images, pairs: (
+            rb_universal_check(lam, NijenhuisTarget(4, mask, Fraction(0), images), pairs)
+            for mask in (frozenset({0, 1}), frozenset(range(4)))
+            for lam in RB_LAMBDAS
+        ),
+    )
 
 
 def suite_universal(max_len, lambdas, seed, records) -> int:

@@ -99,3 +99,24 @@ def test_usage_error_exits_2(capsys):
     assert code == 2
     code, _, _ = run(capsys, "check", "nijenhuis", "--lambda", "x")
     assert code == 2
+
+
+def test_eval_deep_nesting_exits_2(capsys):
+    from nijalg.expr import MAX_NESTING
+
+    code, out, _ = run(capsys, "eval", "(" * MAX_NESTING + "a * b" + ")" * MAX_NESTING)
+    assert code == 0 and out == "-[a b] + a.b + b.a\n"
+    for depth in (MAX_NESTING + 1, 3000):
+        for opener in ("(", "B+("):
+            text = opener * depth + "a * b" + ")" * depth
+            code, out, err = run(capsys, "eval", text, "--format", "json")
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "nested deeper than" in err
+
+
+def test_check_rejects_negative_max_len(capsys):
+    code, out, err = run(capsys, "check", "assoc-qsh", "--max-len", "-1")
+    assert code == 2 and out == ""
+    assert "--max-len" in err and "nonnegative" in err
+    code, out, _ = run(capsys, "check", "assoc-qsh", "--max-len", "0")
+    assert code == 0 and out == "assoc-qsh: 2 checks, 0 failures -> PASS\n"

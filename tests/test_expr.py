@@ -149,3 +149,35 @@ def test_printer_is_deterministic():
     rng = random.Random(5)
     asts = [random_ast(rng, 3) for _ in range(50)]
     assert [to_text(a) for a in asts] == [to_text(a) for a in asts]
+
+
+def test_nesting_bound():
+    from nijalg.expr import MAX_NESTING
+
+    for opener in ("(", "B+(", "B-(", "(B+("):
+        depth = MAX_NESTING // opener.count("(")
+        closer = ")" * opener.count("(")
+        assert parse_expr(opener * depth + "a" + closer * depth)
+        for too_deep in (depth + 1, 3000):
+            with pytest.raises(ExprSyntaxError) as err:
+                parse_expr(opener * too_deep + "a" + closer * too_deep)
+            assert f"nested deeper than {MAX_NESTING} levels" in str(err.value)
+    # the error points at the first opener past the bound
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("B+(" * (MAX_NESTING + 1) + "a" + ")" * (MAX_NESTING + 1))
+    assert (err.value.line, err.value.col) == (1, 3 * MAX_NESTING + 1)
+
+
+def test_eval_at_the_nesting_bound(ab):
+    from nijalg.expr import MAX_NESTING
+
+    a, b = ab
+    depth = MAX_NESTING
+    assert eval_expr(parse_expr("(" * depth + "a * b" + ")" * depth), 1) == eval_expr(
+        parse_expr("a * b"), 1
+    )
+    assert eval_expr(parse_expr("B+(" * depth + "a" + ")" * depth), 1) == te(
+        *(MONO_UNIT,) * depth, a
+    )
+    with pytest.raises(EmptyWordTermError):
+        eval_expr(parse_expr("B-(" * depth + "a" + ")" * depth), 1)
