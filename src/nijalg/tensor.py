@@ -9,10 +9,11 @@ The "augmented" submodule consists of elements with no empty-word term.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
-from .base import BaseElement, MONO_UNIT, Monomial
+from .base import BaseElement, LinearCombination, MONO_UNIT, Monomial, accumulate
 from .errors import EmptyWordTermError
 
 Word = Tuple[Monomial, ...]
@@ -39,30 +40,14 @@ def word_str(w: Word) -> str:
     return ".".join(str(m) for m in w)
 
 
-class TensorElement:
+class TensorElement(LinearCombination):
     """A finite linear combination of words with exact rational coefficients.
 
     Instances are immutable and hashable (products memoize on them); all
     arithmetic returns new canonical elements with no zero coefficients.
     """
 
-    __slots__ = ("_terms", "_hash")
-
-    def __init__(self, terms: Union[Mapping, Iterable] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict = {}
-        for word, coeff in items:
-            c = acc.get(word, Fraction(0)) + Fraction(coeff)
-            if c:
-                acc[word] = c
-            elif word in acc:
-                del acc[word]
-        self._terms = acc
-        self._hash = None
-
-    @classmethod
-    def zero(cls) -> "TensorElement":
-        return cls()
+    __slots__ = ("_hash",)
 
     @classmethod
     def from_word(cls, word: Iterable[Monomial], coeff=1) -> "TensorElement":
@@ -70,10 +55,10 @@ class TensorElement:
 
     def terms(self):
         """Term list in canonical word order."""
-        return sorted(self._terms.items(), key=lambda kv: word_sort_key(kv[0]))
+        return self._sorted_terms(word_sort_key)
 
-    def iterterms(self):
-        return self._terms.items()
+    def __str__(self):
+        return self._format(word_str)
 
     def coeff(self, word: Word) -> Fraction:
         return self._terms.get(word, Fraction(0))
@@ -84,70 +69,16 @@ class TensorElement:
     def lengths(self) -> frozenset:
         return frozenset(len(w) for w in self._terms)
 
-    def prepend(self, mono: Monomial) -> "TensorElement":
-        out = TensorElement.zero()
-        out._terms = {(mono,) + w: c for w, c in self._terms.items()}
-        return out
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self._terms == other._terms
+    def prepend(self, *letters: Monomial) -> "TensorElement":
+        """Write ``letters`` in front of every word."""
+        return self._trusted({letters + w: c for w, c in self._terms.items()})
 
     def __hash__(self):
-        if self._hash is None:
+        try:
+            return self._hash
+        except AttributeError:  # the slot is filled on first use
             self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        acc = dict(self._terms)
-        for word, coeff in other._terms.items():
-            c = acc.get(word, Fraction(0)) + coeff
-            if c:
-                acc[word] = c
-            elif word in acc:
-                del acc[word]
-        out = TensorElement.zero()
-        out._terms = acc
-        return out
-
-    def __neg__(self) -> "TensorElement":
-        out = TensorElement.zero()
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def __mul__(self, coeff):
-        return self._scale(coeff)
-
-    def __rmul__(self, coeff):
-        return self._scale(coeff)
-
-    def _scale(self, coeff) -> "TensorElement":
-        c = Fraction(coeff)
-        out = TensorElement.zero()
-        if c:
-            out._terms = {w: k * c for w, k in self._terms.items()}
-        return out
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for word, coeff in self.terms():
-            mag = abs(coeff)
-            body = word_str(word) if mag == 1 else f"{mag}·{word_str(word)}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"TensorElement({self})"
+            return self._hash
 
 
 def te_add(x: TensorElement, y: TensorElement) -> TensorElement:
@@ -169,19 +100,9 @@ def b_minus(x: TensorElement) -> TensorElement:
     Defined on the augmented module only: an empty-word term is a caller
     bug, not a value, and raises ``EmptyWordTermError``.
     """
-    acc: dict = {}
-    for word, coeff in x.iterterms():
-        if not word:
-            raise EmptyWordTermError("b_minus is defined on the augmented module only")
-        tail = word[1:]
-        c = acc.get(tail, Fraction(0)) + coeff
-        if c:
-            acc[tail] = c
-        elif tail in acc:
-            del acc[tail]
-    out = TensorElement.zero()
-    out._terms = acc
-    return out
+    if not x.is_augmented():
+        raise EmptyWordTermError("b_minus is defined on the augmented module only")
+    return TensorElement._trusted(accumulate({}, ((w[1:], c) for w, c in x.iterterms())))
 
 
 def grade_lengths(x: TensorElement) -> frozenset:
@@ -201,15 +122,7 @@ def expand_letters(letters: Sequence[Union[BaseElement, Monomial]]) -> TensorEle
         if isinstance(letter, Monomial):
             letter = BaseElement.from_monomial(letter)
         slots.append(list(letter.iterterms()))
-    acc: dict = {}
-    for choice in itertools.product(*slots):
-        word = tuple(mono for mono, _ in choice)
-        coeff = Fraction(1)
-        for _, c in choice:
-            coeff *= c
-        c = acc.get(word, Fraction(0)) + coeff
-        if c:
-            acc[word] = c
-        elif word in acc:
-            del acc[word]
-    return TensorElement(acc)
+    return TensorElement(
+        (tuple(mono for mono, _ in choice), math.prod(c for _, c in choice))
+        for choice in itertools.product(*slots)
+    )

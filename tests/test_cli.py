@@ -120,3 +120,46 @@ def test_check_rejects_negative_max_len(capsys):
     assert "--max-len" in err and "nonnegative" in err
     code, out, _ = run(capsys, "check", "assoc-qsh", "--max-len", "0")
     assert code == 0 and out == "assoc-qsh: 2 checks, 0 failures -> PASS\n"
+
+
+def test_eval_long_chains_do_not_recurse(capsys):
+    code, out, err = run(capsys, "eval", " + ".join(["a"] * 3000))
+    assert (code, out, err) == (0, "3000·a\n", "")
+    code, out, err = run(capsys, "eval", " - ".join(["a"] * 1200))
+    assert (code, out, err) == (0, "-1198·a\n", "")
+    code, out, err = run(capsys, "eval", " sh ".join(["1"] * 3000))
+    assert (code, out, err) == (0, "1\n", "")
+
+
+def test_eval_error_names_the_innermost_failing_node_once(capsys):
+    code, out, err = run(capsys, "eval", "B-(B-(B-(a)))")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: b_minus is defined on the augmented module only (in 'B-(B-(a))')\n"
+    )
+    from nijalg.expr import MAX_NESTING
+
+    text = "B-(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    code, out, err = run(capsys, "eval", text)
+    assert code == 2 and out == ""
+    assert err.count("(in '") == 1 and len(err) < 100
+
+
+def test_check_reports_the_weights_it_checked(capsys):
+    fixed = {
+        "assoc-amq": ["1"],
+        "nijenhuis": ["1"],
+        "factorization": ["1"],
+        "omega": ["1"],
+        "torsion-cocycle": ["1"],
+        "dendriform-di": ["0"],
+        "universal": ["0", "1", "2/3"],
+    }
+    for suite, lambdas in fixed.items():
+        code, out, _ = run(capsys, "check", suite, "--lambda", "5", "--max-len", "3", "--format", "json")
+        assert code == 0 and json.loads(out)["lambdas"] == lambdas
+    code, out, _ = run(
+        capsys, "check", "assoc-qsh", "--lambda", "5", "--lambda", "2/3", "--max-len", "2",
+        "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["lambdas"] == ["5", "2/3"]
