@@ -4,11 +4,13 @@ Scalars are arbitrary-precision rationals (``fractions.Fraction``), which are
 always stored reduced with a positive denominator.  The base algebra is the
 polynomial algebra over a set of named generators; its basis consists of
 commutative monomials, with the empty monomial acting as the unit ``e``.
+Monomials are interned, so equal monomials are one object.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -31,14 +33,19 @@ def check_generator(name: str) -> str:
 class Monomial:
     """A commutative monomial: a finite map generator -> positive exponent.
 
-    The empty monomial is the unit ``e``.  Instances are immutable, hashable
-    and totally ordered by total degree first, then lexicographically on the
+    The empty monomial is the unit ``e``.  Instances are immutable and
+    totally ordered by total degree first, then lexicographically on the
     fully expanded letter sequence (so e < a < a^2 < ab < b^2).
+
+    Monomials are interned: there is one live instance per exponent map, so
+    equality is identity and hashing is the default identity hash, and a
+    word (a tuple of monomials) hashes and compares without calling back
+    into Python.  The intern table holds its monomials weakly.
     """
 
-    __slots__ = ("_pairs", "_key", "_hash")
+    __slots__ = ("_pairs", "_key", "__weakref__")
 
-    def __init__(self, exponents: Union[Mapping[str, int], Iterable[Tuple[str, int]]] = ()):
+    def __new__(cls, exponents: Union[Mapping[str, int], Iterable[Tuple[str, int]]] = ()):
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
         acc: dict = {}
         for name, exp in items:
@@ -48,10 +55,24 @@ class Monomial:
                 raise ValueError(f"negative exponent for generator {name!r}")
             if exp:
                 acc[name] = acc.get(name, 0) + exp
-        self._pairs = tuple(sorted(acc.items()))
-        degree = sum(acc.values())
-        self._key = (degree, tuple(g for g, n in self._pairs for _ in range(n)))
-        self._hash = hash(self._pairs)
+        return cls._from_pairs(tuple(sorted(acc.items())))
+
+    @classmethod
+    def _from_pairs(cls, pairs: Tuple[Tuple[str, int], ...]) -> "Monomial":
+        """The interned monomial of ``pairs``, which must already be sorted
+        by generator, with valid names and positive exponents."""
+        mono = _INTERNED.get(pairs)
+        if mono is None:
+            mono = object.__new__(cls)
+            mono._pairs = pairs
+            mono._key = (sum(n for _, n in pairs), tuple(g for g, n in pairs for _ in range(n)))
+            _INTERNED[pairs] = mono
+        return mono
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling go back through the checked constructor,
+        # which returns the interned instance
+        return (Monomial, (self._pairs,))
 
     @classmethod
     def unit(cls) -> "Monomial":
@@ -86,19 +107,13 @@ class Monomial:
         merged = dict(self._pairs)
         for name, exp in other._pairs:
             merged[name] = merged.get(name, 0) + exp
-        return Monomial(merged)
+        return Monomial._from_pairs(tuple(sorted(merged.items())))
 
     def __pow__(self, exp: int) -> "Monomial":
         exp = int(exp)
         if exp < 0:
             raise ValueError("negative monomial power")
         return Monomial({g: n * exp for g, n in self._pairs})
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self._pairs == other._pairs
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return self._key < other._key
@@ -123,6 +138,9 @@ class Monomial:
     def __repr__(self):
         return f"Monomial({self})"
 
+
+# exponent pairs -> the one live Monomial with those exponents
+_INTERNED = weakref.WeakValueDictionary()
 
 _MONO_UNIT = Monomial()
 
@@ -199,6 +217,8 @@ class LinearCombination:
         return self._trusted({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
+        if self._terms == other._terms:  # the common outcome of an identity check
+            return self._trusted({})
         return self + (-other)
 
     def _scale(self, coeff):

@@ -8,6 +8,7 @@ with NIJ_COLOR=0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -67,7 +68,10 @@ def _parse_max_len(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: argparse parsers hold no state
+    between parse_args calls, and building one costs more than a small eval."""
     parser = argparse.ArgumentParser(
         prog="nijalg",
         description="Exact quasi-shuffle algebra calculator and identity checker.",

@@ -362,7 +362,9 @@ def to_text(node: Node) -> str:
     left = leaf
     for link in spine:
         if isinstance(link, BinOp):
-            lhs = text if _is_atom(left) else f"({text})"
+            # all binops share one left-associative level, so a binop chain
+            # needs no parentheses on its left
+            lhs = text if _is_atom(left) or isinstance(left, BinOp) else f"({text})"
             text = f"{lhs} {BINOP_SYMBOL[link.tag]} {_atom_text(link.right)}"
         else:
             rhs = to_text(link.right)

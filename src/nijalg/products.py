@@ -5,6 +5,11 @@ bilinearly.  The quasi-shuffle * and the modified quasi-shuffle ⊛ share one
 memoized word recursion, which differs between them only in the letters
 written before a merged letter [ab]: none for *, the unit letter e for ⊛.
 Each cache is keyed by (word, word, lambda) and never changes results.
+A product of two single words whose coefficients multiply to 1 returns the
+cached element itself, unscaled and uncopied; elements are immutable.  A
+word pair longer than MAX_RECURSION_LETTERS is multiplied bottom-up over its
+suffix pairs instead, outside the cache, so no input reaches Python's
+recursion limit.
 
   quasi_shuffle        aU * bV  = a(U*bV) + b(aU*V) - λ·[ab](U*V)
   aug_quasi_shuffle    aU ⊡ bV = [ab](U*V)               (augmented module)
@@ -31,21 +36,28 @@ def _word_recursion(merge_prefix: Word):
     letter written behind ``merge_prefix``:
 
         aU ∘ bV = a(U ∘ bV) + b(aU ∘ V) - λ·merge_prefix[ab](U ∘ V)
+
+    One step of it, ``rec.step(w1, w2, lam, sub)``, reads the three products
+    of shorter pairs through ``sub``; the memoized ``rec`` passes itself.
     """
 
-    @lru_cache(maxsize=None)
-    def rec(w1: Word, w2: Word, lam: Fraction) -> TensorElement:
+    def step(w1: Word, w2: Word, lam: Fraction, sub) -> TensorElement:
         if not w1:
             return TensorElement(((w2, 1),))
         if not w2:
             return TensorElement(((w1, 1),))
         a, u = w1[0], w1[1:]
         b, v = w2[0], w2[1:]
-        out = rec(u, w2, lam).prepend(a) + rec(w1, v, lam).prepend(b)
+        out = sub(u, w2, lam).prepend(a) + sub(w1, v, lam).prepend(b)
         if lam:
-            out = out - lam * rec(u, v, lam).prepend(*merge_prefix, a * b)
+            out = out - lam * sub(u, v, lam).prepend(*merge_prefix, a * b)
         return out
 
+    @lru_cache(maxsize=None)
+    def rec(w1: Word, w2: Word, lam: Fraction) -> TensorElement:
+        return step(w1, w2, lam, rec)
+
+    rec.step = step
     return rec
 
 
@@ -53,13 +65,59 @@ _qsh = _word_recursion(())
 # merged letters are shifted behind a fresh unit letter, preserving length
 _mqsh = _word_recursion((MONO_UNIT,))
 
+# Most letters (m + n) a word pair may carry into the memoized recursion,
+# which recurses one level per letter at three frames a level.  This stays
+# far inside Python's default recursion limit of 1000, even when called from
+# deep in an expression.
+MAX_RECURSION_LETTERS = 100
+
+
+def _word_product(rec, w1: Word, w2: Word, lam: Fraction) -> TensorElement:
+    """``rec(w1, w2, lam)`` for one of the word recursions.
+
+    Past MAX_RECURSION_LETTERS the product is built bottom-up instead, over
+    the suffix pairs of (w1, w2) with the shorter suffix of w1 first.  Only
+    two rows of suffix products are kept and none enters the cache: for an
+    m-letter w1 the cached recursion would hold O(m³) letters.
+    """
+    if not w1 or not w2 or len(w1) + len(w2) <= MAX_RECURSION_LETTERS:
+        return rec(w1, w2, lam)
+    step = rec.step
+    table: dict = {}
+
+    def sub(p: Word, q: Word, _lam) -> TensorElement:
+        return table[p, q]
+
+    suffixes2 = [w2[j:] for j in reversed(range(len(w2) + 1))]
+    for i in reversed(range(len(w1) + 1)):
+        u = w1[i:]
+        for v in suffixes2:
+            table[u, v] = step(u, v, lam, sub)
+        if i < len(w1):  # row i + 1 is read by row i only
+            for v in suffixes2:
+                del table[w1[i + 1:], v]
+    return table[w1, w2]
+
 
 def _bilinear(word_fn, x: TensorElement, y: TensorElement) -> TensorElement:
+    """The bilinear extension of ``word_fn`` to x ⊗ y.
+
+    A product of two single words with coefficient product 1 is the element
+    ``word_fn`` returned, which may be a cached recursion result: elements
+    are immutable, so it is shared, not copied.
+    """
+    if len(x._terms) == 1 and len(y._terms) == 1:
+        ((w1, c1),) = x.iterterms()
+        ((w2, c2),) = y.iterterms()
+        weight = c1 * c2
+        product = word_fn(w1, w2)
+        return product if weight == 1 else weight * product
     acc: dict = {}
     for w1, c1 in x.iterterms():
         for w2, c2 in y.iterterms():
             weight = c1 * c2
-            accumulate(acc, ((w, weight * c) for w, c in word_fn(w1, w2).iterterms()))
+            terms = word_fn(w1, w2).iterterms()
+            accumulate(acc, terms if weight == 1 else ((w, weight * c) for w, c in terms))
     return TensorElement._trusted(acc)
 
 
@@ -71,7 +129,7 @@ def _require_augmented(x: TensorElement, op: str) -> None:
 def quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
     """Hoffman's quasi-shuffle product; associative and commutative for any λ."""
     lam = Fraction(lam)
-    return _bilinear(lambda a, b: _qsh(a, b, lam), x, y)
+    return _bilinear(lambda a, b: _word_product(_qsh, a, b, lam), x, y)
 
 
 def shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
@@ -86,7 +144,7 @@ def aug_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElemen
     lam = Fraction(lam)
 
     def word_fn(w1: Word, w2: Word) -> TensorElement:
-        return _qsh(w1[1:], w2[1:], lam).prepend(w1[0] * w2[0])
+        return _word_product(_qsh, w1[1:], w2[1:], lam).prepend(w1[0] * w2[0])
 
     return _bilinear(word_fn, x, y)
 
@@ -95,7 +153,7 @@ def mod_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElemen
     """Length-homogeneous quasi-shuffle variant; associative iff the merge
     term is present with λ = 1."""
     lam = Fraction(lam)
-    return _bilinear(lambda a, b: _mqsh(a, b, lam), x, y)
+    return _bilinear(lambda a, b: _word_product(_mqsh, a, b, lam), x, y)
 
 
 def aug_mod_quasi_shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
@@ -108,7 +166,7 @@ def aug_mod_quasi_shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
     one = Fraction(1)
 
     def word_fn(w1: Word, w2: Word) -> TensorElement:
-        return _mqsh(w1[1:], w2[1:], one).prepend(w1[0] * w2[0])
+        return _word_product(_mqsh, w1[1:], w2[1:], one).prepend(w1[0] * w2[0])
 
     return _bilinear(word_fn, x, y)
 

@@ -51,7 +51,9 @@ class TensorElement(LinearCombination):
 
     @classmethod
     def from_word(cls, word: Iterable[Monomial], coeff=1) -> "TensorElement":
-        return cls(((make_word(word), coeff),))
+        word = make_word(word)
+        coeff = Fraction(coeff)
+        return cls._trusted({word: coeff} if coeff else {})
 
     def terms(self):
         """Term list in canonical word order."""

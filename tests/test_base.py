@@ -1,7 +1,11 @@
 """Base algebra: monomials, ordering, and the polynomial ring."""
 
+import copy
+import gc
 import itertools
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -125,3 +129,41 @@ def test_monomial_str_forms():
     assert str(a * a) == "a^2"
     assert str(a * b) == "[a b]"
     assert str(a * a * b) == "[a^2 b]"
+
+
+def test_monomials_are_interned():
+    a, b = gen("a"), gen("b")
+    assert Monomial({"a": 1, "b": 1}) is a * b
+    assert Monomial([("a", 1), ("a", 1)]) is a**2 is a * a
+    assert Monomial({"a": 0}) is MONO_UNIT is a**0
+    assert Monomial.__hash__ is object.__hash__
+    assert Monomial.__eq__ is object.__eq__
+
+
+def test_copy_and_pickle_return_the_interned_monomial():
+    mono = Monomial({"a": 2, "b": 1})
+    assert copy.copy(mono) is mono
+    assert copy.deepcopy(mono) is mono
+    assert pickle.loads(pickle.dumps(mono)) is mono
+    word = (MONO_UNIT, mono, gen("c"))
+    assert all(x is y for x, y in zip(pickle.loads(pickle.dumps(word)), word))
+    # unpickled exponents are checked like any other constructor input
+    rebuild, _ = mono.__reduce__()
+    with pytest.raises(ValueError):
+        rebuild((("a", -1),))
+
+
+def test_intern_table_holds_only_live_monomials():
+    from nijalg import base
+
+    mono = Monomial({"unreferenced": 7})
+    ref = weakref.ref(mono)
+    assert (("unreferenced", 7),) in base._INTERNED
+    del mono
+    gc.collect()
+    assert ref() is None
+    assert (("unreferenced", 7),) not in base._INTERNED
+    # a new instance is built, checked and interned again
+    assert Monomial({"unreferenced": 7}).exponents == (("unreferenced", 7),)
+    with pytest.raises(ValueError):
+        Monomial({"unreferenced": -7})

@@ -131,6 +131,27 @@ def test_eval_long_chains_do_not_recurse(capsys):
     assert (code, out, err) == (0, "1\n", "")
 
 
+def test_eval_long_words_do_not_recurse(capsys):
+    n = 600
+
+    def word(*letters):
+        return ".".join(letters)
+
+    a = ["a"]
+    # the n+1 shuffles of b into a^n, then the n merges of b into an a,
+    # each in canonical word order
+    shuffles = [word(*a * k, "b", *a * (n - k)) for k in range(n, -1, -1)]
+    merged = {
+        "*": [word(*a * k, "[a b]", *a * (n - 1 - k)) for k in range(n - 1, -1, -1)],
+        "@": [word(*a * k, "e", "[a b]", *a * (n - 1 - k)) for k in range(n)],
+    }
+    for op, negative in merged.items():
+        code, out, err = run(capsys, "eval", f"{word(*a * n)} {op} b")
+        expected = "-" + " - ".join(negative) + " + " + " + ".join(shuffles) + "\n"
+        assert (code, err) == (0, "") and out == expected
+    assert len(merged["*"]) + len(shuffles) == 1201
+
+
 def test_eval_error_names_the_innermost_failing_node_once(capsys):
     code, out, err = run(capsys, "eval", "B-(B-(B-(a)))")
     assert code == 2 and out == ""

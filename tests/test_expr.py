@@ -145,6 +145,27 @@ def test_printer_parser_round_trip():
         assert parse_expr(to_text(ast)) == ast
 
 
+def _same_binop_chain(x, y):
+    """AST equality for a long left-deep binop chain, without recursing."""
+    while isinstance(x, BinOp) and isinstance(y, BinOp):
+        if (x.tag, x.right) != (y.tag, y.right):
+            return False
+        x, y = x.left, y.left
+    return x == y
+
+
+def test_binop_chains_print_without_nesting():
+    for terms in (102, 3000):
+        for text in (" sh ".join(["1"] * terms), " * ".join(["a", "b.c"] * (terms // 2))):
+            ast = parse_expr(text)
+            printed = to_text(ast)
+            assert "((" not in printed
+            assert _same_binop_chain(parse_expr(printed), ast)
+    assert to_text(parse_expr("(a * b) * c")) == "a * b * c"
+    assert to_text(parse_expr("a * (b * c)")) == "a * (b * c)"
+    assert to_text(parse_expr("(2 a * b) # c")) == "(2*a) * b # c"
+
+
 def test_printer_is_deterministic():
     rng = random.Random(5)
     asts = [random_ast(rng, 3) for _ in range(50)]

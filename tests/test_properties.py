@@ -8,6 +8,7 @@ derandomized, so a run always draws the same examples.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nijalg import (
@@ -23,6 +24,7 @@ from nijalg import (
     mod_quasi_shuffle_oracle,
     quasi_shuffle,
 )
+from nijalg import products
 from nijalg.dendriform import LITERAL
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -91,3 +93,85 @@ def test_constructor_drops_cancelled_terms(terms, data):
         stored = dict(element.iterterms())
         assert all(type(coeff) is Fraction and coeff for coeff in stored.values())
         assert stored == _naive_sum(items)
+
+
+elements = st.lists(st.tuples(words, coeffs), min_size=2, max_size=3).map(TensorElement)
+
+
+def _oracle_sum(x, y, word_product):
+    return sum(
+        (c1 * c2 * word_product(w1, w2) for w1, c1 in x.iterterms() for w2, c2 in y.iterterms()),
+        TensorElement.zero(),
+    )
+
+
+def _head_merged(oracle, lam):
+    return lambda w1, w2: oracle(w1[1:], w2[1:], lam).prepend(w1[0] * w2[0])
+
+
+@SETTINGS
+@given(elements, elements, augmented, augmented, weights)
+def test_products_of_linear_combinations_match_the_oracle(x, y, xa, ya, lam):
+    assert quasi_shuffle(x, y, lam) == _oracle_sum(
+        x, y, lambda u, v: mixed_shuffle(u, v, lam)
+    )
+    assert mod_quasi_shuffle(x, y, lam) == _oracle_sum(
+        x, y, lambda u, v: mod_quasi_shuffle_oracle(u, v, lam)
+    )
+    assert aug_quasi_shuffle(xa, ya, lam) == _oracle_sum(
+        xa, ya, _head_merged(mixed_shuffle, lam)
+    )
+    assert aug_mod_quasi_shuffle(xa, ya) == _oracle_sum(
+        xa, ya, _head_merged(mod_quasi_shuffle_oracle, 1)
+    )
+
+
+@SETTINGS
+@given(elements, elements, st.booleans())
+def test_subtraction_adds_the_negation(x, y, same):
+    if same:
+        y = TensorElement(x.iterterms())
+    difference = x - y
+    assert difference == x + (-y)
+    assert all(type(coeff) is Fraction and coeff for _, coeff in difference.iterterms())
+    assert (not difference) == (x == y)
+
+
+@SETTINGS
+@given(words, words, weights)
+def test_shared_products_are_never_written(u, v, lam):
+    r = quasi_shuffle(te(u), te(v), lam)
+    assert quasi_shuffle(te(u), te(v), lam) is r  # the cached element itself
+    before = dict(r.iterterms())
+    for derived in (r + r, r - r, -r, 2 * r, r * Fraction(1, 3)):
+        assert derived is not r
+    assert quasi_shuffle(r, 2 * te(()), lam) == 2 * r
+    assert dict(r.iterterms()) == before
+    assert r == mixed_shuffle(u, v, lam)
+    products.clear_caches()
+    assert quasi_shuffle(te(u), te(v), lam) == r
+
+
+def _four_products(u, v, lam):
+    x, y = te(u), te(v)
+    return [
+        quasi_shuffle(x, y, lam),
+        mod_quasi_shuffle(x, y, lam),
+        aug_quasi_shuffle(x, y, lam),
+        aug_mod_quasi_shuffle(x, y),
+    ]
+
+
+@SETTINGS
+@given(st.lists(letters, min_size=1, max_size=5).map(tuple), nonempty_words, weights)
+def test_bottom_up_products_match_the_recursion(u, v, lam):
+    recursive = _four_products(u, v, lam)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(products, "MAX_RECURSION_LETTERS", 0)
+        products.clear_caches()
+        bottom_up = _four_products(u, v, lam)
+        # only the augmented products' empty-word calls enter the caches
+        assert products._qsh.cache_info().currsize <= 1
+        assert products._mqsh.cache_info().currsize <= 1
+    assert bottom_up == recursive
+    assert bottom_up[0] == mixed_shuffle(u, v, lam)

@@ -1,5 +1,7 @@
 """Tensor module: words, canonical combinations, and the shift operators."""
 
+from fractions import Fraction
+
 import pytest
 
 from nijalg import (
@@ -101,3 +103,14 @@ def test_equality_and_hash(ab):
     y = te(b, a) + te(a, b)
     assert x == y and hash(x) == hash(y)
     assert x != x + te(a)
+
+
+def test_from_word_stores_one_fraction_and_no_zero(ab):
+    a, b = ab
+    for coeff in (1, 2, "-1/3", Fraction(5, 2)):
+        ((word, stored),) = TensorElement.from_word([a, b], coeff).iterterms()
+        assert word == (a, b) and type(stored) is Fraction and stored == Fraction(coeff)
+    assert TensorElement.from_word((a,), 0) == TensorElement.zero()
+    assert not TensorElement.from_word((a,), Fraction(0))
+    with pytest.raises(TypeError):
+        TensorElement.from_word(("a",))
