@@ -35,7 +35,11 @@ class Monomial:
 
     The empty monomial is the unit ``e``.  Instances are immutable and
     totally ordered by total degree first, then lexicographically on the
-    fully expanded letter sequence (so e < a < a^2 < ab < b^2).
+    fully expanded letter sequence (so e < a < a^2 < ab < b^2).  The sort
+    key holds that sequence run-length encoded, as (generator, -exponent)
+    pairs: at equal degree neither run list is a proper prefix of the
+    other, so the runs order monomials as the letters do, in space that
+    does not grow with the exponents.
 
     Monomials are interned: there is one live instance per exponent map, so
     equality is identity and hashing is the default identity hash, and a
@@ -43,7 +47,7 @@ class Monomial:
     into Python.  The intern table holds its monomials weakly.
     """
 
-    __slots__ = ("_pairs", "_key", "__weakref__")
+    __slots__ = ("_pairs", "_key", "_text", "__weakref__")
 
     def __new__(cls, exponents: Union[Mapping[str, int], Iterable[Tuple[str, int]]] = ()):
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
@@ -65,7 +69,8 @@ class Monomial:
         if mono is None:
             mono = object.__new__(cls)
             mono._pairs = pairs
-            mono._key = (sum(n for _, n in pairs), tuple(g for g, n in pairs for _ in range(n)))
+            mono._key = (sum(n for _, n in pairs), tuple((g, -n) for g, n in pairs))
+            mono._text = None
             _INTERNED[pairs] = mono
         return mono
 
@@ -128,12 +133,17 @@ class Monomial:
         return self._key >= other._key
 
     def __str__(self):
-        if not self._pairs:
-            return "e"
-        pieces = [g if n == 1 else f"{g}^{n}" for g, n in self._pairs]
-        if len(self._pairs) == 1:
-            return pieces[0]
-        return "[" + " ".join(pieces) + "]"
+        text = self._text
+        if text is None:
+            pieces = [g if n == 1 else f"{g}^{n}" for g, n in self._pairs]
+            if not pieces:
+                text = "e"
+            elif len(pieces) == 1:
+                text = pieces[0]
+            else:
+                text = "[" + " ".join(pieces) + "]"
+            self._text = text
+        return text
 
     def __repr__(self):
         return f"Monomial({self})"

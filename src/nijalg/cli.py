@@ -33,7 +33,8 @@ def element_to_json(element: TensorElement, lam: Fraction) -> dict:
         "terms": [
             {
                 "coeff": str(coeff),
-                "word": [[[g, n] for g, n in mono.exponents] for mono in word],
+                # json.dumps prints the exponent tuples as lists
+                "word": [mono.exponents for mono in word],
             }
             for word, coeff in element.terms()
         ],

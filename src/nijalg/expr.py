@@ -12,6 +12,13 @@ and associate left; mixed chains should be parenthesized):
     letter := 'e' | ident ['^' int] | '[' ident ['^' int] (ident ['^' int])* ']'
     ident  := [a-z][a-z0-9_]*  except 'e' and 'sh'
     scalar := int ['/' int]
+
+Lexing takes two steps.  `tokenize` first checks the whole input for a
+character that starts no token, in one regex scan, so a lexical error
+anywhere is reported before any parse error.  It then hands the parser a
+token stream that lexes only as far as the parser reads: input the parser
+rejects, say past MAX_NESTING, is read only up to that point.  A token
+holds its offset, and an error turns the offset into a line and column.
 """
 
 from __future__ import annotations
@@ -85,47 +92,61 @@ class UnaryOp:
 Node = Union[WordLit, Add, Sub, Scale, BinOp, UnaryOp]
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # NUM | IDENT | BPLUS | BMINUS | SYM | EOF
-    text: str
-    line: int
-    col: int
+    """A lexeme, its kind (NUM, IDENT, BPLUS, BMINUS, SYM or EOF) and its
+    offset in the input; ``line_col`` turns the offset into a position."""
+
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
+
+
+def line_col(text: str, pos: int) -> Tuple[int, int]:
+    """The 1-based line and column of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<bplus>B\+)
-      | (?P<bminus>B-)
-      | (?P<num>\d+)
-      | (?P<ident>[a-z][a-z0-9_]*)
-      | (?P<sym>[-+*/\#@%<>&().\[\]^])
+    r"""(?P<WS>\s+)
+      | (?P<BPLUS>B\+)
+      | (?P<BMINUS>B-)
+      | (?P<NUM>\d+)
+      | (?P<IDENT>[a-z][a-z0-9_]*)
+      | (?P<SYM>[-+*/\#@%<>&().\[\]^])
     """,
     re.X,
 )
 
+# The first character where _TOKEN_RE, matched token after token from the
+# start, finds no token is the last character of this pattern's first match:
+# a character no token starts with, a 'B' not followed by '+' or '-', or a
+# '_' that no identifier holds.  Only an identifier holds '_', and only when
+# the character before the '_', or before the digits that lead up to it, is
+# an identifier character; digits after anything else lex as a NUM, which
+# stops at the '_'.
+_LEX_ERROR_RE = re.compile(r"[^\s\da-z_B+\-*/\#@%<>&().\[\]^]|B(?![+-])|(?<![a-z0-9_])\d*_")
+
 
 def tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = match.group(0)
+    """Check all of ``text`` for lexical errors in one regex scan, then return
+    an iterator over its tokens, ending with EOF, that lexes only as far as
+    it is read."""
+    bad = _LEX_ERROR_RE.search(text)
+    if bad:
+        pos = bad.end() - 1
+        raise ExprSyntaxError(f"unexpected character {text[pos]!r}", *line_col(text, pos))
+    return _tokens(text)
+
+
+def _tokens(text: str):
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        if kind != "ws":
-            tokens.append(Token(kind.upper() if kind != "sym" else "SYM", lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = match.end()
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+        if kind != "WS":
+            yield Token(kind, match.group(), match.start())
+    yield Token("EOF", "", len(text))
 
 
 _ATOM_START = ("NUM", "IDENT", "BPLUS", "BMINUS")
@@ -137,45 +158,51 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens):
+    """Recursive descent over a token stream: ``tok`` is the current token,
+    and ``lookahead`` reads the one after it."""
+
+    def __init__(self, text: str, tokens):
+        self.text = text
         self.tokens = tokens
-        self.pos = 0
+        self.tok = next(tokens)
+        self.ahead = None
         self.depth = 0
 
-    def peek(self, ahead=0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def lookahead(self) -> Token:
+        """The token after ``tok``, which must not be EOF."""
+        if self.ahead is None:
+            self.ahead = next(self.tokens)
+        return self.ahead
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+        """Step past ``tok``, which every caller has checked is not EOF."""
+        tok = self.tok
+        if self.ahead is None:
+            self.tok = next(self.tokens)
+        else:
+            self.tok, self.ahead = self.ahead, None
         return tok
 
-    def error(self, message, expected=()):
-        tok = self.peek()
-        raise ExprSyntaxError(message, tok.line, tok.col, expected)
+    def error(self, message, expected=(), at=None):
+        """Raise at the current token, or at the token ``at``."""
+        pos = (self.tok if at is None else at).pos
+        raise ExprSyntaxError(message, *line_col(self.text, pos), expected)
 
     def expect_sym(self, sym: str) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "SYM" and tok.text == sym:
             return self.advance()
         self.error(f"expected {sym!r}, got {tok.text or 'end of input'!r}", {sym})
 
     def at_sym(self, *syms) -> bool:
-        tok = self.peek()
+        tok = self.tok
         return tok.kind == "SYM" and tok.text in syms
 
     def at_binop(self) -> bool:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "sh":
-            return True
-        return tok.kind == "SYM" and tok.text in ("*", "#", "@", "%", "<", ">", "&")
-
-    def at_atom_start(self) -> bool:
-        tok = self.peek()
-        if tok.kind in _ATOM_START:
-            return tok.kind != "IDENT" or tok.text != "sh"
-        return tok.kind == "SYM" and tok.text in ("(", "[")
+        tok = self.tok
+        if tok.kind == "SYM":
+            return tok.text in SYMBOL_BINOP
+        return tok.kind == "IDENT" and tok.text == "sh"
 
     # ---- grammar ----
 
@@ -188,18 +215,13 @@ class _Parser:
         return node
 
     def _starts_scalar(self) -> bool:
-        if self.peek().kind != "NUM":
+        if self.tok.kind != "NUM":
             return False
-        nxt = self.peek(1)
-        if nxt.kind == "SYM" and nxt.text in ("/", "*"):
-            return True
-        # "2 a": scalar immediately followed by an atom
-        save = self.pos
-        self.pos += 1
-        try:
-            return self.at_atom_start()
-        finally:
-            self.pos = save
+        nxt = self.lookahead()
+        # "2/3 a", "2*a", or "2 a": a scalar immediately followed by an atom
+        if nxt.kind == "SYM":
+            return nxt.text in ("/", "*", "(", "[")
+        return nxt.kind in _ATOM_START and (nxt.kind != "IDENT" or nxt.text != "sh")
 
     def parse_prod(self) -> Node:
         coeff = None
@@ -216,20 +238,27 @@ class _Parser:
             node = BinOp(tag, node, self.parse_atom())
         return node
 
+    def parse_int(self) -> int:
+        tok = self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts from a string
+            self.error(f"integer literal too long ({len(tok.text)} digits)", at=tok)
+
     def parse_scalar(self) -> Fraction:
-        num = int(self.advance().text)
+        num = self.parse_int()
         if self.at_sym("/"):
             self.advance()
-            if self.peek().kind != "NUM":
+            if self.tok.kind != "NUM":
                 self.error("expected denominator", {"int"})
-            den = int(self.advance().text)
+            den = self.parse_int()
             if den == 0:
                 self.error("zero denominator")
             return Fraction(num, den)
         return Fraction(num)
 
     def parse_atom(self) -> Node:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind in ("BPLUS", "BMINUS"):
             self.advance()
             self.expect_sym("(")
@@ -250,9 +279,7 @@ class _Parser:
     def parse_nested(self, opener: Token) -> Node:
         """The `sum ')'` after ``opener``'s '(', at most MAX_NESTING deep."""
         if self.depth == MAX_NESTING:
-            raise ExprSyntaxError(
-                f"parentheses nested deeper than {MAX_NESTING} levels", opener.line, opener.col
-            )
+            self.error(f"parentheses nested deeper than {MAX_NESTING} levels", at=opener)
         self.depth += 1
         inner = self.parse_sum()
         self.expect_sym(")")
@@ -270,14 +297,14 @@ class _Parser:
         if self.at_sym("["):
             self.advance()
             pairs = [self.parse_genexp()]
-            while self.peek().kind == "IDENT":
+            while self.tok.kind == "IDENT":
                 pairs.append(self.parse_genexp())
             self.expect_sym("]")
             mono = MONO_UNIT
             for name, exp in pairs:
                 mono = mono * Monomial.gen(name, exp)
             return mono
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "IDENT":
             self.error(
                 f"expected a letter, got {tok.text or 'end of input'!r}", {"letter"}
@@ -285,18 +312,19 @@ class _Parser:
         if tok.text == "e":
             self.advance()
             return MONO_UNIT
-        name, exp = self.parse_genexp()
-        return Monomial.gen(name, exp)
+        # the token grammar has checked the name and parse_genexp the exponent
+        return Monomial._from_pairs((self.parse_genexp(),))
 
     def parse_genexp(self) -> Tuple[str, int]:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "IDENT":
             self.error(
                 f"expected a generator, got {tok.text or 'end of input'!r}", {"ident"}
             )
         if tok.text == "e":
+            line, col = line_col(self.text, tok.pos)
             raise ReservedSymbolError(
-                f"{tok.line}:{tok.col}: 'e' is the unit and cannot name a generator"
+                f"{line}:{col}: 'e' is the unit and cannot name a generator"
             )
         if tok.text == "sh":
             self.error("'sh' is a reserved word and cannot name a generator", {"ident"})
@@ -304,19 +332,19 @@ class _Parser:
         exp = 1
         if self.at_sym("^"):
             self.advance()
-            if self.peek().kind != "NUM":
+            if self.tok.kind != "NUM":
                 self.error("expected an exponent", {"int"})
-            exp = int(self.advance().text)
+            exp = self.parse_int()
             if exp < 1:
                 self.error("exponents must be positive")
         return name, exp
 
 
 def parse_expr(text: str) -> Node:
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text, tokenize(text))
     node = parser.parse_sum()
-    if parser.peek().kind != "EOF":
-        parser.error(f"unexpected trailing input {parser.peek().text!r}")
+    if parser.tok.kind != "EOF":
+        parser.error(f"unexpected trailing input {parser.tok.text!r}")
     return node
 
 

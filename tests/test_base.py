@@ -9,6 +9,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nijalg import BaseElement, MONO_UNIT, Monomial, ReservedSymbolError, gen
 
@@ -62,6 +63,31 @@ def test_mono_order_is_total():
         if x < y and y < z:
             assert x < z
     assert min(monos) == MONO_UNIT
+
+
+def expanded_key(mono):
+    """The documented order: degree, then the fully expanded letter sequence."""
+    return (mono.degree, tuple(g for g, n in mono.exponents for _ in range(n)))
+
+
+monomials = st.dictionaries(
+    st.sampled_from(["a", "b", "c", "x_1"]), st.integers(1, 4), max_size=3
+).map(Monomial)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(monomials, monomials)
+def test_order_matches_the_expanded_letter_sequence(x, y):
+    kx, ky = expanded_key(x), expanded_key(y)
+    assert (x < y, x <= y, x > y, x >= y) == (kx < ky, kx <= ky, kx > ky, kx >= ky)
+
+
+def test_sort_key_does_not_grow_with_the_exponents():
+    huge = Monomial({"a": 10**20, "b": 3})
+    assert huge.degree == 10**20 + 3
+    assert huge.sort_key == (10**20 + 3, (("a", -(10**20)), ("b", -3)))
+    assert gen("b") < Monomial({"a": 10**20 + 3}) < huge < Monomial({"b": 10**20 + 3})
+    assert str(huge) == "[a^100000000000000000000 b^3]"
 
 
 def test_reserved_and_invalid_generator_names():

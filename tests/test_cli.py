@@ -114,6 +114,27 @@ def test_eval_deep_nesting_exits_2(capsys):
             assert err.startswith("error: ") and "nested deeper than" in err
 
 
+def test_eval_oversized_integer_literals_exit_2(capsys):
+    digits = "9" * 5000
+    for text, where in ((f"{digits}*a", "1:1"), (f"a^{digits}", "1:3")):
+        code, out, err = run(capsys, "eval", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: {where}: integer literal too long (5000 digits)\n"
+
+
+def test_eval_twenty_digit_exponent(capsys):
+    big = "a^99999999999999999999"
+    code, out, err = run(capsys, "eval", big)
+    assert (code, out, err) == (0, big + "\n", "")
+    code, out, err = run(capsys, "eval", f"{big} * b", "--format", "json")
+    assert code == 0 and err == ""
+    assert [term["word"] for term in json.loads(out)["terms"]] == [
+        [[["a", 99999999999999999999], ["b", 1]]],
+        [[["b", 1]], [["a", 99999999999999999999]]],
+        [[["a", 99999999999999999999]], [["b", 1]]],
+    ]
+
+
 def test_check_rejects_negative_max_len(capsys):
     code, out, err = run(capsys, "check", "assoc-qsh", "--max-len", "-1")
     assert code == 2 and out == ""

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nijalg import (
     EmptyWordTermError,
@@ -13,6 +14,7 @@ from nijalg import (
     ReservedSymbolError,
     gen,
 )
+from nijalg import expr
 from nijalg.expr import (
     AMQ,
     Add,
@@ -26,8 +28,12 @@ from nijalg.expr import (
     Scale,
     Sub,
     UnaryOp,
+    Token,
     WordLit,
+    _Parser,
+    _TOKEN_RE,
     eval_expr,
+    line_col,
     parse_expr,
     to_text,
 )
@@ -202,3 +208,79 @@ def test_eval_at_the_nesting_bound(ab):
     )
     with pytest.raises(EmptyWordTermError):
         eval_expr(parse_expr("B-(" * depth + "a" + ")" * depth), 1)
+
+
+def eager_tokenize(text):
+    """The reference lexer: the whole input, token by token from the start,
+    tracking line and column as it goes; a token also records its offset."""
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if not match:
+            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+        lexeme = match.group(0)
+        if match.lastgroup != "WS":
+            tokens.append((Token(match.lastgroup, lexeme, pos), line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = match.end()
+    tokens.append((Token("EOF", "", pos), line, col))
+    return tokens
+
+
+def reference_parse(text):
+    """Tokenize all of ``text`` first, then parse the token list."""
+    tokens = eager_tokenize(text)
+    for tok, line, col in tokens:
+        assert line_col(text, tok.pos) == (line, col)
+    parser = _Parser(text, iter([tok for tok, _, _ in tokens]))
+    node = parser.parse_sum()
+    if parser.tok.kind != "EOF":
+        parser.error(f"unexpected trailing input {parser.tok.text!r}")
+    return node
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ExprSyntaxError, ReservedSymbolError) as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "col", None)
+
+
+# the grammar's characters and words, '_' and a lone 'B', characters no token
+# starts with, non-ASCII digits (which lex as NUM) and line breaks
+_PIECES = list("abcex_0129 B+-*/#@%<>&().[]^$é\n\t") + [
+    "sh", "B+(", "B-(", "x_1", "a^2", "2/3", "\u0663", "\uff11", "\r\n", "\x85", "1_",
+]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=800)
+@given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
+def test_streaming_parser_matches_the_eager_tokenizer(text):
+    assert _outcome(parse_expr, text) == _outcome(reference_parse, text)
+
+
+def test_lexical_errors_win_over_earlier_parse_errors():
+    for text, where in (("a * * b $", "1:9"), ("(" * 300 + "_", "1:301"), ("a^0\n 1_", "2:3")):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text)
+        assert str(err.value).startswith(f"{where}: unexpected character")
+
+
+def test_over_nested_input_is_read_only_up_to_the_bound(monkeypatch):
+    from nijalg.expr import MAX_NESTING
+
+    lexed = []
+    monkeypatch.setattr(expr, "Token", lambda *args: lexed.append(Token(*args)) or lexed[-1])
+    text = "(" * 499_999 + "a" + ")" * 500_000
+    assert len(text) == 10**6
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text)
+    assert str(err.value) == f"1:{MAX_NESTING + 1}: parentheses nested deeper than {MAX_NESTING} levels"
+    assert len(lexed) <= MAX_NESTING + 3
