@@ -60,8 +60,6 @@ from .tensor import (
     expand_letters,
     grade_lengths,
     make_word,
-    te_add,
-    te_scale,
     word_sort_key,
     word_str,
 )

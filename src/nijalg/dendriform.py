@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import EmptyWordTermError
-from .products import _bilinear, _qsh, aug_quasi_shuffle, _require_augmented
+from .products import _bilinear, _qsh, _require_augmented, _word_product, aug_quasi_shuffle
 # unused here, but nijbench's tracing test checks that its wrappers reach
 # this binding
 from .products import quasi_shuffle  # noqa: F401
@@ -65,28 +65,29 @@ class DendriformContext:
 
     # head-letter forms of the defining identities, used as cross-checks
 
+    def _words(self, w1: Word, w2: Word) -> TensorElement:
+        """The quasi-shuffle of two words at this weight."""
+        return _word_product(_qsh, w1, w2, self.lam)
+
     def prec_head_form(self, x: TensorElement, y: TensorElement) -> TensorElement:
         _require_augmented(x, "prec")
         _require_augmented(y, "prec")
-        lam = self.lam
-        return _bilinear(lambda w1, w2: _qsh(w1[1:], w2, lam).prepend(w1[0]), x, y)
+        return _bilinear(lambda w1, w2: self._words(w1[1:], w2).prepend(w1[0]), x, y)
 
     def succ_head_form(self, x: TensorElement, y: TensorElement) -> TensorElement:
         _require_augmented(x, "succ")
         _require_augmented(y, "succ")
-        lam = self.lam
-        return _bilinear(lambda w1, w2: _qsh(w1, w2[1:], lam).prepend(w2[0]), x, y)
+        return _bilinear(lambda w1, w2: self._words(w1, w2[1:]).prepend(w2[0]), x, y)
 
     def bullet_head_form(self, x: TensorElement, y: TensorElement) -> TensorElement:
         _require_augmented(x, "bullet")
         _require_augmented(y, "bullet")
-        lam = self.lam
         merged = _bilinear(
-            lambda w1, w2: _qsh(w1[1:], w2[1:], lam).prepend(w1[0] * w2[0]), x, y
+            lambda w1, w2: self._words(w1[1:], w2[1:]).prepend(w1[0] * w2[0]), x, y
         )
         if self.convention == LITERAL:
             return merged
-        return -lam * merged
+        return -self.lam * merged
 
 
 def dialgebra_defects(ctx: DendriformContext, x, y, z):

@@ -307,13 +307,11 @@ def _universal_check(target, pairs, product, operator, label, relation) -> list:
         phix = phi_extend(target, x, operator)
         phiy = phi_extend(target, y, operator)
         mult = phi_extend(target, product(x, y), operator) - phix * phiy
-        records.append(
-            {"inputs": inputs, "check": "multiplicative", "defect": str(mult), "pass": not mult}
-        )
         twine = phi_extend(target, b_plus(x), operator) - operator(phix)
-        records.append(
-            {"inputs": inputs, "check": "intertwine", "defect": str(twine), "pass": not twine}
-        )
+        for check, defect in (("multiplicative", mult), ("intertwine", twine)):
+            records.append(
+                {"inputs": inputs, "check": check, "defect": str(defect), "pass": not defect}
+            )
     return records
 
 

@@ -2,8 +2,12 @@
 tests.
 
 Every suite runs an exhaustive (or seeded-random) sweep over small words on
-two generators and returns a deterministic report: a failure record per
-violated instance plus total counts.  All comparisons are exact.
+two generators.  A suite is a generator that yields one result per check, in
+a fixed order: a falsy result when the check passes, and its failure record
+when it fails.  Each check is written ``yield defect and _failure(text,
+defect)``, so the text naming its inputs is built only for a failing check.
+``_tally`` is the one place that counts checks and keeps the failures; the
+report holds both.  All comparisons are exact.
 """
 
 from __future__ import annotations
@@ -46,22 +50,6 @@ from .tensor import TensorElement, Word, b_plus, word_str
 
 GENERATORS = ("a", "b")
 
-SUITES = (
-    "assoc-qsh",
-    "assoc-aqs",
-    "assoc-mqs",
-    "assoc-amq",
-    "nijenhuis",
-    "rota-baxter",
-    "mixed-oracle",
-    "factorization",
-    "dendriform-di",
-    "dendriform-tri",
-    "omega",
-    "universal",
-    "torsion-cocycle",
-)
-
 
 def words_up_to(max_len: int, min_len: int = 0, gens=GENERATORS) -> List[Word]:
     """All words with single-generator letters, in canonical order."""
@@ -95,187 +83,135 @@ def elt(w: Word) -> TensorElement:
     return TensorElement.from_word(w)
 
 
-def _fail(records, inputs: str, defect) -> None:
-    records.append({"inputs": inputs, "defect": str(defect), "pass": False})
+def _inputs(*words: Word) -> str:
+    """``x=… y=… z=…``: the words of one check, in order."""
+    return " ".join(f"{name}={word_str(w)}" for name, w in zip("xyz", words))
 
 
-def _parse_lambdas(lambdas) -> Tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in lambdas)
+def _failure(inputs: str, defect) -> dict:
+    return {"inputs": inputs, "defect": str(defect), "pass": False}
+
+
+def _tally(results) -> Tuple[int, list]:
+    """(checks, failure records) of a stream with one result per check."""
+    checked = 0
+    failures = []
+    for result in results:
+        checked += 1
+        if result:
+            failures.append(result)
+    return checked, failures
 
 
 # ---- individual sweeps ----
 
 
-def _assoc_sweep(product, max_len, lambdas, min_len, records) -> int:
-    checked = 0
+def _assoc_sweep(product, max_len, lambdas, min_len):
     for lam in lambdas:
         for x, y in word_pairs(max_len, min_len):
-            checked += 1
             defect = product(elt(x), elt(y), lam) - product(elt(y), elt(x), lam)
-            if defect:
-                _fail(records, f"comm lambda={lam} x={word_str(x)} y={word_str(y)}", defect)
+            yield defect and _failure(f"comm lambda={lam} {_inputs(x, y)}", defect)
         for x, y, z in word_triples(max_len, min_len):
-            checked += 1
             ex, ey, ez = elt(x), elt(y), elt(z)
             defect = product(product(ex, ey, lam), ez, lam) - product(
                 ex, product(ey, ez, lam), lam
             )
-            if defect:
-                _fail(
-                    records,
-                    f"assoc lambda={lam} x={word_str(x)} y={word_str(y)} z={word_str(z)}",
-                    defect,
-                )
-    return checked
+            yield defect and _failure(f"assoc lambda={lam} {_inputs(x, y, z)}", defect)
 
 
-def suite_assoc_qsh(max_len, lambdas, seed, records) -> int:
-    return _assoc_sweep(quasi_shuffle, max_len, lambdas, 0, records)
+def suite_assoc_qsh(max_len, lambdas, seed):
+    return _assoc_sweep(quasi_shuffle, max_len, lambdas, 0)
 
 
-def suite_assoc_aqs(max_len, lambdas, seed, records) -> int:
-    return _assoc_sweep(aug_quasi_shuffle, max_len, lambdas, 1, records)
+def suite_assoc_aqs(max_len, lambdas, seed):
+    return _assoc_sweep(aug_quasi_shuffle, max_len, lambdas, 1)
 
 
-def suite_assoc_mqs(max_len, lambdas, seed, records) -> int:
-    return _assoc_sweep(mod_quasi_shuffle, max_len, lambdas, 0, records)
+def suite_assoc_mqs(max_len, lambdas, seed):
+    return _assoc_sweep(mod_quasi_shuffle, max_len, lambdas, 0)
 
 
-def suite_assoc_amq(max_len, lambdas, seed, records) -> int:
-    return _assoc_sweep(lambda x, y, lam: aug_mod_quasi_shuffle(x, y), max_len, lambdas, 1, records)
+def suite_assoc_amq(max_len, lambdas, seed):
+    return _assoc_sweep(lambda x, y, lam: aug_mod_quasi_shuffle(x, y), max_len, lambdas, 1)
 
 
-def suite_nijenhuis(max_len, lambdas, seed, records) -> int:
-    checked = 0
+def suite_nijenhuis(max_len, lambdas, seed):
     for x, y in word_pairs(max_len, 1):
-        checked += 1
         defect = nijenhuis_defect(b_plus, aug_mod_quasi_shuffle, elt(x), elt(y))
-        if defect:
-            _fail(records, f"x={word_str(x)} y={word_str(y)}", defect)
-    return checked
+        yield defect and _failure(_inputs(x, y), defect)
 
 
-def suite_rota_baxter(max_len, lambdas, seed, records) -> int:
-    checked = 0
+def suite_rota_baxter(max_len, lambdas, seed):
     for lam in lambdas:
         mul = lambda u, v: aug_quasi_shuffle(u, v, lam)
         for x, y in word_pairs(max_len, 1):
-            checked += 1
             defect = rota_baxter_defect(b_plus, mul, lam, elt(x), elt(y))
-            if defect:
-                _fail(records, f"lambda={lam} x={word_str(x)} y={word_str(y)}", defect)
-    return checked
+            yield defect and _failure(f"lambda={lam} {_inputs(x, y)}", defect)
 
 
-def suite_mixed_oracle(max_len, lambdas, seed, records) -> int:
-    checked = 0
+def suite_mixed_oracle(max_len, lambdas, seed):
     for lam in lambdas:
         for x, y in word_pairs(max_len):
-            checked += 2
             defect = mixed_shuffle(x, y, lam) - quasi_shuffle(elt(x), elt(y), lam)
-            if defect:
-                _fail(records, f"mixed lambda={lam} x={word_str(x)} y={word_str(y)}", defect)
+            yield defect and _failure(f"mixed lambda={lam} {_inputs(x, y)}", defect)
             defect = mod_quasi_shuffle_oracle(x, y, lam) - mod_quasi_shuffle(
                 elt(x), elt(y), lam
             )
-            if defect:
-                _fail(records, f"mod lambda={lam} x={word_str(x)} y={word_str(y)}", defect)
-    return checked
+            yield defect and _failure(f"mod lambda={lam} {_inputs(x, y)}", defect)
 
 
-def suite_factorization(max_len, lambdas, seed, records) -> int:
-    checked = 0
+def suite_factorization(max_len, lambdas, seed):
     for w in words_up_to(max_len, 1):
-        checked += 1
         defect = factorization_check(w) - elt(w)
-        if defect:
-            _fail(records, f"w={word_str(w)}", defect)
-    return checked
+        yield defect and _failure(f"w={word_str(w)}", defect)
 
 
-def suite_dendriform_di(max_len, lambdas, seed, records) -> int:
+def suite_dendriform_di(max_len, lambdas, seed):
     ctx = DendriformContext(0)
-    checked = 0
     for x, y in word_pairs(max_len, 1):
-        checked += 1
         defect = ctx.star(elt(x), elt(y)) - quasi_shuffle(elt(x), elt(y), 0)
-        if defect:
-            _fail(records, f"split x={word_str(x)} y={word_str(y)}", defect)
+        yield defect and _failure(f"split {_inputs(x, y)}", defect)
     for x, y, z in word_triples(max_len, 1):
         for i, defect in enumerate(dialgebra_defects(ctx, elt(x), elt(y), elt(z)), 1):
-            checked += 1
-            if defect:
-                _fail(
-                    records,
-                    f"axiom{i} x={word_str(x)} y={word_str(y)} z={word_str(z)}",
-                    defect,
-                )
-    return checked
+            yield defect and _failure(f"axiom{i} {_inputs(x, y, z)}", defect)
 
 
-def suite_dendriform_tri(max_len, lambdas, seed, records) -> int:
-    checked = 0
+def suite_dendriform_tri(max_len, lambdas, seed):
     for lam in lambdas:
         ctx = DendriformContext(lam)
         lit = DendriformContext(lam, LITERAL)
         for x, y in word_pairs(max_len, 1):
             ex, ey = elt(x), elt(y)
-            checked += 2
             defect = ctx.star(ex, ey) - quasi_shuffle(ex, ey, lam)
-            if defect:
-                _fail(records, f"split lambda={lam} x={word_str(x)} y={word_str(y)}", defect)
+            yield defect and _failure(f"split lambda={lam} {_inputs(x, y)}", defect)
             defect = ctx.bullet(ex, ey) - (-lam) * lit.bullet(ex, ey)
-            if defect:
-                _fail(
-                    records,
-                    f"convention lambda={lam} x={word_str(x)} y={word_str(y)}",
-                    defect,
-                )
+            yield defect and _failure(f"convention lambda={lam} {_inputs(x, y)}", defect)
         for x, y, z in word_triples(max_len, 1):
             for i, defect in enumerate(trialgebra_defects(ctx, elt(x), elt(y), elt(z)), 1):
-                checked += 1
-                if defect:
-                    _fail(
-                        records,
-                        f"axiom{i} lambda={lam} x={word_str(x)} y={word_str(y)} z={word_str(z)}",
-                        defect,
-                    )
-    return checked
+                yield defect and _failure(f"axiom{i} lambda={lam} {_inputs(x, y, z)}", defect)
 
 
-def suite_omega(max_len, lambdas, seed, records) -> int:
-    checked = 0
+def suite_omega(max_len, lambdas, seed):
     for w in words_up_to(max_len, 1):
-        checked += 2
         defect = omega_prec(w) - elt(w)
-        if defect:
-            _fail(records, f"omega_prec w={word_str(w)}", defect)
+        yield defect and _failure(f"omega_prec w={word_str(w)}", defect)
         defect = omega_succ(w) - elt(w)
-        if defect:
-            _fail(records, f"omega_succ w={word_str(w)}", defect)
-    return checked
+        yield defect and _failure(f"omega_succ w={word_str(w)}", defect)
 
 
-def suite_torsion_cocycle(max_len, lambdas, seed, records) -> int:
+def suite_torsion_cocycle(max_len, lambdas, seed):
     mul = aug_mod_quasi_shuffle
     torsion = lambda u, v: nijenhuis_torsion(u, v, b_plus, mul)
-    checked = 0
+    mu = lambda u, v: mu_product(u, v, b_plus, mul)
     for x, y in word_pairs(max_len, 1):
-        checked += 1
         defect = torsion(elt(x), elt(y))
-        if defect:
-            _fail(records, f"torsion x={word_str(x)} y={word_str(y)}", defect)
+        yield defect and _failure(f"torsion {_inputs(x, y)}", defect)
     for x, y, z in word_triples(max_len, 1):
         ex, ey, ez = elt(x), elt(y), elt(z)
-        checked += 2
-        mu = lambda u, v: mu_product(u, v, b_plus, mul)
         defect = mu(mu(ex, ey), ez) - mu(ex, mu(ey, ez))
-        if defect:
-            _fail(records, f"mu-assoc x={word_str(x)} y={word_str(y)} z={word_str(z)}", defect)
+        yield defect and _failure(f"mu-assoc {_inputs(x, y, z)}", defect)
         defect = hochschild_coboundary(torsion, mul, ex, ey, ez)
-        if defect:
-            _fail(records, f"cocycle x={word_str(x)} y={word_str(y)} z={word_str(z)}", defect)
-    return checked
+        yield defect and _failure(f"cocycle {_inputs(x, y, z)}", defect)
 
 
 # ---- universal property sweep ----
@@ -295,6 +231,10 @@ def random_images(rng: random.Random, dim: int = 4) -> dict:
 
 
 def random_augmented_pairs(rng: random.Random, count: int, max_total: int = 6):
+    """``count`` random pairs of nonempty words of total length at most
+    ``max_total``; none, and no draw, when ``max_total`` < 2 leaves no pair."""
+    if max_total < 2:
+        return []
     letters = tuple(gen(g) for g in GENERATORS)
     pairs = []
     for _ in range(count):
@@ -306,57 +246,43 @@ def random_augmented_pairs(rng: random.Random, count: int, max_total: int = 6):
     return pairs
 
 
-def _universal_sweep(max_len, seed, samples, check) -> Tuple[int, list]:
-    """Draw one seeded sample of images and pairs and run ``check(images,
-    pairs)``, which yields one record list per target; returns (records
-    checked, failing records)."""
+def _sample(max_len, seed, samples):
+    """One seeded draw: generator images, then augmented pairs."""
     rng = random.Random(seed)
-    images = random_images(rng)
-    pairs = random_augmented_pairs(rng, samples, max_len)
-    checked = 0
-    failures = []
-    for records in check(images, pairs):
-        for record in records:
-            checked += 1
-            if not record["pass"]:
-                failures.append(record)
-    return checked, failures
+    return random_images(rng), random_augmented_pairs(rng, samples, max_len)
+
+
+def _nijenhuis_results(max_len, seed, samples):
+    images, pairs = _sample(max_len, seed, samples)
+    for mask in MASKS:
+        for tau in TAUS:
+            target = NijenhuisTarget(4, mask, tau, images)
+            for record in universal_property_check(target, pairs):
+                yield not record["pass"] and record
+
+
+def _rota_baxter_results(max_len, seed, samples):
+    images, pairs = _sample(max_len, seed, samples)
+    for mask in (frozenset({0, 1}), frozenset(range(4))):
+        for lam in RB_LAMBDAS:
+            target = NijenhuisTarget(4, mask, Fraction(0), images)
+            for record in rb_universal_check(lam, target, pairs):
+                yield not record["pass"] and record
 
 
 def universal_sweep(max_len=6, seed=0, samples=500) -> Tuple[int, list]:
     """Nijenhuis universal property over the K^4 target family."""
-    return _universal_sweep(
-        max_len,
-        seed,
-        samples,
-        lambda images, pairs: (
-            universal_property_check(NijenhuisTarget(4, mask, tau, images), pairs)
-            for mask in MASKS
-            for tau in TAUS
-        ),
-    )
+    return _tally(_nijenhuis_results(max_len, seed, samples))
 
 
 def rb_universal_sweep(max_len=6, seed=0, samples=500) -> Tuple[int, list]:
     """Rota-Baxter analog with the weight-λ operator λ·projection."""
-    return _universal_sweep(
-        max_len,
-        seed,
-        samples,
-        lambda images, pairs: (
-            rb_universal_check(lam, NijenhuisTarget(4, mask, Fraction(0), images), pairs)
-            for mask in (frozenset({0, 1}), frozenset(range(4)))
-            for lam in RB_LAMBDAS
-        ),
-    )
+    return _tally(_rota_baxter_results(max_len, seed, samples))
 
 
-def suite_universal(max_len, lambdas, seed, records) -> int:
-    checked, failures = universal_sweep(max_len, seed, samples=32)
-    records.extend(failures)
-    rb_checked, rb_failures = rb_universal_sweep(max_len, seed, samples=32)
-    records.extend(rb_failures)
-    return checked + rb_checked
+def suite_universal(max_len, lambdas, seed):
+    yield from _nijenhuis_results(max_len, seed, 32)
+    yield from _rota_baxter_results(max_len, seed, 32)
 
 
 # Suites whose identities hold at fixed weights: they check these, whatever
@@ -388,6 +314,8 @@ _SUITE_FNS = {
     "torsion-cocycle": suite_torsion_cocycle,
 }
 
+SUITES = tuple(_SUITE_FNS)
+
 
 def run_suite(name: str, max_len: int = 4, lambdas: Iterable = ("1",), seed: int = 0) -> dict:
     """Run one sweep; the report lists each failing instance with its defect."""
@@ -395,14 +323,13 @@ def run_suite(name: str, max_len: int = 4, lambdas: Iterable = ("1",), seed: int
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose from: {', '.join(SUITES)}"
         )
-    lams = _parse_lambdas(FIXED_LAMBDAS.get(name, lambdas))
-    records: list = []
-    checked = _SUITE_FNS[name](max_len, lams, seed, records)
+    lams = tuple(Fraction(v) for v in FIXED_LAMBDAS.get(name, lambdas))
+    checked, failures = _tally(_SUITE_FNS[name](max_len, lams, seed))
     return {
         "suite": name,
         "max_len": max_len,
         "lambdas": [str(lam) for lam in lams],
         "seed": seed,
         "checked": checked,
-        "failures": records,
+        "failures": failures,
     }

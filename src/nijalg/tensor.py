@@ -68,9 +68,6 @@ class TensorElement(LinearCombination):
     def is_augmented(self) -> bool:
         return EMPTY_WORD not in self._terms
 
-    def lengths(self) -> frozenset:
-        return frozenset(len(w) for w in self._terms)
-
     def prepend(self, *letters: Monomial) -> "TensorElement":
         """Write ``letters`` in front of every word."""
         return self._trusted({letters + w: c for w, c in self._terms.items()})
@@ -81,14 +78,6 @@ class TensorElement(LinearCombination):
         except AttributeError:  # the slot is filled on first use
             self._hash = hash(frozenset(self._terms.items()))
             return self._hash
-
-
-def te_add(x: TensorElement, y: TensorElement) -> TensorElement:
-    return x + y
-
-
-def te_scale(coeff, x: TensorElement) -> TensorElement:
-    return Fraction(coeff) * x
 
 
 def b_plus(x: TensorElement) -> TensorElement:
@@ -109,7 +98,7 @@ def b_minus(x: TensorElement) -> TensorElement:
 
 def grade_lengths(x: TensorElement) -> frozenset:
     """Set of word lengths carrying a nonzero coefficient."""
-    return x.lengths()
+    return frozenset(len(w) for w, _ in x.iterterms())
 
 
 def expand_letters(letters: Sequence[Union[BaseElement, Monomial]]) -> TensorElement:

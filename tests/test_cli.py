@@ -3,6 +3,7 @@
 import json
 
 from nijalg.cli import main
+from nijalg.suites import SUITES
 
 
 def run(capsys, *argv):
@@ -205,3 +206,15 @@ def test_check_reports_the_weights_it_checked(capsys):
         "--format", "json",
     )
     assert code == 0 and json.loads(out)["lambdas"] == ["5", "2/3"]
+
+
+def test_check_at_the_shortest_lengths_exits_0(capsys):
+    for suite in SUITES:
+        for max_len in ("0", "1"):
+            code, out, err = run(capsys, "check", suite, "--max-len", max_len)
+            assert (code, err) == (0, ""), (suite, max_len)
+            assert out.endswith(" failures -> PASS\n") and "FAIL" not in out
+    # no augmented pair is that short, so nothing is checked
+    for max_len in ("0", "1"):
+        _, out, _ = run(capsys, "check", "universal", "--max-len", max_len)
+        assert out == "universal: 0 checks, 0 failures -> PASS\n"

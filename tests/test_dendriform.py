@@ -67,6 +67,17 @@ def test_head_forms_agree(ab):
             assert lit.bullet(ex, ey) == lit.bullet_head_form(ex, ey)
 
 
+def test_head_forms_of_long_words_do_not_recurse(ab):
+    # each head form multiplies the 350-letter word, or its tail, by a short
+    # word, which takes the bottom-up product path instead of recursing one
+    # level per letter
+    a, b = ab
+    long = te(*(a,) * 350)
+    ctx = DendriformContext(1)
+    assert ctx.prec_head_form(long, te(b)) == ctx.prec(long, te(b))
+    assert ctx.succ_head_form(long, te(b, b)) == ctx.succ(long, te(b, b))
+
+
 def test_bullet_conventions(ab):
     a, b = ab
     assert DendriformContext(1).bullet(te(a), te(b)) == -te(a * b)

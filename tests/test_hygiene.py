@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and the README names every check suite.
 
 No linter is part of the toolchain, so this parses each module with ``ast``
 instead.  ``__init__.py`` is skipped: its imports are the package's exports.
@@ -6,9 +7,12 @@ An import line marked ``# noqa: F401`` is kept on purpose and is skipped too.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from nijalg.suites import SUITES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nijalg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -47,3 +51,9 @@ def test_unused_import_is_detected():
         "import os\nimport a.b\nfrom x import y as z, w\nimport q  # noqa: F401\nprint(w, a)\n"
     )
     assert unused_imports(source) == [(1, "os"), (3, "z")]
+
+
+def test_readme_lists_every_suite():
+    readme = (SRC.parent.parent / "README.md").read_text()
+    paragraph = readme.split("Check suites:", 1)[1].split("\n\n", 1)[0]
+    assert tuple(re.findall(r"`([^`]+)`", paragraph)) == SUITES

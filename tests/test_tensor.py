@@ -14,8 +14,6 @@ from nijalg import (
     expand_letters,
     gen,
     grade_lengths,
-    te_add,
-    te_scale,
 )
 from conftest import te, words_over
 
@@ -23,17 +21,19 @@ from conftest import te, words_over
 def test_addition_examples(ab):
     a, b = ab
     c, d = gen("c"), gen("d")
-    assert te_add(te(a, b), -1 * te(a, b)) == TensorElement.zero()
-    assert te_add(2 * te(a, b), 3 * te(a, b)) == 5 * te(a, b)
-    assert te_add(te(a, b), te(c, d)) == te(a, b) + te(c, d)
+    assert te(a, b) + -1 * te(a, b) == TensorElement.zero()
+    assert 2 * te(a, b) + 3 * te(a, b) == 5 * te(a, b)
+    total = te(a, b) + te(c, d)
+    assert total == te(c, d) + te(a, b)
+    assert total.terms() == [((a, b), 1), ((c, d), 1)]
 
 
 def test_scaling_examples(ab):
     a, b = ab
     x = te(a, b) + te(b, a)
-    assert te_scale(0, x) == TensorElement.zero()
-    assert te_scale(1, x) == x
-    assert te_scale(-1, te(a, b)) == -te(a, b)
+    assert 0 * x == TensorElement.zero()
+    assert 1 * x == x
+    assert -1 * te(a, b) == -te(a, b)
 
 
 def test_expand_letters(ab):
