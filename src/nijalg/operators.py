@@ -223,51 +223,74 @@ def phi_extend(
     evaluates in closed form to d^(n-1)·φ(a₁)⋯φ(aₙ), coordinate by
     coordinate.  ``operator`` defaults to the target's N_τ; pass
     ``target.scaled_projection(λ)`` for the Rota-Baxter variant.
+
+    The value is computed in exact integers by ``_phi_core`` and turned into
+    one Fraction per coordinate at the end.
     """
     if operator is None:
         operator = make_n_tau(target)
+    return _vector(_phi_core(target, operator)(x))
+
+
+def _phi_core(target: NijenhuisTarget, operator: DiagonalOperator):
+    """φ̃ for ``operator`` in exact integers: the returned function maps an
+    augmented element to one (numerator, positive denominator) pair per
+    coordinate, not necessarily in lowest terms.
+
+    The function keeps a memo of φ(letter) and of the powers d^k of the
+    operator's diagonal d, as pairs too.  The memo belongs to the function,
+    so it serves one target and operator and lives as long as the caller
+    keeps the function: one universal check, or one ``phi_extend`` call.
+    """
     if not isinstance(operator, DiagonalOperator) or operator.diagonal.dim != target.dim:
         raise TypeError(
             f"phi_extend needs a diagonal operator on K^{target.dim}, got {operator!r}"
         )
-    # Exact integer arithmetic: a vector is a tuple of (numerator,
-    # denominator) pairs, and each coordinate sums its terms per denominator,
-    # so no Fraction is built until the result.
     diagonal = _pairs(operator.diagonal)
     powers = [((1, 1),) * target.dim]  # powers[k] = d^k
-    images = {}  # letter -> φ(letter) as pairs
-    sums = [{} for _ in range(target.dim)]  # per coordinate: denominator -> numerator
-    for word, coeff in x.iterterms():
-        if not word:
-            raise EmptyWordTermError("phi_extend is defined on the augmented module only")
-        while len(powers) < len(word):
-            powers.append(
-                tuple([(p * q, r * s) for (p, r), (q, s) in zip(powers[-1], diagonal)])
-            )
-        factors = [powers[len(word) - 1]]
-        for mono in word:
-            image = images.get(mono)
-            if image is None:
-                image = images[mono] = _pairs(phi_monomial(target, mono))
-            factors.append(image)
-        for i, by_den in enumerate(sums):
-            num, den = coeff.numerator, coeff.denominator
-            for image in factors:
-                p, q = image[i]
-                num *= p
-                den *= q
-            if num:
-                by_den[den] = by_den.get(den, 0) + num
-    return VectorAlgebraElement._trusted(
-        tuple(
-            sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
-            for by_den in sums
-        )
-    )
+    letters = {}  # letter -> φ(letter)
+
+    def phi(x: TensorElement) -> Tuple[Tuple[int, int], ...]:
+        # each coordinate sums its terms per denominator, then folds the sums
+        sums = [{} for _ in range(target.dim)]  # denominator -> numerator
+        for word, coeff in x.iterterms():
+            if not word:
+                raise EmptyWordTermError("phi_extend is defined on the augmented module only")
+            while len(powers) < len(word):
+                powers.append(
+                    tuple([(p * q, r * s) for (p, r), (q, s) in zip(powers[-1], diagonal)])
+                )
+            factors = [powers[len(word) - 1]]
+            for mono in word:
+                image = letters.get(mono)
+                if image is None:
+                    image = letters[mono] = _pairs(phi_monomial(target, mono))
+                factors.append(image)
+            numerator, denominator = coeff.numerator, coeff.denominator
+            for by_den, column in zip(sums, zip(*factors)):
+                num, den = numerator, denominator
+                for p, q in column:
+                    num *= p
+                    den *= q
+                if num:
+                    by_den[den] = by_den.get(den, 0) + num
+        value = []
+        for by_den in sums:
+            num, den = 0, 1
+            for q, p in by_den.items():
+                num, den = num * q + p * den, den * q
+            value.append((num, den))
+        return tuple(value)
+
+    return phi
 
 
 def _pairs(v: VectorAlgebraElement) -> Tuple[Tuple[int, int], ...]:
     return tuple([(c.numerator, c.denominator) for c in v.coords])
+
+
+def _vector(pairs: Tuple[Tuple[int, int], ...]) -> VectorAlgebraElement:
+    return VectorAlgebraElement._trusted(tuple([Fraction(p, q) for p, q in pairs]))
 
 
 def factorization_check(w: Word) -> TensorElement:
@@ -299,20 +322,41 @@ def _universal_check(target, pairs, product, operator, label, relation) -> list:
     """Check multiplicativity of φ̃ for ``product`` and its intertwining of B⁺ₑ
     with ``operator``, after ``relation`` (the operator's defect on two
     vectors) has passed a sanity check; ``label`` names the operator's
-    parameter in each record."""
+    parameter in each record.
+
+    One ``_phi_core`` function, and so one memo of letter images and powers
+    of the diagonal d, serves every pair of this check and is dropped with
+    it.  Both checks compare the integer pairs by cross-multiplication
+    (``_is_product``): φ̃(product(x, y)) against φ̃(x)·φ̃(y), and φ̃(B⁺ₑx)
+    against d·φ̃(x).  The Fraction defect vector is built from the same
+    integers, and only for a check that fails; a passing check's defect is
+    the zero vector.
+    """
     _operator_sanity(operator, relation, target.dim)
+    phi = _phi_core(target, operator)
+    diagonal = _pairs(operator.diagonal)
+    zero = str(VectorAlgebraElement.zero(target.dim))
     records = []
     for x, y in pairs:
         inputs = f"X={x}; Y={y}; {label}; mask={sorted(target.mask)}"
-        phix = phi_extend(target, x, operator)
-        phiy = phi_extend(target, y, operator)
-        mult = phi_extend(target, product(x, y), operator) - phix * phiy
-        twine = phi_extend(target, b_plus(x), operator) - operator(phix)
-        for check, defect in (("multiplicative", mult), ("intertwine", twine)):
-            records.append(
-                {"inputs": inputs, "check": check, "defect": str(defect), "pass": not defect}
-            )
+        phix, phiy = phi(x), phi(y)
+        phixy, phibx = phi(product(x, y)), phi(b_plus(x))
+        mult_holds = _is_product(phixy, phix, phiy)
+        twine_holds = _is_product(phibx, diagonal, phix)
+        mult = zero if mult_holds else str(_vector(phixy) - _vector(phix) * _vector(phiy))
+        twine = zero if twine_holds else str(_vector(phibx) - operator(_vector(phix)))
+        for check, holds, defect in (
+            ("multiplicative", mult_holds, mult),
+            ("intertwine", twine_holds, twine),
+        ):
+            records.append({"inputs": inputs, "check": check, "defect": defect, "pass": holds})
     return records
+
+
+def _is_product(w, u, v) -> bool:
+    """Whether w = u·v coordinatewise, for vectors of (numerator, positive
+    denominator) pairs: p/q = (p₁/q₁)(p₂/q₂) iff p·q₁·q₂ = p₁·p₂·q."""
+    return all(p * q1 * q2 == p1 * p2 * q for (p, q), (p1, q1), (p2, q2) in zip(w, u, v))
 
 
 def universal_property_check(target: NijenhuisTarget, pairs) -> list:

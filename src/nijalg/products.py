@@ -76,9 +76,10 @@ def _word_product(rec, w1: Word, w2: Word, lam: Fraction) -> TensorElement:
     """``rec(w1, w2, lam)`` for one of the word recursions.
 
     Past MAX_RECURSION_LETTERS the product is built bottom-up instead, over
-    the suffix pairs of (w1, w2) with the shorter suffix of w1 first.  Only
-    two rows of suffix products are kept and none enters the cache: for an
-    m-letter w1 the cached recursion would hold O(m³) letters.
+    the suffix pairs (u, v) of (w1, w2), shortest first.  Only two rows of
+    suffix products are kept, each along the shorter word, and none enters
+    the cache: for an m-letter word the cached recursion would hold O(m³)
+    letters, and so would a row along an m-letter word.
     """
     if not w1 or not w2 or len(w1) + len(w2) <= MAX_RECURSION_LETTERS:
         return rec(w1, w2, lam)
@@ -88,14 +89,20 @@ def _word_product(rec, w1: Word, w2: Word, lam: Fraction) -> TensorElement:
     def sub(p: Word, q: Word, _lam) -> TensorElement:
         return table[p, q]
 
-    suffixes2 = [w2[j:] for j in reversed(range(len(w2) + 1))]
-    for i in reversed(range(len(w1) + 1)):
-        u = w1[i:]
-        for v in suffixes2:
+    # a row pairs one suffix of the longer word with every suffix of the
+    # shorter; the pairs keep their (w1, w2) order, so every step is the same
+    transposed = len(w1) < len(w2)
+    outer, inner = (w2, w1) if transposed else (w1, w2)
+    inner_suffixes = [inner[j:] for j in reversed(range(len(inner) + 1))]
+    previous = ()
+    for i in reversed(range(len(outer) + 1)):
+        s = outer[i:]
+        row = [(t, s) if transposed else (s, t) for t in inner_suffixes]
+        for u, v in row:
             table[u, v] = step(u, v, lam, sub)
-        if i < len(w1):  # row i + 1 is read by row i only
-            for v in suffixes2:
-                del table[w1[i + 1:], v]
+        for key in previous:  # a row is read by the next row only
+            del table[key]
+        previous = row
     return table[w1, w2]
 
 

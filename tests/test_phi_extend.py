@@ -1,4 +1,6 @@
-"""Differential tests of the closed-form φ̃ and the diagonal target operators.
+"""Differential tests of the closed-form φ̃, its integer core (one
+(numerator, denominator) pair per coordinate), and the diagonal target
+operators.
 
 The reference is the letter-by-letter Horner evaluation
 φ(a₁)·N(φ(a₂)·N(…·N(φ(aₙ))…)) with the operators written as their defining
@@ -12,15 +14,22 @@ from fractions import Fraction
 import pytest
 
 from nijalg import (
+    EmptyWordTermError,
     MONO_UNIT,
     Monomial,
     NijenhuisTarget,
     TensorElement,
+    UnmappedGeneratorError,
     VectorAlgebraElement,
+    aug_mod_quasi_shuffle,
+    gen,
     left_multiplication,
     make_n_tau,
     phi_extend,
+    universal_property_check,
 )
+from nijalg import operators
+from nijalg.operators import _phi_core
 from nijalg.suites import MASKS, RB_LAMBDAS, TAUS
 
 GENERATORS = ("a", "b", "c")
@@ -160,6 +169,94 @@ def test_phi_extend_rejects_operators_without_a_diagonal():
     other = NijenhuisTarget(dim=3, mask=frozenset({0}), tau=1, images=_images(rng, 3))
     with pytest.raises(TypeError):
         phi_extend(target, x, make_n_tau(other))
+
+
+def _core_value(phi, x):
+    """The integer core's value as a vector, after checking its form."""
+    pairs = phi(x)
+    assert all(type(p) is int and type(q) is int and q > 0 for p, q in pairs)
+    return VectorAlgebraElement(Fraction(p, q) for p, q in pairs)
+
+
+def _core_cases(mask, tau, lam):
+    """(operator, Horner reference operator) for N_τ, R and λR on ``mask``."""
+    return (
+        (make_n_tau, ref_n_tau(mask, tau)),
+        (lambda t: t.projection(), ref_projection(mask)),
+        (lambda t: t.scaled_projection(lam), ref_scaled_projection(mask, lam)),
+    )
+
+
+@pytest.mark.parametrize(
+    "mask, tau, lam",
+    [
+        # fractional diagonals
+        (frozenset({0, 1}), Fraction(5, 3), Fraction(2, 3)),
+        (frozenset({0}), Fraction(-2), Fraction(2, 3)),
+        # zero diagonal entries: N_0 and R vanish off the mask, λR everywhere
+        # at λ = 0, and with the empty mask every diagonal is zero
+        (frozenset(), Fraction(0), Fraction(0)),
+        (frozenset(range(4)), Fraction(0), Fraction(0)),
+        (frozenset({1, 3}), Fraction(0), Fraction(0)),
+    ],
+)
+def test_integer_core_matches_horner(mask, tau, lam):
+    rng = random.Random(f"{sorted(mask)} {tau} {lam}")
+    target = NijenhuisTarget(dim=4, mask=mask, tau=tau, images=_images(rng, 4))
+    # multi-term elements with non-unit rational coefficients, and zero
+    xs = _elements(rng, 20) + [TensorElement.zero()]
+    assert any(len(x.iterterms()) > 1 for x in xs)
+    assert any(c.denominator > 1 for x in xs for _, c in x.iterterms())
+    for make_op, ref in _core_cases(mask, tau, lam):
+        op = make_op(target)
+        phi = _phi_core(target, op)
+        for x in xs:
+            want = ref_phi_extend(target, x, ref)
+            assert _core_value(phi, x) == want
+            assert phi_extend(target, x, op) == want
+        assert _core_value(phi, TensorElement.zero()) == VectorAlgebraElement.zero(4)
+
+
+def test_integer_core_errors():
+    rng = random.Random(9)
+    target = NijenhuisTarget(dim=4, mask=frozenset({0}), tau=1, images=_images(rng, 4))
+    phi = _phi_core(target, make_n_tau(target))
+    a = Monomial({"a": 1})
+    with pytest.raises(EmptyWordTermError):
+        phi(TensorElement([((a,), 1), ((), 2)]))
+    with pytest.raises(UnmappedGeneratorError):
+        phi(TensorElement.from_word((a, gen("zz"))))
+    # a failed call leaves the memo usable
+    x = _augmented(rng)
+    assert _core_value(phi, x) == ref_phi_extend(target, x, ref_n_tau(target.mask, 1))
+
+
+def test_each_target_gets_its_own_values(monkeypatch):
+    rng = random.Random(15)
+    mask, tau = frozenset({0, 1}), Fraction(5, 3)
+    first, second = (
+        NijenhuisTarget(dim=4, mask=mask, tau=tau, images=_images(rng, 4)) for _ in range(2)
+    )
+    assert first.images != second.images
+    xs = _elements(rng, 10)
+    ref = ref_n_tau(mask, tau)
+    phis = [(t, _phi_core(t, make_n_tau(t))) for t in (first, second, first)]
+    for target, phi in phis:
+        for x in xs:
+            assert _core_value(phi, x) == ref_phi_extend(target, x, ref)
+    # checked one after the other: under a doubled product each
+    # multiplicative defect is the target's own φ̃(x)·φ̃(y)
+    monkeypatch.setattr(
+        operators, "aug_mod_quasi_shuffle", lambda x, y: 2 * aug_mod_quasi_shuffle(x, y)
+    )
+    pairs = list(zip(xs, reversed(xs)))
+    for target in (first, second):
+        records = universal_property_check(target, pairs)
+        defects = [r["defect"] for r in records if r["check"] == "multiplicative"]
+        assert defects == [
+            str(ref_phi_extend(target, x, ref) * ref_phi_extend(target, y, ref))
+            for x, y in pairs
+        ]
 
 
 def test_diagonal_operators_match_their_formulas():

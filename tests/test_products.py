@@ -1,5 +1,6 @@
 """The four shuffle-type products and the operator-deformed product."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from nijalg import (
     quasi_shuffle,
     shuffle,
 )
+from nijalg.oracle import mixed_shuffle, mod_quasi_shuffle_oracle
+from nijalg.products import clear_caches
 from conftest import te, words_over
 
 LAMBDAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))
@@ -200,3 +203,30 @@ def test_memoized_products_are_stable(ab):
     first = quasi_shuffle(te(a, b), te(b, a), Fraction(1, 2))
     second = quasi_shuffle(te(a, b), te(b, a), Fraction(1, 2))
     assert first == second
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of memory traced while it ran, in bytes."""
+    clear_caches()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_products_keep_their_rows_along_the_shorter_word(ab):
+    # 151 letters take the bottom-up path; a row along the 150-letter word
+    # would hold 151 suffix products of up to 301 long words at once
+    a, b = ab
+    short, long = te(b), te(*(a,) * 150)
+    lam = Fraction(2, 3)
+    for product, oracle in (
+        (quasi_shuffle, mixed_shuffle),
+        (mod_quasi_shuffle, mod_quasi_shuffle_oracle),
+    ):
+        long_short, long_short_peak = _traced_peak(product, long, short, lam)
+        short_long, short_long_peak = _traced_peak(product, short, long, lam)
+        assert short_long == long_short == oracle((b,), (a,) * 150, lam)
+        assert short_long_peak <= 2 * long_short_peak
