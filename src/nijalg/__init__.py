@@ -2,7 +2,7 @@
 tensor module over a free commutative base algebra, with executable checks
 of the defining identities."""
 
-from .base import BaseElement, MONO_UNIT, Monomial, Scalar, gen
+from .base import MONO_UNIT, Monomial, gen
 from .dendriform import (
     DendriformContext,
     dialgebra_defects,
@@ -18,18 +18,15 @@ from .errors import (
     UnmappedGeneratorError,
 )
 from .operators import (
-    LinearOperator,
     NijenhuisTarget,
     VectorAlgebraElement,
     factorization_check,
     hochschild_coboundary,
-    left_multiplication,
     make_n_tau,
     nijenhuis_defect,
     phi_extend,
     phi_monomial,
     rb_universal_check,
-    right_multiplication,
     rota_baxter_defect,
     universal_property_check,
     vec_mul,
@@ -57,7 +54,6 @@ from .tensor import (
     Word,
     b_minus,
     b_plus,
-    expand_letters,
     grade_lengths,
     make_word,
     word_sort_key,

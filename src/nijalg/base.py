@@ -1,22 +1,20 @@
-"""Exact scalars and the free commutative unital base algebra K[S].
+"""Monomials: the basis of the free commutative unital base algebra K[S].
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``), which are
-always stored reduced with a positive denominator.  The base algebra is the
-polynomial algebra over a set of named generators; its basis consists of
-commutative monomials, with the empty monomial acting as the unit ``e``.
-Monomials are interned, so equal monomials are one object.
+The base algebra is the polynomial algebra over a set of named generators;
+its basis consists of commutative monomials, with the empty monomial
+``MONO_UNIT`` acting as the unit ``e``.  A word letter is always a single
+monomial, so the algebra itself needs no element class.  Monomials are
+interned, so equal monomials are one object.  ``accumulate`` is the one
+loop that adds terms into a term map and drops the zeros.
 """
 
 from __future__ import annotations
 
 import re
 import weakref
-from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import ReservedSymbolError
-
-Scalar = Fraction
 
 _GEN_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -80,10 +78,6 @@ class Monomial:
         return (Monomial, (self._pairs,))
 
     @classmethod
-    def unit(cls) -> "Monomial":
-        return _MONO_UNIT
-
-    @classmethod
     def gen(cls, name: str, exp: int = 1) -> "Monomial":
         return cls(((name, exp),))
 
@@ -92,15 +86,8 @@ class Monomial:
         return self._pairs
 
     @property
-    def degree(self) -> int:
-        return self._key[0]
-
-    @property
     def sort_key(self):
         return self._key
-
-    def is_unit(self) -> bool:
-        return not self._pairs
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
@@ -152,9 +139,7 @@ class Monomial:
 # exponent pairs -> the one live Monomial with those exponents
 _INTERNED = weakref.WeakValueDictionary()
 
-_MONO_UNIT = Monomial()
-
-MONO_UNIT = _MONO_UNIT
+MONO_UNIT = Monomial()
 
 
 def gen(name: str) -> Monomial:
@@ -175,120 +160,3 @@ def accumulate(acc: dict, items: Iterable) -> dict:
             continue
         acc[key] = coeff
     return acc
-
-
-class LinearCombination:
-    """A finite rational linear combination of basis keys in canonical form.
-
-    Canonical form stores every coefficient as a ``Fraction`` and no zero
-    coefficient, so equality of elements of one type is equality of their
-    term maps.  Subclasses name their basis: ``_check_key`` validates a key,
-    and ``terms`` and ``__str__`` fix the print order and the key printer.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Union[Mapping, Iterable] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        check = self._check_key
-        self._terms = accumulate({}, ((check(key), Fraction(coeff)) for key, coeff in items))
-
-    @staticmethod
-    def _check_key(key):
-        return key
-
-    @classmethod
-    def _trusted(cls, terms: dict):
-        """Wrap a term map that is already canonical, without copying it."""
-        out = cls.__new__(cls)
-        out._terms = terms
-        return out
-
-    @classmethod
-    def zero(cls):
-        return cls._trusted({})
-
-    def _sorted_terms(self, sort_key):
-        return sorted(self._terms.items(), key=lambda kv: sort_key(kv[0]))
-
-    def iterterms(self):
-        return self._terms.items()
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._terms == other._terms
-
-    def __add__(self, other):
-        return self._trusted(accumulate(dict(self._terms), other._terms.items()))
-
-    def __neg__(self):
-        return self._trusted({key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if self._terms == other._terms:  # the common outcome of an identity check
-            return self._trusted({})
-        return self + (-other)
-
-    def _scale(self, coeff):
-        c = Fraction(coeff)
-        return self._trusted({key: k * c for key, k in self._terms.items()} if c else {})
-
-    __mul__ = __rmul__ = _scale
-
-    def _format(self, key_str) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for key, coeff in self.terms():
-            mag = abs(coeff)
-            body = key_str(key) if mag == 1 else f"{mag}·{key_str(key)}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self})"
-
-
-class BaseElement(LinearCombination):
-    """A finite K-linear combination of monomials, kept in canonical form.
-
-    Forms a commutative unital ring.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def _check_key(mono):
-        if not isinstance(mono, Monomial):
-            raise TypeError(f"expected Monomial key, got {mono!r}")
-        return mono
-
-    @classmethod
-    def unit(cls) -> "BaseElement":
-        return cls(((MONO_UNIT, 1),))
-
-    @classmethod
-    def from_monomial(cls, mono: Monomial, coeff=1) -> "BaseElement":
-        return cls(((mono, coeff),))
-
-    def terms(self):
-        """Term list in canonical monomial order."""
-        return self._sorted_terms(lambda mono: mono.sort_key)
-
-    def __str__(self):
-        return self._format(str)
-
-    def __mul__(self, other):
-        if isinstance(other, BaseElement):
-            products = (
-                (m1 * m2, c1 * c2)
-                for m1, c1 in self._terms.items()
-                for m2, c2 in other._terms.items()
-            )
-            return BaseElement._trusted(accumulate({}, products))
-        return self._scale(other)

@@ -1,6 +1,7 @@
 """Command-line front end: `nijalg eval` and `nijalg check`.
 
-Exit codes: 0 pass, 1 check failure, 2 usage or parse error.  Output is
+Exit codes: 0 pass, 1 check failure, 2 usage or parse error, or a result
+with an integer of more digits than Python prints.  Output is
 deterministic; ANSI color is used only on a terminal and can be disabled
 with NIJ_COLOR=0.
 """
@@ -11,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -52,11 +54,51 @@ def _verdict(ok: bool) -> str:
     return word
 
 
+def _digit_limit() -> int:
+    """The most digits an integer prints with (``sys.set_int_max_str_digits``);
+    0 means no limit."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+# a decimal with an exponent, which Fraction applies as a power of ten
+_EXPONENT = re.compile(r"(.*?)[eE]([-+]?[\d_]+)\s*\Z", re.DOTALL)
+
+
+def _rational(text: str, limit: int):
+    """Fraction(text), or None when its numerator or denominator would have
+    more than ``limit`` digits.
+
+    A large exponent is judged from the text, before its power of ten is
+    built: the mantissa's numerator and denominator are below 10**len(text),
+    so a nonzero mantissa and an exponent of at least limit + len(text) in
+    size put the value's numerator or denominator past 10**limit.
+    """
+    match = _EXPONENT.match(text)
+    if match is None:
+        value = Fraction(text)
+    else:
+        mantissa, exp = Fraction(match[1] + "e0"), int(match[2])
+        if not mantissa:
+            return mantissa
+        if abs(exp) >= limit + len(text):
+            return None
+        value = mantissa * Fraction(10) ** exp
+    largest = max(abs(value.numerator), value.denominator)
+    # 2**(3*limit) < 10**limit, so the power is built only for long values
+    if largest.bit_length() > 3 * limit and largest >= 10**limit:
+        return None
+    return value
+
+
 def _parse_lambda(text: str) -> Fraction:
+    limit = _digit_limit()
     try:
-        return Fraction(text)
+        value = _rational(text, limit) if limit else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid rational {text!r}")
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid rational {text!r}: more than {limit} digits")
+    return value
 
 
 def _parse_max_len(text: str) -> int:
@@ -142,9 +184,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command == "eval":
-        return _cmd_eval(args)
-    return _cmd_check(args)
+    try:
+        if args.command == "eval":
+            return _cmd_eval(args)
+        return _cmd_check(args)
+    except ValueError as err:
+        # a result integer too long to print: str() refuses it before
+        # anything reaches stdout; any other ValueError is a bug
+        if "integer string conversion" not in str(err):
+            raise
+        print(
+            f"error: the result has an integer of more than {_digit_limit()} digits,"
+            " too long to print",
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":

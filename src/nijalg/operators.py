@@ -19,30 +19,21 @@ from .products import aug_mod_quasi_shuffle, aug_quasi_shuffle
 from .tensor import TensorElement, Word, b_plus
 
 
-class LinearOperator:
-    """A named endomorphism; the name keys caches and labels reports."""
+class DiagonalOperator:
+    """Coordinatewise multiplication by the vector ``diagonal`` on K^d; the
+    name labels reports."""
 
-    __slots__ = ("name", "_fn")
-
-    def __init__(self, name: str, fn: Callable):
-        self.name = name
-        self._fn = fn
-
-    def __call__(self, x):
-        return self._fn(x)
-
-    def __repr__(self):
-        return f"LinearOperator({self.name})"
-
-
-class DiagonalOperator(LinearOperator):
-    """Coordinatewise multiplication by the vector ``diagonal`` on K^d."""
-
-    __slots__ = ("diagonal",)
+    __slots__ = ("name", "diagonal")
 
     def __init__(self, name: str, diagonal: "VectorAlgebraElement"):
-        super().__init__(name, diagonal.__mul__)
+        self.name = name
         self.diagonal = diagonal
+
+    def __call__(self, x):
+        return self.diagonal * x
+
+    def __repr__(self):
+        return f"DiagonalOperator({self.name})"
 
 
 class VectorAlgebraElement:
@@ -121,14 +112,6 @@ def vec_mul(x: VectorAlgebraElement, y: VectorAlgebraElement) -> VectorAlgebraEl
     return x * y
 
 
-def left_multiplication(v: VectorAlgebraElement) -> LinearOperator:
-    return LinearOperator(f"L_{v}", lambda x: v * x)
-
-
-def right_multiplication(v: VectorAlgebraElement) -> LinearOperator:
-    return LinearOperator(f"R_{v}", lambda x: x * v)
-
-
 @dataclass(frozen=True)
 class NijenhuisTarget:
     """A concrete commutative target algebra K^dim for universal-property tests.
@@ -158,12 +141,9 @@ class NijenhuisTarget:
         """The vector that is ``on`` at the mask's coordinates, ``off`` elsewhere."""
         return VectorAlgebraElement(on if i in self.mask else off for i in range(self.dim))
 
-    def projection(self) -> DiagonalOperator:
-        """R: the coordinate projection onto the mask, diagonal 1 on it, 0 off it."""
-        return DiagonalOperator(f"proj{sorted(self.mask)}", self.masked_diagonal(1, 0))
-
     def scaled_projection(self, lam) -> DiagonalOperator:
-        """λ·R: a Rota-Baxter operator of weight λ on this algebra."""
+        """λ·R: a Rota-Baxter operator of weight λ on this algebra; the
+        projection R itself is ``scaled_projection(1)``."""
         lam = Fraction(lam)
         return DiagonalOperator(
             f"{lam}*proj{sorted(self.mask)}", self.masked_diagonal(lam, 0)
@@ -218,7 +198,7 @@ def phi_extend(
 
     On a word a₁…aₙ, φ̃ is φ(a₁)·N(φ(a₂)·N(…·N(φ(aₙ))…)); sums extend
     linearly.  ``operator`` must be one of the target's diagonal operators
-    (``make_n_tau``, ``projection``, ``scaled_projection``): N multiplies
+    (``make_n_tau``, ``scaled_projection``): N multiplies
     coordinatewise by a vector d, and K^d is commutative, so the word
     evaluates in closed form to d^(n-1)·φ(a₁)⋯φ(aₙ), coordinate by
     coordinate.  ``operator`` defaults to the target's N_τ; pass
@@ -306,7 +286,7 @@ def factorization_check(w: Word) -> TensorElement:
     return acc
 
 
-def _operator_sanity(operator: LinearOperator, relation: Callable, dim: int) -> None:
+def _operator_sanity(operator: DiagonalOperator, relation: Callable, dim: int) -> None:
     # cheap defect check on a deterministic sample before trusting the target
     samples = [
         VectorAlgebraElement(range(1, dim + 1)),

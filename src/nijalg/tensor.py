@@ -2,18 +2,18 @@
 
 A word is a finite tuple of monomials; the empty word ``1`` spans the
 length-0 component and is the unit of the shuffle-type products.  A
-``TensorElement`` is a canonical rational linear combination of words.
-The "augmented" submodule consists of elements with no empty-word term.
+``TensorElement`` is a canonical rational linear combination of words, and
+the only element class of the package: its arithmetic is the module
+structure that every product, check and report works in.  The "augmented"
+submodule consists of elements with no empty-word term.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Tuple, Union
 
-from .base import BaseElement, LinearCombination, MONO_UNIT, Monomial, accumulate
+from .base import MONO_UNIT, Monomial, accumulate
 from .errors import EmptyWordTermError
 
 Word = Tuple[Monomial, ...]
@@ -40,14 +40,31 @@ def word_str(w: Word) -> str:
     return ".".join(str(m) for m in w)
 
 
-class TensorElement(LinearCombination):
+class TensorElement:
     """A finite linear combination of words with exact rational coefficients.
 
+    Canonical form stores every coefficient as a ``Fraction`` and no zero
+    coefficient, so equality of elements is equality of their term maps.
     Instances are immutable and hashable (products memoize on them); all
-    arithmetic returns new canonical elements with no zero coefficients.
+    arithmetic returns new canonical elements.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_terms", "_hash")
+
+    def __init__(self, terms: Union[Mapping, Iterable] = ()):
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        self._terms = accumulate({}, ((word, Fraction(coeff)) for word, coeff in items))
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "TensorElement":
+        """Wrap a term map that is already canonical, without copying it."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
+    def zero(cls) -> "TensorElement":
+        return cls._trusted({})
 
     @classmethod
     def from_word(cls, word: Iterable[Monomial], coeff=1) -> "TensorElement":
@@ -57,10 +74,10 @@ class TensorElement(LinearCombination):
 
     def terms(self):
         """Term list in canonical word order."""
-        return self._sorted_terms(word_sort_key)
+        return sorted(self._terms.items(), key=lambda kv: word_sort_key(kv[0]))
 
-    def __str__(self):
-        return self._format(word_str)
+    def iterterms(self):
+        return self._terms.items()
 
     def coeff(self, word: Word) -> Fraction:
         return self._terms.get(word, Fraction(0))
@@ -72,12 +89,51 @@ class TensorElement(LinearCombination):
         """Write ``letters`` in front of every word."""
         return self._trusted({letters + w: c for w, c in self._terms.items()})
 
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._terms == other._terms
+
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:  # the slot is filled on first use
             self._hash = hash(frozenset(self._terms.items()))
             return self._hash
+
+    def __add__(self, other):
+        return self._trusted(accumulate(dict(self._terms), other._terms.items()))
+
+    def __neg__(self):
+        return self._trusted({word: -c for word, c in self._terms.items()})
+
+    def __sub__(self, other):
+        if self._terms == other._terms:  # the common outcome of an identity check
+            return self._trusted({})
+        return self + (-other)
+
+    def _scale(self, coeff):
+        c = Fraction(coeff)
+        return self._trusted({word: k * c for word, k in self._terms.items()} if c else {})
+
+    __mul__ = __rmul__ = _scale
+
+    def __str__(self):
+        if not self._terms:
+            return "0"
+        parts = []
+        for word, coeff in self.terms():
+            mag = abs(coeff)
+            body = word_str(word) if mag == 1 else f"{mag}·{word_str(word)}"
+            if not parts:
+                parts.append(body if coeff > 0 else f"-{body}")
+            else:
+                parts.append(("+ " if coeff > 0 else "- ") + body)
+        return " ".join(parts)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
 
 
 def b_plus(x: TensorElement) -> TensorElement:
@@ -99,21 +155,3 @@ def b_minus(x: TensorElement) -> TensorElement:
 def grade_lengths(x: TensorElement) -> frozenset:
     """Set of word lengths carrying a nonzero coefficient."""
     return frozenset(len(w) for w, _ in x.iterterms())
-
-
-def expand_letters(letters: Sequence[Union[BaseElement, Monomial]]) -> TensorElement:
-    """Multilinear expansion of a word with general base-algebra letters.
-
-    Each slot distributes over its terms: the result sums, over all choices
-    of one monomial per slot, the chosen word weighted by the product of the
-    chosen coefficients.
-    """
-    slots = []
-    for letter in letters:
-        if isinstance(letter, Monomial):
-            letter = BaseElement.from_monomial(letter)
-        slots.append(list(letter.iterterms()))
-    return TensorElement(
-        (tuple(mono for mono, _ in choice), math.prod(c for _, c in choice))
-        for choice in itertools.product(*slots)
-    )

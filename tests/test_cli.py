@@ -1,9 +1,20 @@
 """CLI behavior: output formats, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import nijalg
+from nijalg import cli
 from nijalg.cli import main
 from nijalg.suites import SUITES
+
+LIMIT = sys.get_int_max_str_digits()
 
 
 def run(capsys, *argv):
@@ -218,3 +229,74 @@ def test_check_at_the_shortest_lengths_exits_0(capsys):
     for max_len in ("0", "1"):
         _, out, _ = run(capsys, "check", "universal", "--max-len", max_len)
         assert out == "universal: 0 checks, 0 failures -> PASS\n"
+
+
+def test_lambda_with_a_huge_exponent_exits_2_at_once():
+    # in a child process, so a power of ten that does get built fails the
+    # test at the timeout instead of hanging the run
+    env = {**os.environ, "PYTHONPATH": str(Path(nijalg.__file__).parent.parent)}
+    for command in (["eval", "a"], ["check", "assoc-qsh", "--max-len", "2"]):
+        for lam in ("1e999999999", "1e-999999999", "-7.25E+999999999"):
+            argv = [sys.executable, "-m", "nijalg.cli", *command, f"--lambda={lam}"]
+            done = subprocess.run(argv, capture_output=True, text=True, timeout=10, env=env)
+            assert (done.returncode, done.stdout) == (2, "")
+            message = f"invalid rational {lam!r}: more than {LIMIT} digits"
+            assert done.stderr.endswith(f"error: argument --lambda: {message}\n")
+    # a zero mantissa makes any exponent harmless
+    for lam in ("0e999999999", "-0.0e-999999999"):
+        argv = [sys.executable, "-m", "nijalg.cli", "eval", "a * b", f"--lambda={lam}"]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=10, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "a.b + b.a\n", "")
+
+
+def test_lambda_parses_as_fraction_up_to_the_digit_limit(capsys):
+    texts = (
+        "1", "-2/3", " 5 ", "1_000", "1.5", ".5", "5.", "-0.125", "1e3", "1E-3", "2.5e+2",
+        "-7.25e-1", "1_0e1_0", "-0.0e-7", f"1e{LIMIT - 1}", f"1e-{LIMIT - 1}",
+        f"{'9' * 20}.5e{LIMIT - 20}",  # 21 significant digits, then LIMIT - 21 zeros
+    )
+    for text in texts:
+        assert cli._parse_lambda(text) == Fraction(text)
+    for text in ("x", "1/0", "e5", "1e", "1e5e5", "1/2e3", "1.5 e3", "1e_5", "1e5_", "1e--5"):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            Fraction(text)
+        code, out, err = run(capsys, "eval", "a", "--lambda", text)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"invalid rational {text!r}\n")
+
+
+def test_lambda_past_the_digit_limit_exits_2(capsys):
+    for lam in (
+        f"1e{LIMIT}", f"1e-{LIMIT}", f"0.{'0' * (LIMIT - 1)}1", f"{'9' * 20}.5e{LIMIT - 19}"
+    ):
+        code, out, err = run(capsys, "eval", "a", f"--lambda={lam}")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"invalid rational {lam!r}: more than {LIMIT} digits\n")
+
+
+NINES = "9" * 4000
+TOO_LONG_TO_PRINT = [
+    ("eval", "a*b", "--lambda", "1e5000"),
+    ("eval", f"{NINES}*({NINES}*a)"),
+    ("eval", f"{NINES}*({NINES}*a)", "--format", "json"),
+    ("eval", f"[a^{'9' * LIMIT} a^{'9' * LIMIT}]"),
+    ("eval", f"[a^{'9' * LIMIT} a^{'9' * LIMIT}]", "--format", "json"),
+    ("check", "assoc-qsh", "--lambda", "1e5000", "--max-len", "2"),
+    ("check", "assoc-mqs", "--lambda", "1e3000", "--max-len", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", TOO_LONG_TO_PRINT, ids=range(len(TOO_LONG_TO_PRINT)))
+def test_results_past_the_digit_limit_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error: " in err and f"more than {LIMIT} digits" in err
+
+
+def test_other_value_errors_are_not_turned_into_exit_2(monkeypatch):
+    def broken(args):
+        raise ValueError("a bug, not a long integer")
+
+    monkeypatch.setattr(cli, "_cmd_eval", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["eval", "a"])

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses
-or a module outside the standard library, and the README names every check
-suite.
+or a module outside the standard library, every definition has a caller
+outside the tests, and the README names every check suite.
 
 No linter is part of the toolchain, so this parses each module with ``ast``
 instead.  ``__init__.py`` is skipped: its imports are the package's exports.
@@ -16,7 +16,9 @@ import pytest
 
 from nijalg.suites import SUITES
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "nijalg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "nijalg"
+BENCH = ROOT / "nijbench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
 
@@ -89,7 +91,76 @@ def test_non_stdlib_import_is_detected():
     assert non_stdlib_imports(source) == [(2, "numpy"), (5, "sympy.core"), (7, "attr")]
 
 
+# the definitions only tests call, each kept for a reason
+TEST_ONLY = {
+    "grade_lengths": "the acceptance gate asserts the grading of every product with it",
+    "DendriformContext.prec_head_form": "the reference that prec is tested against",
+    "DendriformContext.succ_head_form": "the reference that succ is tested against",
+    "DendriformContext.bullet_head_form": "the reference that bullet is tested against",
+}
+
+
+def definitions(tree):
+    """(qualified name, node) of each top-level function and class and each
+    non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def uncalled(sources, elsewhere: str = ""):
+    """Qualified names of the definitions in ``sources`` (module name -> source)
+    that no name or attribute outside their own definition reads, in any of
+    the modules, and that the text ``elsewhere`` does not name either."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    readers = {}  # name -> (module, line) of every read
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                readers.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                readers.setdefault(node.attr, []).append((module, node.lineno))
+    found = []
+    for module, tree in trees.items():
+        for qualname, node in definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                where != module or line not in own for where, line in readers.get(name, ())
+            ) and not re.search(rf"\b{re.escape(name)}\b", elsewhere):
+                found.append(qualname)
+    return sorted(found)
+
+
+def test_every_src_definition_has_a_caller():
+    sources = {path.name: path.read_text() for path in MODULES}
+    bench = "\n".join(path.read_text() for path in sorted(BENCH.rglob("*.py")))
+    assert uncalled(sources, bench) == sorted(TEST_ONLY)
+
+
+def test_dead_definition_is_detected():
+    sources = {
+        "a.py": (
+            "def used():\n    return 1\n\n"
+            "def dead():\n    return dead()\n\n"
+            "class Box:\n"
+            "    def run(self):\n        return used()\n"
+            "    def loop(self):\n        return self.loop()\n"
+            "    def __len__(self):\n        return 0\n"
+        ),
+        "b.py": "from a import Box\n\ndef traced():\n    return Box\n",
+    }
+    assert uncalled(sources, 'SPANS = ("traced", "Box.run")') == ["Box.loop", "dead"]
+    assert uncalled(sources) == ["Box.loop", "Box.run", "dead", "traced"]
+
+
 def test_readme_lists_every_suite():
-    readme = (SRC.parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     paragraph = readme.split("Check suites:", 1)[1].split("\n\n", 1)[0]
     assert tuple(re.findall(r"`([^`]+)`", paragraph)) == SUITES

@@ -23,7 +23,6 @@ from nijalg import (
     VectorAlgebraElement,
     aug_mod_quasi_shuffle,
     gen,
-    left_multiplication,
     make_n_tau,
     phi_extend,
     universal_property_check,
@@ -124,7 +123,7 @@ def test_phi_extend_matches_horner_on_k4_targets():
                 assert phi_extend(target, x, make_n_tau(target)) == want
         target = NijenhuisTarget(dim=4, mask=mask, tau=0, images=images)
         for x in xs:
-            assert phi_extend(target, x, target.projection()) == ref_phi_extend(
+            assert phi_extend(target, x, target.scaled_projection(1)) == ref_phi_extend(
                 target, x, ref_projection(mask)
             )
             for lam in RB_LAMBDAS:
@@ -163,7 +162,8 @@ def test_phi_extend_rejects_operators_without_a_diagonal():
     rng = random.Random(6)
     target = NijenhuisTarget(dim=4, mask=frozenset({0}), tau=1, images=_images(rng, 4))
     x = TensorElement.from_word((Monomial({"a": 1}), Monomial({"b": 1})))
-    for op in (left_multiplication(target.images["a"]), lambda v: v):
+    v = target.images["a"]
+    for op in (lambda x: v * x, lambda x: x):
         with pytest.raises(TypeError):
             phi_extend(target, x, op)
     other = NijenhuisTarget(dim=3, mask=frozenset({0}), tau=1, images=_images(rng, 3))
@@ -182,7 +182,7 @@ def _core_cases(mask, tau, lam):
     """(operator, Horner reference operator) for N_τ, R and λR on ``mask``."""
     return (
         (make_n_tau, ref_n_tau(mask, tau)),
-        (lambda t: t.projection(), ref_projection(mask)),
+        (lambda t: t.scaled_projection(1), ref_projection(mask)),
         (lambda t: t.scaled_projection(lam), ref_scaled_projection(mask, lam)),
     )
 
@@ -266,7 +266,7 @@ def test_diagonal_operators_match_their_formulas():
         vectors = [_vector(rng, 4) for _ in range(20)]
         for tau in TAUS + (Fraction(-1), Fraction(2, 7)):
             target = NijenhuisTarget(dim=4, mask=mask, tau=tau, images=images)
-            n_tau, proj = make_n_tau(target), target.projection()
+            n_tau, proj = make_n_tau(target), target.scaled_projection(1)
             for v in vectors:
                 rv = proj(v)
                 assert rv == VectorAlgebraElement(ref_projection(mask)(v.coords))
@@ -275,7 +275,7 @@ def test_diagonal_operators_match_their_formulas():
         for lam in RB_LAMBDAS + (Fraction(-3, 2),):
             op = target.scaled_projection(lam)
             for v in vectors:
-                assert op(v) == lam * target.projection()(v)
+                assert op(v) == lam * target.scaled_projection(1)(v)
                 ref = ref_scaled_projection(mask, lam)
                 assert op(v) == VectorAlgebraElement(ref(v.coords))
 

@@ -5,13 +5,11 @@ from fractions import Fraction
 import pytest
 
 from nijalg import (
-    BaseElement,
     EmptyWordTermError,
     MONO_UNIT,
     TensorElement,
     b_minus,
     b_plus,
-    expand_letters,
     gen,
     grade_lengths,
 )
@@ -34,17 +32,6 @@ def test_scaling_examples(ab):
     assert 0 * x == TensorElement.zero()
     assert 1 * x == x
     assert -1 * te(a, b) == -te(a, b)
-
-
-def test_expand_letters(ab):
-    a, b = ab
-    c = gen("c")
-    assert expand_letters([a, b]) == te(a, b)
-    ab_sum = BaseElement([(a, 1), (b, 1)])
-    assert expand_letters([ab_sum, c]) == te(a, c) + te(b, c)
-    assert expand_letters(
-        [BaseElement.from_monomial(a, 2), BaseElement.from_monomial(b, 3)]
-    ) == 6 * te(a, b)
 
 
 def test_b_plus(ab):
