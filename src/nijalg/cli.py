@@ -101,6 +101,24 @@ def _parse_lambda(text: str) -> Fraction:
     return value
 
 
+def _join_negative_lambdas(argv: list) -> list:
+    """``argv`` with each ``--lambda V`` after the command, or an abbreviation
+    such as ``--lam V``, joined into ``--lambda=V`` where V starts like a
+    negative number (``-1/2``, ``-.5``), which argparse would otherwise read
+    as an option; nothing after ``--`` is touched."""
+    if argv[:1] not in (["eval"], ["check"]):
+        return argv
+    out = argv[:1]
+    for i, token in enumerate(argv[1:], 1):
+        if token == "--":
+            return out + argv[i:]
+        if len(out[-1]) > 2 and "--lambda".startswith(out[-1]) and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _parse_max_len(text: str) -> int:
     try:
         value = int(text)
@@ -122,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     eval_p = sub.add_parser("eval", help="evaluate an expression")
-    eval_p.add_argument("expr", help="expression, e.g. 'a * b' or 'B+(a.b) % c'")
+    eval_p.add_argument("expr", help="expression, e.g. 'a * b' or 'B+(a.b) %% c'")
     eval_p.add_argument(
         "--lambda", dest="lam", type=_parse_lambda, default=Fraction(1), metavar="p/q"
     )
@@ -180,6 +198,7 @@ def _cmd_check(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_negative_lambdas(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

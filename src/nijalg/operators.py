@@ -1,10 +1,11 @@
 """Relation checkers, concrete operators, and the universal-property machinery.
 
 The generic checkers return the *defect element* of a relation rather than a
-boolean, so counterexamples stay inspectable and printable.  The concrete
-target family for universal-property tests is K^d with the componentwise
-product, a coordinate-projection Rota-Baxter operator R, and the Nijenhuis
-operator N_τ = R - τ(1 - R).
+boolean, so counterexamples stay inspectable and printable; the universal
+checks return defects too, ``None`` where a check holds, and build no report.
+The concrete target family for universal-property tests is K^d with the
+componentwise product, a coordinate-projection Rota-Baxter operator R, and
+the Nijenhuis operator N_τ = R - τ(1 - R).
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ class VectorAlgebraElement:
     def unit(cls, dim: int) -> "VectorAlgebraElement":
         return cls([1] * dim)
 
-    @classmethod
-    def zero(cls, dim: int) -> "VectorAlgebraElement":
-        return cls([0] * dim)
-
     @property
     def coords(self) -> Tuple[Fraction, ...]:
         return self._coords
@@ -86,9 +83,7 @@ class VectorAlgebraElement:
         other = Fraction(other)
         return self._trusted(tuple([a * other for a in self._coords]))
 
-    def __rmul__(self, other):
-        other = Fraction(other)
-        return self._trusted(tuple([other * a for a in self._coords]))
+    __rmul__ = __mul__  # a scalar on the left; the product is commutative
 
     def __pow__(self, exp: int) -> "VectorAlgebraElement":
         return self._trusted(tuple([a ** exp for a in self._coords]))
@@ -298,39 +293,27 @@ def _operator_sanity(operator: DiagonalOperator, relation: Callable, dim: int) -
                 raise ValueError(f"target operator {operator.name} fails its relation")
 
 
-def _universal_check(target, pairs, product, operator, label, relation) -> list:
-    """Check multiplicativity of φ̃ for ``product`` and its intertwining of B⁺ₑ
-    with ``operator``, after ``relation`` (the operator's defect on two
-    vectors) has passed a sanity check; ``label`` names the operator's
-    parameter in each record.
-
-    One ``_phi_core`` function, and so one memo of letter images and powers
-    of the diagonal d, serves every pair of this check and is dropped with
-    it.  Both checks compare the integer pairs by cross-multiplication
-    (``_is_product``): φ̃(product(x, y)) against φ̃(x)·φ̃(y), and φ̃(B⁺ₑx)
-    against d·φ̃(x).  The Fraction defect vector is built from the same
-    integers, and only for a check that fails; a passing check's defect is
-    the zero vector.
-    """
+def _universal_check(target, pairs, product, operator, relation) -> list:
+    """One (multiplicative, intertwining) defect pair per input pair, ``None``
+    for a check that holds, once ``relation`` (the operator's defect on two
+    vectors) passes a sanity check.  One ``_phi_core`` memo serves every pair;
+    φ̃(product(x, y)) is compared with φ̃(x)·φ̃(y), and φ̃(B⁺ₑx) with d·φ̃(x),
+    by integer cross-multiplication (``_is_product``), and only a failing
+    check builds its Fraction defect, from the same integers."""
     _operator_sanity(operator, relation, target.dim)
     phi = _phi_core(target, operator)
     diagonal = _pairs(operator.diagonal)
-    zero = str(VectorAlgebraElement.zero(target.dim))
-    records = []
+    defects = []
     for x, y in pairs:
-        inputs = f"X={x}; Y={y}; {label}; mask={sorted(target.mask)}"
         phix, phiy = phi(x), phi(y)
         phixy, phibx = phi(product(x, y)), phi(b_plus(x))
-        mult_holds = _is_product(phixy, phix, phiy)
-        twine_holds = _is_product(phibx, diagonal, phix)
-        mult = zero if mult_holds else str(_vector(phixy) - _vector(phix) * _vector(phiy))
-        twine = zero if twine_holds else str(_vector(phibx) - operator(_vector(phix)))
-        for check, holds, defect in (
-            ("multiplicative", mult_holds, mult),
-            ("intertwine", twine_holds, twine),
-        ):
-            records.append({"inputs": inputs, "check": check, "defect": defect, "pass": holds})
-    return records
+        mult = twine = None
+        if not _is_product(phixy, phix, phiy):
+            mult = _vector(phixy) - _vector(phix) * _vector(phiy)
+        if not _is_product(phibx, diagonal, phix):
+            twine = _vector(phibx) - operator(_vector(phix))
+        defects.append((mult, twine))
+    return defects
 
 
 def _is_product(w, u, v) -> bool:
@@ -340,30 +323,19 @@ def _is_product(w, u, v) -> bool:
 
 
 def universal_property_check(target: NijenhuisTarget, pairs) -> list:
-    """Check multiplicativity and operator intertwining of φ̃ for ⊠ and B⁺ₑ.
-
-    Returns one report record per check: {"inputs", "check", "defect", "pass"}.
-    """
+    """Check multiplicativity and operator intertwining of φ̃ for ⊠ and B⁺ₑ:
+    one (multiplicative, intertwining) pair per input pair, ``None`` for a
+    check that holds, else its nonzero defect vector."""
     operator = make_n_tau(target)
-    return _universal_check(
-        target,
-        pairs,
-        aug_mod_quasi_shuffle,
-        operator,
-        f"tau={target.tau}",
-        lambda x, y: nijenhuis_defect(operator, vec_mul, x, y),
-    )
+    relation = lambda x, y: nijenhuis_defect(operator, vec_mul, x, y)
+    return _universal_check(target, pairs, aug_mod_quasi_shuffle, operator, relation)
 
 
 def rb_universal_check(lam, target: NijenhuisTarget, pairs) -> list:
-    """Rota-Baxter analog: ⊡ at weight λ against the operator λ·projection."""
+    """Rota-Baxter analog: ⊡ at weight λ against the operator λ·projection,
+    with the same defect pairs as ``universal_property_check``."""
     lam = Fraction(lam)
     operator = target.scaled_projection(lam)
-    return _universal_check(
-        target,
-        pairs,
-        lambda x, y: aug_quasi_shuffle(x, y, lam),
-        operator,
-        f"lambda={lam}",
-        lambda x, y: rota_baxter_defect(operator, vec_mul, lam, x, y),
-    )
+    product = lambda x, y: aug_quasi_shuffle(x, y, lam)
+    relation = lambda x, y: rota_baxter_defect(operator, vec_mul, lam, x, y)
+    return _universal_check(target, pairs, product, operator, relation)

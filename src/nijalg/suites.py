@@ -4,10 +4,10 @@ tests.
 Every suite runs an exhaustive (or seeded-random) sweep over small words on
 two generators.  A suite is a generator that yields one result per check, in
 a fixed order: a falsy result when the check passes, and its failure record
-when it fails.  Each check is written ``yield defect and _failure(text,
-defect)``, so the text naming its inputs is built only for a failing check.
-``_tally`` is the one place that counts checks and keeps the failures; the
-report holds both.  All comparisons are exact.
+when it fails.  Every check, ``universal``'s too, is written ``yield defect
+and _failure(text, defect)``, so its inputs are named only when it fails.
+``_failure`` builds every record, and ``_tally`` counts every check and keeps
+the failures; the report holds both.  All comparisons are exact.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ def _inputs(*words: Word) -> str:
     return " ".join(f"{name}={word_str(w)}" for name, w in zip("xyz", words))
 
 
-def _failure(inputs: str, defect) -> dict:
-    return {"inputs": inputs, "defect": str(defect), "pass": False}
+def _failure(inputs: str, defect, **check) -> dict:
+    return {"inputs": inputs, **check, "defect": str(defect), "pass": False}
 
 
 def _tally(results) -> Tuple[int, list]:
@@ -252,22 +252,29 @@ def _sample(max_len, seed, samples):
     return random_images(rng), random_augmented_pairs(rng, samples, max_len)
 
 
+def _universal_results(pairs, defects, label):
+    """One result per check of the (multiplicative, intertwining) ``defects``
+    of each pair; ``label`` names the target's τ or λ and its mask."""
+    for (x, y), pair in zip(pairs, defects):
+        for check, defect in zip(("multiplicative", "intertwine"), pair):
+            yield defect and _failure(f"X={x}; Y={y}; {label}", defect, check=check)
+
+
 def _nijenhuis_results(max_len, seed, samples):
     images, pairs = _sample(max_len, seed, samples)
     for mask in MASKS:
         for tau in TAUS:
-            target = NijenhuisTarget(4, mask, tau, images)
-            for record in universal_property_check(target, pairs):
-                yield not record["pass"] and record
+            defects = universal_property_check(NijenhuisTarget(4, mask, tau, images), pairs)
+            yield from _universal_results(pairs, defects, f"tau={tau}; mask={sorted(mask)}")
 
 
 def _rota_baxter_results(max_len, seed, samples):
     images, pairs = _sample(max_len, seed, samples)
     for mask in (frozenset({0, 1}), frozenset(range(4))):
+        target = NijenhuisTarget(4, mask, Fraction(0), images)
         for lam in RB_LAMBDAS:
-            target = NijenhuisTarget(4, mask, Fraction(0), images)
-            for record in rb_universal_check(lam, target, pairs):
-                yield not record["pass"] and record
+            defects = rb_universal_check(lam, target, pairs)
+            yield from _universal_results(pairs, defects, f"lambda={lam}; mask={sorted(mask)}")
 
 
 def universal_sweep(max_len=6, seed=0, samples=500) -> Tuple[int, list]:

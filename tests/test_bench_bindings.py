@@ -1,0 +1,48 @@
+"""The benchmark's bindings into the package still resolve.
+
+``nijbench/tracing.py`` wraps the functions its SPANS and COUNTED tables
+name, and ``nijbench/workloads.py`` calls a few more by attribute.  A rename
+in the package would stop ``nijbench/run.py`` only when the benchmark runs;
+this checks every one of those names against the live modules instead.  The
+tracing module imports only the standard library, so it is run from its
+source here, and nothing is written under ``nijbench/``.
+"""
+
+import importlib
+import runpy
+from pathlib import Path
+
+import pytest
+
+TRACING = runpy.run_path(
+    str(Path(__file__).resolve().parent.parent / "nijbench" / "tracing.py"),
+    run_name="nijbench_tracing",
+)
+
+# the attributes nijbench/workloads.py calls on the package's modules
+WORKLOAD_CALLS = (
+    ("products", "clear_caches"),
+    ("suites", "run_suite"),
+    ("suites", "universal_sweep"),
+    ("suites", "rb_universal_sweep"),
+    ("cli", "main"),
+)
+
+TARGETS = [
+    (layer, qualname) for layer, qualnames in TRACING["SPANS"].items() for qualname in qualnames
+] + list(TRACING["COUNTED"].values())
+
+
+@pytest.mark.parametrize("layer, qualname", TARGETS, ids=[f"{l}.{q}" for l, q in TARGETS])
+def test_traced_targets_resolve(layer, qualname):
+    module = importlib.import_module(f"nijalg.{layer}")
+    owner, attr = TRACING["_resolve"](module, qualname)
+    # Tracer.install reads the original from the owner's own namespace
+    assert callable(owner.__dict__[attr])
+
+
+@pytest.mark.parametrize(
+    "layer, name", WORKLOAD_CALLS, ids=[f"{l}.{n}" for l, n in WORKLOAD_CALLS]
+)
+def test_workload_calls_resolve(layer, name):
+    assert callable(getattr(importlib.import_module(f"nijalg.{layer}"), name))

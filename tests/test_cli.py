@@ -265,6 +265,48 @@ def test_lambda_parses_as_fraction_up_to_the_digit_limit(capsys):
         assert err.endswith(f"invalid rational {text!r}\n")
 
 
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["eval", "--help"], ["check", "--help"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: nijalg"), argv
+        if argv[0] == "eval":
+            # the % of the example is printed, not read as a format directive
+            assert "'B+(a.b) % c'" in out
+
+
+@pytest.mark.parametrize("lam", ["-1/2", "-2.5e-3", "-.5", "-1"])
+def test_negative_lambda_parses_as_a_separate_argument(capsys, lam):
+    joined = run(capsys, "eval", "a * b", f"--lambda={lam}")
+    assert joined[0] == 0
+    assert run(capsys, "eval", "a * b", "--lambda", lam) == joined
+    assert run(capsys, "eval", "--lambda", lam, "a * b", "--format", "json") == run(
+        capsys, "eval", "a * b", f"--lambda={lam}", "--format", "json"
+    )
+    code, out, err = run(
+        capsys, "check", "assoc-qsh", "--max-len", "2", "--lambda", "2", "--lambda", lam,
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["lambdas"] == ["2", str(Fraction(lam))]
+    # argparse's abbreviations of --lambda take a negative value too
+    assert run(capsys, "eval", "a * b", "--lam", lam) == joined
+
+
+def test_lambda_without_a_value_still_exits_2(capsys):
+    for command in (["eval", "a * b"], ["check", "assoc-qsh"]):
+        code, out, err = run(capsys, *command, "--lambda", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --lambda: expected one argument\n")
+    # after --, or before the command, a negative value is an argument of
+    # its own
+    code, out, err = run(capsys, "eval", "--", "--lambda", "-1/2")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: -1/2\n")
+    code, out, err = run(capsys, "--lambda", "-1/2", "eval", "a")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --lambda -1/2\n")
+
+
 def test_lambda_past_the_digit_limit_exits_2(capsys):
     for lam in (
         f"1e{LIMIT}", f"1e-{LIMIT}", f"0.{'0' * (LIMIT - 1)}1", f"{'9' * 20}.5e{LIMIT - 19}"

@@ -29,9 +29,10 @@ from nijalg import (
     universal_property_check,
     vec_mul,
 )
+from nijalg.operators import DiagonalOperator
 from conftest import te, words_over
 
-ZERO4 = VectorAlgebraElement.zero(4)
+ZERO4 = VectorAlgebraElement([0] * 4)
 
 
 def _vec(rng, dim=4):
@@ -217,7 +218,7 @@ def test_universal_property_small(ab):
     a, b = ab
     target = _target({0, 1}, Fraction(3, 2))
     pairs = [(te(a), te(b)), (te(a, b), te(b)), (te(a, b), te(b, a))]
-    assert all(r["pass"] for r in universal_property_check(target, pairs))
+    assert universal_property_check(target, pairs) == [(None, None)] * len(pairs)
     # unit law: X ⊠ e maps to φ̃(X)
     op = make_n_tau(target)
     x = te(a, b, a)
@@ -231,12 +232,23 @@ def test_rb_universal_small(ab):
     pairs = [(te(a), te(b)), (te(a, b), te(b, a)), (te(b, b), te(a))]
     for lam in (Fraction(0), Fraction(1), Fraction(2, 3)):
         target = _target({0, 1}, 0)
-        assert all(r["pass"] for r in rb_universal_check(lam, target, pairs))
+        assert rb_universal_check(lam, target, pairs) == [(None, None)] * len(pairs)
     # λ = 1 with the full mask makes the operator the identity
     target = _target(range(4), 0)
     op = target.scaled_projection(1)
     x = te(a, b)
     assert phi_extend(target, b_plus(x), op) == phi_extend(target, x, op)
+
+
+def test_universal_check_refuses_an_operator_that_fails_its_relation(ab, monkeypatch):
+    # 2 is neither 0 nor λ = 1, so this diagonal operator is not a weight-1
+    # Rota-Baxter operator, and the sanity check must refuse it before any pair
+    a, b = ab
+    bad = DiagonalOperator("bad", VectorAlgebraElement([1, 2, 0, 0]))
+    monkeypatch.setattr(NijenhuisTarget, "scaled_projection", lambda self, lam: bad)
+    target = _target({0, 1}, 0)
+    with pytest.raises(ValueError, match=r"target operator bad fails its relation"):
+        rb_universal_check(1, target, [(te(a), te(b))])
 
 
 def test_mu_assoc_for_shift_operator(ab):

@@ -214,7 +214,7 @@ def test_integer_core_matches_horner(mask, tau, lam):
             want = ref_phi_extend(target, x, ref)
             assert _core_value(phi, x) == want
             assert phi_extend(target, x, op) == want
-        assert _core_value(phi, TensorElement.zero()) == VectorAlgebraElement.zero(4)
+        assert _core_value(phi, TensorElement.zero()) == VectorAlgebraElement([0] * 4)
 
 
 def test_integer_core_errors():
@@ -245,16 +245,16 @@ def test_each_target_gets_its_own_values(monkeypatch):
         for x in xs:
             assert _core_value(phi, x) == ref_phi_extend(target, x, ref)
     # checked one after the other: under a doubled product each
-    # multiplicative defect is the target's own φ̃(x)·φ̃(y)
+    # multiplicative defect is the target's own φ̃(x)·φ̃(y), or None when
+    # that is zero
     monkeypatch.setattr(
         operators, "aug_mod_quasi_shuffle", lambda x, y: 2 * aug_mod_quasi_shuffle(x, y)
     )
     pairs = list(zip(xs, reversed(xs)))
     for target in (first, second):
-        records = universal_property_check(target, pairs)
-        defects = [r["defect"] for r in records if r["check"] == "multiplicative"]
+        defects = [mult for mult, _ in universal_property_check(target, pairs)]
         assert defects == [
-            str(ref_phi_extend(target, x, ref) * ref_phi_extend(target, y, ref))
+            ref_phi_extend(target, x, ref) * ref_phi_extend(target, y, ref) or None
             for x, y in pairs
         ]
 

@@ -7,7 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from nijalg import NijenhuisTarget, rb_universal_check, suites, universal_property_check
+from nijalg import (
+    NijenhuisTarget,
+    TensorElement,
+    aug_mod_quasi_shuffle,
+    aug_quasi_shuffle,
+    b_plus,
+    operators,
+    rb_universal_check,
+    suites,
+    universal_property_check,
+)
 from nijalg.suites import SUITES, run_suite
 
 # sha256 of json.dumps(run_suite(suite, 3, lambdas, 0)).  Every byte of a
@@ -59,29 +69,48 @@ def test_reports_match_their_pinned_digests(suite, lambdas):
 
 
 def test_passing_checks_never_name_their_inputs(monkeypatch):
-    # universal records come from operators, which names every check's inputs
-    def refuse(word):
+    # the word suites name their inputs with word_str, the universal suite
+    # with the text of its two elements
+    def refuse(*args):
         raise AssertionError("inputs named for a passing check")
 
     monkeypatch.setattr(suites, "word_str", refuse)
+    monkeypatch.setattr(TensorElement, "__str__", refuse)
     for suite in SUITES:
-        if suite != "universal":
-            report = run_suite(suite, 3, ["1"], 0)
-            assert report["checked"] > 0 and report["failures"] == [], suite
+        report = run_suite(suite, 3, ["1"], 0)
+        assert report["checked"] > 0 and report["failures"] == [], suite
     with pytest.raises(AssertionError, match="inputs named"):
         run_suite("assoc-mqs", 3, ["2"], 0)
+    doubled = lambda x, y: 2 * aug_mod_quasi_shuffle(x, y)
+    monkeypatch.setattr(operators, "aug_mod_quasi_shuffle", doubled)
+    with pytest.raises(AssertionError, match="inputs named"):
+        run_suite("universal", 3, ["1"], 0)
 
 
-def test_universal_records_keep_their_order_and_keys():
-    # only failing records reach a report, so the pinned digests, which have
-    # no universal failure, cannot see this order
+def test_universal_records_keep_their_order_and_keys(monkeypatch):
+    # under a doubled product and a doubled B+ both checks of every pair
+    # fail here, so the failure records show the order of the checks
+    monkeypatch.setattr(
+        operators, "aug_mod_quasi_shuffle", lambda x, y: 2 * aug_mod_quasi_shuffle(x, y)
+    )
+    monkeypatch.setattr(
+        operators, "aug_quasi_shuffle", lambda x, y, lam: 2 * aug_quasi_shuffle(x, y, lam)
+    )
+    monkeypatch.setattr(operators, "b_plus", lambda x: 2 * b_plus(x))
     rng = random.Random(0)
     images = suites.random_images(rng)
     pairs = suites.random_augmented_pairs(rng, 3, 4)
-    target = NijenhuisTarget(4, frozenset({0}), Fraction(1), images)
-    for records in (
-        universal_property_check(target, pairs),
-        rb_universal_check(Fraction(2, 3), target, pairs),
+    # the full mask keeps every coordinate of φ̃ nonzero for these images
+    target = NijenhuisTarget(4, frozenset(range(4)), Fraction(1), images)
+    for label, defects in (
+        ("tau=1; mask=[0, 1, 2, 3]", universal_property_check(target, pairs)),
+        ("lambda=2/3; mask=[0, 1, 2, 3]", rb_universal_check(Fraction(2, 3), target, pairs)),
     ):
-        assert [r["check"] for r in records] == ["multiplicative", "intertwine"] * 3
-        assert all(list(r) == ["inputs", "check", "defect", "pass"] for r in records)
+        results = list(suites._universal_results(pairs, defects, label))
+        assert len(results) == 2 * len(pairs) and all(results)
+        assert [r["check"] for r in results] == ["multiplicative", "intertwine"] * 3
+        assert [r["inputs"] for r in results] == [
+            f"X={x}; Y={y}; {label}" for x, y in pairs for _ in range(2)
+        ]
+        assert all(list(r) == ["inputs", "check", "defect", "pass"] for r in results)
+        assert not any(r["pass"] for r in results)

@@ -1,11 +1,14 @@
-"""Differential tests of the universal-property records.
+"""Differential tests of the universal-property checks and their records.
 
 The reference is the Fraction-vector check that the integer cross-multiplying
 ``_universal_check`` replaced, kept here verbatim with the ``phi_extend`` it
-called: every φ̃ value is a vector of Fractions, and both defects are always
-computed by Fraction arithmetic.  The records must agree in order, keys and
-strings, for the real products and for product mutants that the K^4 targets
-catch, so the failing records and their defect texts are compared too.
+called: every φ̃ value is a vector of Fractions, both defects are always
+computed by Fraction arithmetic, and every check gets a record.  The defect
+pairs that the checks return must agree with those records check by check,
+and the failure records that ``suites`` builds from them must equal the
+reference's failing records in order and text.  Both are compared for the
+real products and for product mutants that the K^4 targets catch, so the
+failure path is exercised too.
 """
 
 import random
@@ -33,7 +36,14 @@ from nijalg import (
 )
 from nijalg import operators
 from nijalg.operators import DiagonalOperator, _operator_sanity
-from nijalg.suites import MASKS, RB_LAMBDAS, TAUS, random_augmented_pairs, random_images
+from nijalg.suites import (
+    MASKS,
+    RB_LAMBDAS,
+    TAUS,
+    _universal_results,
+    random_augmented_pairs,
+    random_images,
+)
 
 
 def ref_phi_extend(target, x, operator=None):
@@ -175,6 +185,21 @@ def _pairs(rng):
     return pairs + [(x - Fraction(2, 3) * y, Fraction(5, 2) * y + x) for x, y in pairs[:4]]
 
 
+def _agree(target, pairs, parameter, defects, reference) -> int:
+    """Assert that the defect pairs, and the failure records that suites
+    builds from them, agree with the reference records; the failure count."""
+    flat = [defect for pair in defects for defect in pair]
+    assert [defect is None for defect in flat] == [r["pass"] for r in reference]
+    failing = [r for r in reference if not r["pass"]]
+    assert [str(defect) for defect in flat if defect is not None] == [
+        r["defect"] for r in failing
+    ]
+    label = f"{parameter}; mask={sorted(target.mask)}"
+    records = [r for r in _universal_results(pairs, defects, label) if r]
+    assert records == failing
+    return len(records)
+
+
 @pytest.mark.parametrize("name", PRODUCTS)
 def test_records_match_the_fraction_reference(name, monkeypatch):
     amq, aqs = PRODUCTS[name]
@@ -186,13 +211,21 @@ def test_records_match_the_fraction_reference(name, monkeypatch):
     for mask in MASKS:
         for tau in TAUS:
             target = NijenhuisTarget(4, mask, tau, images)
-            records = universal_property_check(target, pairs)
-            assert records == ref_nijenhuis_records(target, pairs, amq)
-            failing += sum(not r["pass"] for r in records)
+            failing += _agree(
+                target,
+                pairs,
+                f"tau={target.tau}",
+                universal_property_check(target, pairs),
+                ref_nijenhuis_records(target, pairs, amq),
+            )
         target = NijenhuisTarget(4, mask, Fraction(0), images)
         for lam in RB_LAMBDAS:
-            records = rb_universal_check(lam, target, pairs)
-            assert records == ref_rota_baxter_records(lam, target, pairs, aqs)
-            failing += sum(not r["pass"] for r in records)
+            failing += _agree(
+                target,
+                pairs,
+                f"lambda={lam}",
+                rb_universal_check(lam, target, pairs),
+                ref_rota_baxter_records(lam, target, pairs, aqs),
+            )
     # the mutants reach the failure path; the real products never do
     assert (failing == 0) == (name == "real")
