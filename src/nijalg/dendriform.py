@@ -5,37 +5,28 @@ elements by the origin of the leading letter:
 
   X ≺ Z = x₁(B⁻(X) * Z) = X ⊡ B⁺ₑ(Z)
   X ≻ Z = z₁(X * B⁻(Z)) = B⁺ₑ(X) ⊡ Z
-  X • Z = c·[x₁z₁](B⁻(X) * B⁻(Z))
+  X • Z = −λ·[x₁z₁](B⁻(X) * B⁻(Z)) = −λ·(X ⊡ Z)
 
-Under the "default" convention c = -λ the three operations sum exactly to
-the quasi-shuffle product; the "literal" convention keeps c = 1, in which
-case • coincides with the ⊡ product.  At λ = 0 the default • vanishes and
-(≺, ≻) is the weight-0 dendriform dialgebra split of the shuffle.
+so the three sum exactly to the quasi-shuffle product.  At λ = 0 • vanishes
+and (≺, ≻) is the weight-0 dendriform dialgebra split of the shuffle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import EmptyWordTermError
 from .products import _bilinear, _qsh, _require_augmented, _word_product, aug_quasi_shuffle
 # unused here, but nijbench's tracing test checks that its wrappers reach
 # this binding
 from .products import quasi_shuffle  # noqa: F401
-from .tensor import TensorElement, Word, b_plus
-
-DEFAULT = "default"
-LITERAL = "literal"
+from .tensor import TensorElement, Word, b_plus, fold_letters
 
 
 class DendriformContext:
     """λ together with the splitting operations ≺, ≻, • at that weight."""
 
-    def __init__(self, lam=1, convention: str = DEFAULT):
-        if convention not in (DEFAULT, LITERAL):
-            raise ValueError(f"unknown bullet convention {convention!r}")
+    def __init__(self, lam=1):
         self.lam = Fraction(lam)
-        self.convention = convention
 
     def prec(self, x: TensorElement, y: TensorElement) -> TensorElement:
         """x ≺ y: the quasi-shuffle terms led by the first factor's head."""
@@ -50,17 +41,13 @@ class DendriformContext:
         return aug_quasi_shuffle(b_plus(x), y, self.lam)
 
     def bullet(self, x: TensorElement, y: TensorElement) -> TensorElement:
-        """x • y: the merged-head component, scaled per the convention."""
+        """x • y = −λ·(x ⊡ y): the quasi-shuffle terms that merge both heads."""
         _require_augmented(x, "bullet")
         _require_augmented(y, "bullet")
-        merged = aug_quasi_shuffle(x, y, self.lam)
-        if self.convention == LITERAL:
-            return merged
-        return -self.lam * merged
+        return -self.lam * aug_quasi_shuffle(x, y, self.lam)
 
     def star(self, x: TensorElement, y: TensorElement) -> TensorElement:
-        """≺ + ≻ + •; equals the quasi-shuffle product under the default
-        convention."""
+        """≺ + ≻ + •, which equals the quasi-shuffle product."""
         return self.prec(x, y) + self.succ(x, y) + self.bullet(x, y)
 
     # head-letter forms of the defining identities, used as cross-checks
@@ -82,12 +69,9 @@ class DendriformContext:
     def bullet_head_form(self, x: TensorElement, y: TensorElement) -> TensorElement:
         _require_augmented(x, "bullet")
         _require_augmented(y, "bullet")
-        merged = _bilinear(
+        return -self.lam * _bilinear(
             lambda w1, w2: self._words(w1[1:], w2[1:]).prepend(w1[0] * w2[0]), x, y
         )
-        if self.convention == LITERAL:
-            return merged
-        return -self.lam * merged
 
 
 def dialgebra_defects(ctx: DendriformContext, x, y, z):
@@ -118,29 +102,20 @@ def trialgebra_defects(ctx: DendriformContext, x, y, z):
     )
 
 
-def omega_prec(w: Word, ctx: DendriformContext = None) -> TensorElement:
-    """Right-nested ≺ over the letters: a₁ ≺ (a₂ ≺ (… ≺ aₙ)).
+def omega_prec(w: Word) -> TensorElement:
+    """Right-nested ≺ over the letters at λ = 1: a₁ ≺ (a₂ ≺ (… ≺ aₙ)), one
+    ``fold_letters``.
 
-    Acts as the identity on monomial-letter words for any λ.
+    Acts as the identity on monomial-letter words (at any λ).
     """
-    if not w:
-        raise EmptyWordTermError("omega_prec is defined for nonempty words only")
-    ctx = ctx or DendriformContext()
-    acc = TensorElement.from_word(w[-1:])
-    for mono in w[-2::-1]:
-        acc = ctx.prec(TensorElement.from_word((mono,)), acc)
-    return acc
+    return fold_letters(w, DendriformContext().prec, "omega_prec")
 
 
-def omega_succ(w: Word, ctx: DendriformContext = None) -> TensorElement:
-    """Mirror left-nested ≻ over the reversed letters: (…(aₙ ≻ aₙ₋₁) ≻ …) ≻ a₁.
+def omega_succ(w: Word) -> TensorElement:
+    """Mirror left-nested ≻ over the reversed letters at λ = 1:
+    (…(aₙ ≻ aₙ₋₁) ≻ …) ≻ a₁, one ``fold_letters``.
 
     Also the identity on monomial-letter words.
     """
-    if not w:
-        raise EmptyWordTermError("omega_succ is defined for nonempty words only")
-    ctx = ctx or DendriformContext()
-    acc = TensorElement.from_word(w[-1:])
-    for mono in w[-2::-1]:
-        acc = ctx.succ(acc, TensorElement.from_word((mono,)))
-    return acc
+    ctx = DendriformContext()
+    return fold_letters(w, lambda letter, acc: ctx.succ(acc, letter), "omega_succ")

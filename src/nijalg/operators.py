@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Tuple
 from .base import Monomial, check_generator
 from .errors import EmptyWordTermError, UnmappedGeneratorError
 from .products import aug_mod_quasi_shuffle, aug_quasi_shuffle
-from .tensor import TensorElement, Word, b_plus
+from .tensor import TensorElement, Word, b_plus, fold_letters
 
 
 class DiagonalOperator:
@@ -269,28 +269,28 @@ def _vector(pairs: Tuple[Tuple[int, int], ...]) -> VectorAlgebraElement:
 
 
 def factorization_check(w: Word) -> TensorElement:
-    """Rebuild the word a₁…aₙ as a₁ ⊠ B⁺ₑ(a₂ ⊠ B⁺ₑ(… ⊠ B⁺ₑ(aₙ)…)).
+    """Rebuild the word a₁…aₙ as a₁ ⊠ B⁺ₑ(a₂ ⊠ B⁺ₑ(… ⊠ B⁺ₑ(aₙ)…)), one
+    ``fold_letters``.
 
     The contract is that the result equals the single word with coefficient 1.
     """
-    if not w:
-        raise EmptyWordTermError("factorization is defined for nonempty words only")
-    acc = TensorElement.from_word(w[-1:])
-    for mono in w[-2::-1]:
-        acc = aug_mod_quasi_shuffle(TensorElement.from_word((mono,)), b_plus(acc))
-    return acc
+    return fold_letters(
+        w, lambda letter, acc: aug_mod_quasi_shuffle(letter, b_plus(acc)), "factorization"
+    )
 
 
 def _operator_sanity(operator: DiagonalOperator, relation: Callable, dim: int) -> None:
-    # cheap defect check on a deterministic sample before trusting the target
-    samples = [
-        VectorAlgebraElement(range(1, dim + 1)),
-        VectorAlgebraElement(Fraction(i, 2) - 1 for i in range(dim)),
-    ]
-    for x in samples:
-        for y in samples:
-            if relation(x, y):
-                raise ValueError(f"target operator {operator.name} fails its relation")
+    """Refuse ``operator`` unless ``relation`` holds for it on the all-ones pair.
+
+    The operator is diagonal, d, and the product coordinatewise, so the
+    relation's defect at (x, y) is c(dᵢ)·xᵢ·yᵢ in coordinate i, with c = 0 for
+    Nijenhuis and c(d) = d(λ − d) for weight-λ Rota-Baxter: x = y = 1 decides
+    the relation exactly.  A non-diagonal operator would need every pair of
+    basis vectors.
+    """
+    ones = VectorAlgebraElement.unit(dim)
+    if relation(ones, ones):
+        raise ValueError(f"target operator {operator.name} fails its relation")
 
 
 def _universal_check(target, pairs, product, operator, relation) -> list:

@@ -20,7 +20,6 @@ from typing import Iterable, List, Tuple
 from .base import gen
 from .dendriform import (
     DendriformContext,
-    LITERAL,
     dialgebra_defects,
     omega_prec,
     omega_succ,
@@ -51,25 +50,25 @@ from .tensor import TensorElement, Word, b_plus, word_str
 GENERATORS = ("a", "b")
 
 
-def words_up_to(max_len: int, min_len: int = 0, gens=GENERATORS) -> List[Word]:
+def words_up_to(max_len: int, min_len: int = 0) -> List[Word]:
     """All words with single-generator letters, in canonical order."""
-    letters = tuple(gen(g) for g in gens)
+    letters = tuple(gen(g) for g in GENERATORS)
     out: List[Word] = []
     for n in range(min_len, max_len + 1):
         out.extend(itertools.product(letters, repeat=n))
     return out
 
 
-def word_pairs(max_total: int, min_len: int = 0, gens=GENERATORS):
-    ws = words_up_to(max_total, min_len, gens)
+def word_pairs(max_total: int, min_len: int = 0):
+    ws = words_up_to(max_total, min_len)
     for x in ws:
         for y in ws:
             if len(x) + len(y) <= max_total:
                 yield x, y
 
 
-def word_triples(max_total: int, min_len: int = 0, gens=GENERATORS):
-    ws = words_up_to(max_total, min_len, gens)
+def word_triples(max_total: int, min_len: int = 0):
+    ws = words_up_to(max_total, min_len)
     for x in ws:
         for y in ws:
             if len(x) + len(y) > max_total:
@@ -179,12 +178,11 @@ def suite_dendriform_di(max_len, lambdas, seed):
 def suite_dendriform_tri(max_len, lambdas, seed):
     for lam in lambdas:
         ctx = DendriformContext(lam)
-        lit = DendriformContext(lam, LITERAL)
         for x, y in word_pairs(max_len, 1):
             ex, ey = elt(x), elt(y)
             defect = ctx.star(ex, ey) - quasi_shuffle(ex, ey, lam)
             yield defect and _failure(f"split lambda={lam} {_inputs(x, y)}", defect)
-            defect = ctx.bullet(ex, ey) - (-lam) * lit.bullet(ex, ey)
+            defect = ctx.bullet(ex, ey) - (-lam) * aug_quasi_shuffle(ex, ey, lam)
             yield defect and _failure(f"convention lambda={lam} {_inputs(x, y)}", defect)
         for x, y, z in word_triples(max_len, 1):
             for i, defect in enumerate(trialgebra_defects(ctx, elt(x), elt(y), elt(z)), 1):

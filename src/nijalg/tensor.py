@@ -67,10 +67,8 @@ class TensorElement:
         return cls._trusted({})
 
     @classmethod
-    def from_word(cls, word: Iterable[Monomial], coeff=1) -> "TensorElement":
-        word = make_word(word)
-        coeff = Fraction(coeff)
-        return cls._trusted({word: coeff} if coeff else {})
+    def from_word(cls, word: Iterable[Monomial]) -> "TensorElement":
+        return cls._trusted({make_word(word): Fraction(1)})
 
     def terms(self):
         """Term list in canonical word order."""
@@ -78,9 +76,6 @@ class TensorElement:
 
     def iterterms(self):
         return self._terms.items()
-
-    def coeff(self, word: Word) -> Fraction:
-        return self._terms.get(word, Fraction(0))
 
     def is_augmented(self) -> bool:
         return EMPTY_WORD not in self._terms
@@ -150,6 +145,19 @@ def b_minus(x: TensorElement) -> TensorElement:
     if not x.is_augmented():
         raise EmptyWordTermError("b_minus is defined on the augmented module only")
     return TensorElement._trusted(accumulate({}, ((w[1:], c) for w, c in x.iterterms())))
+
+
+def fold_letters(w: Word, combine, name: str) -> TensorElement:
+    """combine(a₁, combine(a₂, … combine(aₙ₋₁, aₙ)…)) for the word a₁…aₙ,
+    each letter taken as a one-letter element: the right fold that rebuilds a
+    word from its letters.  ``name`` labels the error an empty word raises.
+    """
+    if not w:
+        raise EmptyWordTermError(f"{name} is defined for nonempty words only")
+    acc = TensorElement.from_word(w[-1:])
+    for mono in w[-2::-1]:
+        acc = combine(TensorElement.from_word((mono,)), acc)
+    return acc
 
 
 def grade_lengths(x: TensorElement) -> frozenset:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,11 +18,52 @@ from nijalg.suites import SUITES
 
 LIMIT = sys.get_int_max_str_digits()
 
+# a command, outside quotes free of "#", then an optional "# comment"
+EXAMPLE = re.compile(r"((?:[^'#]|'[^']*')*)(?:#\s*(.*))?")
+
+
+def readme_cli_examples():
+    """(argv, exit code, stdout or None) for each line of README's ``## CLI``
+    block.  A comment naming ``exit N`` gives the exit code, 0 when none is
+    named; a comment that names no exit is the exact stdout."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, comment = EXAMPLE.fullmatch(line).groups()
+        program, *argv = shlex.split(command)
+        assert program == "nijalg", line
+        named = re.search(r"\bexit (\d+)\b", comment or "")
+        if named:
+            examples.append((argv, int(named.group(1)), None))
+        else:
+            examples.append((argv, 0, None if comment is None else comment + "\n"))
+    return examples
+
+
+README_EXAMPLES = readme_cli_examples()
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code, out", README_EXAMPLES, ids=[shlex.join(argv) for argv, _, _ in README_EXAMPLES]
+)
+def test_readme_cli_example(capsys, argv, code, out):
+    got_code, got_out, _ = run(capsys, *argv)
+    assert got_code == code
+    if out is not None:
+        assert got_out == out
+
+
+def test_readme_cli_examples_are_found():
+    # both kinds of comment are read: a pinned stdout and a named exit
+    assert any(out for _, _, out in README_EXAMPLES)
+    assert any(code for _, code, _ in README_EXAMPLES)
 
 
 def test_eval_text(capsys):

@@ -8,6 +8,7 @@ from nijalg import (
     DendriformContext,
     EmptyWordTermError,
     TensorElement,
+    aug_quasi_shuffle,
     dialgebra_defects,
     gen,
     omega_prec,
@@ -15,7 +16,6 @@ from nijalg import (
     quasi_shuffle,
     trialgebra_defects,
 )
-from nijalg.dendriform import LITERAL
 from conftest import te, words_over
 
 ZERO = TensorElement.zero()
@@ -58,13 +58,12 @@ def test_succ_examples(ab):
 def test_head_forms_agree(ab):
     for lam in (Fraction(0), Fraction(1), Fraction(-1)):
         ctx = DendriformContext(lam)
-        lit = DendriformContext(lam, LITERAL)
         for x, y in _aug_pairs(ab, 5):
             ex, ey = te(*x), te(*y)
             assert ctx.prec(ex, ey) == ctx.prec_head_form(ex, ey)
             assert ctx.succ(ex, ey) == ctx.succ_head_form(ex, ey)
             assert ctx.bullet(ex, ey) == ctx.bullet_head_form(ex, ey)
-            assert lit.bullet(ex, ey) == lit.bullet_head_form(ex, ey)
+            assert ctx.bullet(ex, ey) == -lam * aug_quasi_shuffle(ex, ey, lam)
 
 
 def test_head_forms_of_long_words_do_not_recurse(ab):
@@ -81,13 +80,11 @@ def test_head_forms_of_long_words_do_not_recurse(ab):
 def test_bullet_conventions(ab):
     a, b = ab
     assert DendriformContext(1).bullet(te(a), te(b)) == -te(a * b)
-    assert DendriformContext(1, LITERAL).bullet(te(a), te(b)) == te(a * b)
     assert DendriformContext(0).bullet(te(a), te(b)) == ZERO
     for lam in (Fraction(1), Fraction(-1), Fraction(2, 3)):
         ctx = DendriformContext(lam)
-        lit = DendriformContext(lam, LITERAL)
         for x, y in _aug_pairs(ab, 4):
-            assert ctx.bullet(te(*x), te(*y)) == -lam * lit.bullet(te(*x), te(*y))
+            assert ctx.bullet(te(*x), te(*y)) == -lam * aug_quasi_shuffle(te(*x), te(*y), lam)
 
 
 def test_splitting_sums_to_quasi_shuffle(ab):

@@ -94,6 +94,7 @@ def test_non_stdlib_import_is_detected():
 # the definitions only tests call, each kept for a reason
 TEST_ONLY = {
     "grade_lengths": "the acceptance gate asserts the grading of every product with it",
+    "TensorElement.zero": "the value that identity tests compare each defect with",
     "DendriformContext.prec_head_form": "the reference that prec is tested against",
     "DendriformContext.succ_head_form": "the reference that succ is tested against",
     "DendriformContext.bullet_head_form": "the reference that bullet is tested against",
@@ -114,33 +115,86 @@ def definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def uncalled(sources, elsewhere: str = ""):
+def reads(tree, classes):
+    """(name, line, owner) of each name and attribute that ``tree`` reads.
+    The owner is the class an attribute is read through, as ``Class.name``
+    for a class in ``classes`` or as ``self.name`` / ``cls.name`` inside a
+    class, and None otherwise."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, ast.ClassDef):
+            inside = node.name
+        if isinstance(node, ast.Name):
+            found.append((node.id, node.lineno, None))
+        elif isinstance(node, ast.Attribute):
+            base = node.value.id if isinstance(node.value, ast.Name) else None
+            owner = inside if base in ("self", "cls") else base if base in classes else None
+            found.append((node.attr, node.lineno, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, None)
+    return found
+
+
+def bench_references(sources):
+    """(qualified names, attribute names) that the benchmark's code reaches:
+    each ``SPANS`` / ``COUNTED`` entry, and each attribute its modules read.
+    Its docstrings and comments reach nothing."""
+    qualnames, attributes = set(), set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                table = node.targets[0].id
+                if table in ("SPANS", "COUNTED"):
+                    for value in node.value.values:  # SPANS: names; COUNTED: (layer, name)
+                        names = [item.value for item in value.elts]
+                        qualnames.update(names if table == "SPANS" else names[1:])
+    return qualnames, attributes
+
+
+def uncalled(sources, bench=None):
     """Qualified names of the definitions in ``sources`` (module name -> source)
     that no name or attribute outside their own definition reads, in any of
-    the modules, and that the text ``elsewhere`` does not name either."""
+    the modules, and that the benchmark's code (``bench``, module name ->
+    source) does not reach either.  A method whose name another class's
+    method shares is called only by a read through its own class, or by its
+    qualified name in ``SPANS`` / ``COUNTED``."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    readers = {}  # name -> (module, line) of every read
+    methods = {}  # method name -> the classes that define it
+    for tree in trees.values():
+        for qualname, _ in definitions(tree):
+            if "." in qualname:
+                owner, name = qualname.split(".")
+                methods.setdefault(name, set()).add(owner)
+    classes = {owner for owners in methods.values() for owner in owners}
+    readers = {}  # name -> (module, line, owner) of every read
     for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                readers.setdefault(node.id, []).append((module, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                readers.setdefault(node.attr, []).append((module, node.lineno))
+        for name, line, owner in reads(tree, classes):
+            readers.setdefault(name, []).append((module, line, owner))
+    bench_qualnames, bench_attributes = bench_references(bench or {})
     found = []
     for module, tree in trees.items():
         for qualname, node in definitions(tree):
-            name = qualname.rsplit(".", 1)[-1]
+            owner, _, name = qualname.rpartition(".")
+            shared = len(methods.get(name, ())) > 1 and owner
             own = range(node.lineno, node.end_lineno + 1)
-            if not any(
-                where != module or line not in own for where, line in readers.get(name, ())
-            ) and not re.search(rf"\b{re.escape(name)}\b", elsewhere):
+            called = any(
+                (where != module or line not in own) and (not shared or via == owner)
+                for where, line, via in readers.get(name, ())
+            )
+            reached = qualname in bench_qualnames or (not shared and name in bench_attributes)
+            if not called and not reached:
                 found.append(qualname)
     return sorted(found)
 
 
 def test_every_src_definition_has_a_caller():
     sources = {path.name: path.read_text() for path in MODULES}
-    bench = "\n".join(path.read_text() for path in sorted(BENCH.rglob("*.py")))
+    bench = {path.name: path.read_text() for path in sorted(BENCH.rglob("*.py"))}
     assert uncalled(sources, bench) == sorted(TEST_ONLY)
 
 
@@ -156,8 +210,45 @@ def test_dead_definition_is_detected():
         ),
         "b.py": "from a import Box\n\ndef traced():\n    return Box\n",
     }
-    assert uncalled(sources, 'SPANS = ("traced", "Box.run")') == ["Box.loop", "dead"]
+    bench = {"tracing.py": 'SPANS = {"a": ("traced", "Box.run")}\n'}
+    assert uncalled(sources, bench) == ["Box.loop", "dead"]
     assert uncalled(sources) == ["Box.loop", "Box.run", "dead", "traced"]
+
+
+def test_benchmark_text_calls_nothing():
+    # a word in the benchmark's docstrings or comments is not a read; an
+    # attribute it reads and a COUNTED entry are
+    sources = {"a.py": "def zero():\n    pass\n\ndef read():\n    pass\n\ndef hot():\n    pass\n"}
+    bench = {
+        "workloads.py": '"""A result reads as zero."""\n# zero\nimport a\na.read()\n',
+        "tracing.py": 'COUNTED = {"a.hot.calls": ("a", "hot")}\n',
+    }
+    assert uncalled(sources, bench) == ["zero"]
+
+
+def test_shared_method_name_is_read_through_its_own_class():
+    # Box.zero and Bag.zero share a name: Box's is read through its class,
+    # Bag's only through an object of unknown class, which calls neither
+    sources = {
+        "a.py": (
+            "class Box:\n"
+            "    def zero(self):\n        return 0\n"
+            "    def one(self):\n        return self.zero() + 1\n"
+            "class Bag:\n"
+            "    def zero(self):\n        return 0\n"
+            "    def size(self):\n        return 0\n"
+        ),
+        "b.py": (
+            "from a import Bag, Box\n\n"
+            "def f(x):\n    return Box.one(x) + x.zero() + x.size()\n\n"
+            "f(Bag())\n"
+        ),
+    }
+    assert uncalled(sources) == ["Bag.zero"]
+    # nor does the benchmark reading an attribute of that name; its
+    # qualified name in SPANS does
+    assert uncalled(sources, {"tracing.py": "import a\na.thing.zero\n"}) == ["Bag.zero"]
+    assert uncalled(sources, {"tracing.py": 'SPANS = {"a": ("Bag.zero",)}\n'}) == []
 
 
 def test_readme_lists_every_suite():

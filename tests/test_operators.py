@@ -29,7 +29,7 @@ from nijalg import (
     universal_property_check,
     vec_mul,
 )
-from nijalg.operators import DiagonalOperator
+from nijalg.operators import DiagonalOperator, _operator_sanity
 from conftest import te, words_over
 
 ZERO4 = VectorAlgebraElement([0] * 4)
@@ -249,6 +249,21 @@ def test_universal_check_refuses_an_operator_that_fails_its_relation(ab, monkeyp
     target = _target({0, 1}, 0)
     with pytest.raises(ValueError, match=r"target operator bad fails its relation"):
         rb_universal_check(1, target, [(te(a), te(b))])
+
+
+@pytest.mark.parametrize("lam, bad", [(1, 2), (Fraction(2, 3), Fraction(1, 3))])
+def test_sanity_check_refuses_a_bad_entry_in_any_coordinate(lam, bad):
+    # a weight-λ Rota-Baxter diagonal has every entry in {0, λ}; the one
+    # all-ones pair must see a single entry outside that set, wherever it is
+    good = [lam, 0, lam, 0]
+    for i in range(4):
+        diagonal = good[:i] + [bad] + good[i + 1 :]
+        operator = DiagonalOperator("bad", VectorAlgebraElement(diagonal))
+        relation = lambda x, y: rota_baxter_defect(operator, vec_mul, lam, x, y)
+        with pytest.raises(ValueError, match=r"target operator bad fails its relation"):
+            _operator_sanity(operator, relation, 4)
+    operator = DiagonalOperator("good", VectorAlgebraElement(good))
+    _operator_sanity(operator, lambda x, y: rota_baxter_defect(operator, vec_mul, lam, x, y), 4)
 
 
 def test_mu_assoc_for_shift_operator(ab):

@@ -75,7 +75,7 @@ def test_mixed_shuffle_thirteen_words():
     a, b, c, d = (gen(g) for g in "abcd")
     result = mixed_shuffle((a, b), (c, d), 1)
     assert len(result.terms()) == 13
-    assert result.coeff((a * c, b * d)) == 1  # the double merge
+    assert dict(result.iterterms())[(a * c, b * d)] == 1  # the double merge
 
 
 def test_mod_oracle_examples():

@@ -24,7 +24,6 @@ from nijalg import (
     quasi_shuffle,
 )
 from nijalg import products
-from nijalg.dendriform import LITERAL
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -63,9 +62,9 @@ def test_augmented_products_are_head_merged_oracle_products(u, v, lam):
 
 
 @SETTINGS
-@given(augmented, augmented, weights, st.booleans())
-def test_dendriform_operations_match_their_head_forms(x, y, lam, literal):
-    ctx = DendriformContext(lam, LITERAL) if literal else DendriformContext(lam)
+@given(augmented, augmented, weights)
+def test_dendriform_operations_match_their_head_forms(x, y, lam):
+    ctx = DendriformContext(lam)
     assert ctx.prec(x, y) == ctx.prec_head_form(x, y)
     assert ctx.succ(x, y) == ctx.succ_head_form(x, y)
     assert ctx.bullet(x, y) == ctx.bullet_head_form(x, y)

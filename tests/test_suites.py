@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from nijalg import (
+    DendriformContext,
     NijenhuisTarget,
     TensorElement,
     aug_mod_quasi_shuffle,
@@ -18,7 +19,8 @@ from nijalg import (
     suites,
     universal_property_check,
 )
-from nijalg.suites import SUITES, run_suite
+from nijalg.suites import SUITES, elt, run_suite, word_pairs
+from nijalg.tensor import word_str
 
 # sha256 of json.dumps(run_suite(suite, 3, lambdas, 0)).  Every byte of a
 # report is part of the CLI's output; these were taken from the reports of
@@ -114,3 +116,23 @@ def test_universal_records_keep_their_order_and_keys(monkeypatch):
         ]
         assert all(list(r) == ["inputs", "check", "defect", "pass"] for r in results)
         assert not any(r["pass"] for r in results)
+
+
+def test_convention_check_sees_a_bullet_of_the_wrong_sign(monkeypatch):
+    # with • = +λ·(x ⊡ y) the convention check compares λ·(x ⊡ y) with
+    # −λ·(x ⊡ y), so every pair fails with the defect 2λ·(x ⊡ y)
+    def plus_bullet(self, x, y):
+        return self.lam * aug_quasi_shuffle(x, y, self.lam)
+
+    monkeypatch.setattr(DendriformContext, "bullet", plus_bullet)
+    lam = Fraction(2, 3)
+    report = run_suite("dendriform-tri", 3, ["2/3"], 0)
+    convention = [r for r in report["failures"] if r["inputs"].startswith("convention ")]
+    assert convention == [
+        {
+            "inputs": f"convention lambda=2/3 x={word_str(x)} y={word_str(y)}",
+            "defect": str(2 * lam * aug_quasi_shuffle(elt(x), elt(y), lam)),
+            "pass": False,
+        }
+        for x, y in word_pairs(3, 1)
+    ]

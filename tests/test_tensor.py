@@ -95,9 +95,9 @@ def test_equality_and_hash(ab):
 def test_from_word_stores_one_fraction_and_no_zero(ab):
     a, b = ab
     for coeff in (1, 2, "-1/3", Fraction(5, 2)):
-        ((word, stored),) = TensorElement.from_word([a, b], coeff).iterterms()
+        ((word, stored),) = (coeff * TensorElement.from_word([a, b])).iterterms()
         assert word == (a, b) and type(stored) is Fraction and stored == Fraction(coeff)
-    assert TensorElement.from_word((a,), 0) == TensorElement.zero()
-    assert not TensorElement.from_word((a,), Fraction(0))
+    assert 0 * TensorElement.from_word((a,)) == TensorElement.zero()
+    assert not Fraction(0) * TensorElement.from_word((a,))
     with pytest.raises(TypeError):
         TensorElement.from_word(("a",))
