@@ -4,14 +4,16 @@ The base algebra is the polynomial algebra over a set of named generators;
 its basis consists of commutative monomials, with the empty monomial
 ``MONO_UNIT`` acting as the unit ``e``.  A word letter is always a single
 monomial, so the algebra itself needs no element class.  Monomials are
-interned, so equal monomials are one object.  ``accumulate`` is the one
-loop that adds terms into a term map and drops the zeros.
+interned, so equal monomials are one object.  ``exact`` is the one rule for
+a scalar's canonical form, and ``accumulate`` the one loop that adds terms
+into a term map and drops the zeros.
 """
 
 from __future__ import annotations
 
 import re
 import weakref
+from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import ReservedSymbolError
@@ -147,9 +149,25 @@ def gen(name: str) -> Monomial:
     return Monomial.gen(name)
 
 
+def exact(c):
+    """The canonical form of the rational scalar ``c``: an ``int`` when it is
+    integral, else a ``Fraction`` with denominator > 1.
+
+    Every scalar enters the tensor module through here, so at an integral λ
+    the products run on ints and never build a ``Fraction``.
+    """
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def accumulate(acc: dict, items: Iterable) -> dict:
     """Add each (key, coeff) of ``items`` into the term map ``acc`` and drop
-    every key whose coefficient cancels to zero; returns ``acc``."""
+    every key whose coefficient cancels to zero; returns ``acc``.  Each stored
+    coefficient is put in ``exact`` form, so Fractions that sum or multiply
+    to an integer are stored as an ``int``."""
     for key, coeff in items:
         if key in acc:
             coeff += acc[key]
@@ -158,5 +176,5 @@ def accumulate(acc: dict, items: Iterable) -> dict:
                 continue
         elif not coeff:
             continue
-        acc[key] = coeff
+        acc[key] = coeff if type(coeff) is int else exact(coeff)
     return acc

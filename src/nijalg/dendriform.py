@@ -13,8 +13,7 @@ and (≺, ≻) is the weight-0 dendriform dialgebra split of the shuffle.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from .base import exact
 from .products import _bilinear, _qsh, _require_augmented, _word_product, aug_quasi_shuffle
 # unused here, but nijbench's tracing test checks that its wrappers reach
 # this binding
@@ -26,7 +25,7 @@ class DendriformContext:
     """λ together with the splitting operations ≺, ≻, • at that weight."""
 
     def __init__(self, lam=1):
-        self.lam = Fraction(lam)
+        self.lam = exact(lam)
 
     def prec(self, x: TensorElement, y: TensorElement) -> TensorElement:
         """x ≺ y: the quasi-shuffle terms led by the first factor's head."""

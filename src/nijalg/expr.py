@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .base import MONO_UNIT, Monomial
+from .base import MONO_UNIT, Monomial, exact
 from .dendriform import DendriformContext
 from .errors import EmptyWordTermError, ExprSyntaxError, ReservedSymbolError
 from .products import (
@@ -405,7 +405,7 @@ def to_text(node: Node) -> str:
 
 def eval_expr(node: Node, lam=1) -> TensorElement:
     """Evaluate an AST onto the tensor module at the given λ."""
-    lam = Fraction(lam)
+    lam = exact(lam)
     ctx = DendriformContext(lam)
     ops = {
         QSH: lambda x, y: quasi_shuffle(x, y, lam),

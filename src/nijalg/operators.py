@@ -279,7 +279,7 @@ def factorization_check(w: Word) -> TensorElement:
     )
 
 
-def _operator_sanity(operator: DiagonalOperator, relation: Callable, dim: int) -> None:
+def _operator_sanity(operator: DiagonalOperator, relation: Callable) -> None:
     """Refuse ``operator`` unless ``relation`` holds for it on the all-ones pair.
 
     The operator is diagonal, d, and the product coordinatewise, so the
@@ -288,7 +288,7 @@ def _operator_sanity(operator: DiagonalOperator, relation: Callable, dim: int) -
     the relation exactly.  A non-diagonal operator would need every pair of
     basis vectors.
     """
-    ones = VectorAlgebraElement.unit(dim)
+    ones = VectorAlgebraElement.unit(operator.diagonal.dim)
     if relation(ones, ones):
         raise ValueError(f"target operator {operator.name} fails its relation")
 
@@ -300,7 +300,7 @@ def _universal_check(target, pairs, product, operator, relation) -> list:
     φ̃(product(x, y)) is compared with φ̃(x)·φ̃(y), and φ̃(B⁺ₑx) with d·φ̃(x),
     by integer cross-multiplication (``_is_product``), and only a failing
     check builds its Fraction defect, from the same integers."""
-    _operator_sanity(operator, relation, target.dim)
+    _operator_sanity(operator, relation)
     phi = _phi_core(target, operator)
     diagonal = _pairs(operator.diagonal)
     defects = []

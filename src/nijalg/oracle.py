@@ -11,10 +11,9 @@ reproduces the quasi-shuffle exactly.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import List, Tuple
 
-from .base import MONO_UNIT, Monomial
+from .base import MONO_UNIT, Monomial, exact
 from .tensor import TensorElement, Word
 
 LEFT = "L"
@@ -70,7 +69,7 @@ def _merge(labeled: LabeledWord, chosen, homogeneous: bool) -> Word:
 
 
 def _mixed(x_word: Word, z_word: Word, lam, homogeneous: bool) -> TensorElement:
-    lam = Fraction(lam)
+    lam = exact(lam)
 
     def terms():
         for labeled in enumerate_shuffles(x_word, z_word):

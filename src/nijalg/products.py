@@ -4,7 +4,10 @@ All four products are defined on basis words by recursion and extended
 bilinearly.  The quasi-shuffle * and the modified quasi-shuffle ⊛ share one
 memoized word recursion, which differs between them only in the letters
 written before a merged letter [ab]: none for *, the unit letter e for ⊛.
-Each cache is keyed by (word, word, lambda) and never changes results.
+Each cache is keyed by (word, word, lambda) and never changes results;
+λ is put in ``base.exact`` form first, so an integral λ is an ``int`` key
+however it was given (1, Fraction(1), "2/2"), and at such a λ the recursion
+runs on ints.
 A product of two single words whose coefficients multiply to 1 returns the
 cached element itself, unscaled and uncopied; elements are immutable.  A
 word pair longer than MAX_RECURSION_LETTERS is multiplied bottom-up over its
@@ -22,11 +25,10 @@ at λ = 1, which is why ⊠ hard-codes that value.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .base import MONO_UNIT, accumulate
+from .base import MONO_UNIT, accumulate, exact
 from .errors import EmptyWordTermError
 from .tensor import TensorElement, Word
 
@@ -41,11 +43,11 @@ def _word_recursion(merge_prefix: Word):
     of shorter pairs through ``sub``; the memoized ``rec`` passes itself.
     """
 
-    def step(w1: Word, w2: Word, lam: Fraction, sub) -> TensorElement:
+    def step(w1: Word, w2: Word, lam, sub) -> TensorElement:
         if not w1:
-            return TensorElement(((w2, 1),))
+            return TensorElement._trusted({w2: 1})
         if not w2:
-            return TensorElement(((w1, 1),))
+            return TensorElement._trusted({w1: 1})
         a, u = w1[0], w1[1:]
         b, v = w2[0], w2[1:]
         out = sub(u, w2, lam).prepend(a) + sub(w1, v, lam).prepend(b)
@@ -54,7 +56,7 @@ def _word_recursion(merge_prefix: Word):
         return out
 
     @lru_cache(maxsize=None)
-    def rec(w1: Word, w2: Word, lam: Fraction) -> TensorElement:
+    def rec(w1: Word, w2: Word, lam) -> TensorElement:
         return step(w1, w2, lam, rec)
 
     rec.step = step
@@ -72,7 +74,7 @@ _mqsh = _word_recursion((MONO_UNIT,))
 MAX_RECURSION_LETTERS = 100
 
 
-def _word_product(rec, w1: Word, w2: Word, lam: Fraction) -> TensorElement:
+def _word_product(rec, w1: Word, w2: Word, lam) -> TensorElement:
     """``rec(w1, w2, lam)`` for one of the word recursions.
 
     Past MAX_RECURSION_LETTERS the product is built bottom-up instead, over
@@ -116,13 +118,13 @@ def _bilinear(word_fn, x: TensorElement, y: TensorElement) -> TensorElement:
     if len(x._terms) == 1 and len(y._terms) == 1:
         ((w1, c1),) = x.iterterms()
         ((w2, c2),) = y.iterterms()
-        weight = c1 * c2
+        weight = exact(c1 * c2)
         product = word_fn(w1, w2)
         return product if weight == 1 else weight * product
     acc: dict = {}
     for w1, c1 in x.iterterms():
         for w2, c2 in y.iterterms():
-            weight = c1 * c2
+            weight = exact(c1 * c2)
             terms = word_fn(w1, w2).iterterms()
             accumulate(acc, terms if weight == 1 else ((w, weight * c) for w, c in terms))
     return TensorElement._trusted(acc)
@@ -135,7 +137,7 @@ def _require_augmented(x: TensorElement, op: str) -> None:
 
 def quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
     """Hoffman's quasi-shuffle product; associative and commutative for any λ."""
-    lam = Fraction(lam)
+    lam = exact(lam)
     return _bilinear(lambda a, b: _word_product(_qsh, a, b, lam), x, y)
 
 
@@ -148,7 +150,7 @@ def aug_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElemen
     """The product aU ⊡ bV = [ab](U*V) on the augmented module; unit is e."""
     _require_augmented(x, "aug_quasi_shuffle")
     _require_augmented(y, "aug_quasi_shuffle")
-    lam = Fraction(lam)
+    lam = exact(lam)
 
     def word_fn(w1: Word, w2: Word) -> TensorElement:
         return _word_product(_qsh, w1[1:], w2[1:], lam).prepend(w1[0] * w2[0])
@@ -159,7 +161,7 @@ def aug_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElemen
 def mod_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
     """Length-homogeneous quasi-shuffle variant; associative iff the merge
     term is present with λ = 1."""
-    lam = Fraction(lam)
+    lam = exact(lam)
     return _bilinear(lambda a, b: _word_product(_mqsh, a, b, lam), x, y)
 
 
@@ -170,10 +172,9 @@ def aug_mod_quasi_shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
     """
     _require_augmented(x, "aug_mod_quasi_shuffle")
     _require_augmented(y, "aug_mod_quasi_shuffle")
-    one = Fraction(1)
 
     def word_fn(w1: Word, w2: Word) -> TensorElement:
-        return _word_product(_mqsh, w1[1:], w2[1:], one).prepend(w1[0] * w2[0])
+        return _word_product(_mqsh, w1[1:], w2[1:], 1).prepend(w1[0] * w2[0])
 
     return _bilinear(word_fn, x, y)
 

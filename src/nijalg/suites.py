@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
-from .base import gen
+from .base import exact, gen
 from .dendriform import (
     DendriformContext,
     dialgebra_defects,
@@ -328,7 +328,7 @@ def run_suite(name: str, max_len: int = 4, lambdas: Iterable = ("1",), seed: int
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose from: {', '.join(SUITES)}"
         )
-    lams = tuple(Fraction(v) for v in FIXED_LAMBDAS.get(name, lambdas))
+    lams = tuple(exact(v) for v in FIXED_LAMBDAS.get(name, lambdas))
     checked, failures = _tally(_SUITE_FNS[name](max_len, lams, seed))
     return {
         "suite": name,

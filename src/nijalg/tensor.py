@@ -10,10 +10,9 @@ submodule consists of elements with no empty-word term.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
-from .base import MONO_UNIT, Monomial, accumulate
+from .base import MONO_UNIT, Monomial, accumulate, exact
 from .errors import EmptyWordTermError
 
 Word = Tuple[Monomial, ...]
@@ -43,8 +42,11 @@ def word_str(w: Word) -> str:
 class TensorElement:
     """A finite linear combination of words with exact rational coefficients.
 
-    Canonical form stores every coefficient as a ``Fraction`` and no zero
-    coefficient, so equality of elements is equality of their term maps.
+    Canonical form stores no zero coefficient, and every coefficient in
+    ``base.exact`` form: an ``int`` when it is integral, else a ``Fraction``
+    with denominator > 1.  So equality of elements is equality of their
+    term maps, and elements with integral coefficients (every product at
+    an integral λ) carry no ``Fraction`` at all.
     Instances are immutable and hashable (products memoize on them); all
     arithmetic returns new canonical elements.
     """
@@ -53,7 +55,7 @@ class TensorElement:
 
     def __init__(self, terms: Union[Mapping, Iterable] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self._terms = accumulate({}, ((word, Fraction(coeff)) for word, coeff in items))
+        self._terms = accumulate({}, ((word, exact(coeff)) for word, coeff in items))
 
     @classmethod
     def _trusted(cls, terms: dict) -> "TensorElement":
@@ -68,7 +70,7 @@ class TensorElement:
 
     @classmethod
     def from_word(cls, word: Iterable[Monomial]) -> "TensorElement":
-        return cls._trusted({make_word(word): Fraction(1)})
+        return cls._trusted({make_word(word): 1})
 
     def terms(self):
         """Term list in canonical word order."""
@@ -109,8 +111,8 @@ class TensorElement:
         return self + (-other)
 
     def _scale(self, coeff):
-        c = Fraction(coeff)
-        return self._trusted({word: k * c for word, k in self._terms.items()} if c else {})
+        c = exact(coeff)
+        return self._trusted({word: exact(k * c) for word, k in self._terms.items()} if c else {})
 
     __mul__ = __rmul__ = _scale
 

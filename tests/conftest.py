@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -20,3 +21,11 @@ def words_over(gens, max_len, min_len=0):
 
 def te(*letters):
     return TensorElement.from_word(letters)
+
+
+def in_exact_form(coeff) -> bool:
+    """Whether a stored coefficient has the canonical form: a nonzero ``int``
+    when integral, else a ``Fraction`` with denominator > 1."""
+    if type(coeff) is int:
+        return coeff != 0
+    return type(coeff) is Fraction and coeff.denominator > 1

@@ -261,9 +261,9 @@ def test_sanity_check_refuses_a_bad_entry_in_any_coordinate(lam, bad):
         operator = DiagonalOperator("bad", VectorAlgebraElement(diagonal))
         relation = lambda x, y: rota_baxter_defect(operator, vec_mul, lam, x, y)
         with pytest.raises(ValueError, match=r"target operator bad fails its relation"):
-            _operator_sanity(operator, relation, 4)
+            _operator_sanity(operator, relation)
     operator = DiagonalOperator("good", VectorAlgebraElement(good))
-    _operator_sanity(operator, lambda x, y: rota_baxter_defect(operator, vec_mul, lam, x, y), 4)
+    _operator_sanity(operator, lambda x, y: rota_baxter_defect(operator, vec_mul, lam, x, y))
 
 
 def test_mu_assoc_for_shift_operator(ab):

@@ -20,9 +20,10 @@ from nijalg import (
     quasi_shuffle,
     shuffle,
 )
+from nijalg.expr import eval_expr, parse_expr
 from nijalg.oracle import mixed_shuffle, mod_quasi_shuffle_oracle
-from nijalg.products import clear_caches
-from conftest import te, words_over
+from nijalg.products import _qsh, clear_caches
+from conftest import in_exact_form, te, words_over
 
 LAMBDAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))
 
@@ -203,6 +204,63 @@ def test_memoized_products_are_stable(ab):
     first = quasi_shuffle(te(a, b), te(b, a), Fraction(1, 2))
     second = quasi_shuffle(te(a, b), te(b, a), Fraction(1, 2))
     assert first == second
+
+
+@pytest.mark.parametrize("lam", [Fraction(2, 3), Fraction(-1, 2), 0, 1, -1])
+def test_products_match_the_oracle_in_exact_form(ab, lam):
+    # every coefficient is an integer count times a power of -λ, so at an
+    # integral λ every one is stored as an int
+    letters = list(ab) + [MONO_UNIT, ab[0] * ab[1]]
+    for u in words_over(letters, 2):
+        for v in words_over(letters, 2):
+            for product, oracle in (
+                (quasi_shuffle, mixed_shuffle),
+                (mod_quasi_shuffle, mod_quasi_shuffle_oracle),
+            ):
+                result = product(te(*u), te(*v), lam)
+                assert result == oracle(u, v, lam)
+                coeffs = [coeff for _, coeff in result.iterterms()]
+                assert all(in_exact_form(coeff) for coeff in coeffs)
+                if Fraction(lam).denominator == 1:
+                    assert all(type(coeff) is int for coeff in coeffs)
+
+
+def test_bilinear_weights_that_multiply_to_an_integer_store_ints(ab):
+    a, b = ab
+    c = gen("c")
+    # weight 1 on a single word pair: the cached word product itself
+    assert quasi_shuffle(Fraction(2, 3) * te(a), Fraction(3, 2) * te(b)) is quasi_shuffle(
+        te(a), te(b)
+    )
+    doubled = mod_quasi_shuffle(Fraction(4, 3) * te(a), Fraction(3, 2) * te(b))
+    assert doubled == 2 * mod_quasi_shuffle(te(a), te(b))
+    assert all(type(coeff) is int for _, coeff in doubled.iterterms())
+    x = Fraction(2, 3) * te(a) + Fraction(3, 4) * te(b)
+    mixed = quasi_shuffle(x, Fraction(3, 2) * te(c))
+    assert mixed == quasi_shuffle(te(a), te(c)) + Fraction(9, 8) * quasi_shuffle(te(b), te(c))
+    assert {word: type(coeff) for word, coeff in mixed.iterterms()} == {
+        (a, c): int, (c, a): int, (a * c,): int,
+        (b, c): Fraction, (c, b): Fraction, (b * c,): Fraction,
+    }
+
+
+def test_every_form_of_an_integral_lambda_is_one_cache_entry(ab):
+    a, b = ab
+    x, y = te(a, b), te(b, a)
+
+    def pinned(element):
+        return str(element), [(word, repr(coeff)) for word, coeff in element.terms()]
+
+    clear_caches()
+    first = quasi_shuffle(x, y, 1)
+    evaluated = pinned(eval_expr(parse_expr("a.b * b.a - 1/2 a.b # b.a"), 1))
+    entries = _qsh.cache_info().currsize
+    for lam in (1, Fraction(1), "1", "2/2"):
+        # a word pair of weight 1 returns its cached product itself
+        assert quasi_shuffle(x, y, lam) is first
+        assert pinned(eval_expr(parse_expr("a.b * b.a - 1/2 a.b # b.a"), lam)) == evaluated
+    assert _qsh.cache_info().currsize == entries
+    assert all(type(coeff) is int for _, coeff in first.iterterms())
 
 
 def _traced_peak(fn, *args):

@@ -24,6 +24,7 @@ from nijalg import (
     quasi_shuffle,
 )
 from nijalg import products
+from conftest import in_exact_form
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -85,7 +86,7 @@ def test_constructor_drops_cancelled_terms(terms, data):
     terms = data.draw(st.permutations(terms))
     element = TensorElement(terms)
     stored = dict(element.iterterms())
-    assert all(type(coeff) is Fraction and coeff for coeff in stored.values())
+    assert all(in_exact_form(coeff) for coeff in stored.values())
     assert stored == _naive_sum(terms)
 
 
@@ -106,18 +107,22 @@ def _head_merged(oracle, lam):
 @SETTINGS
 @given(elements, elements, augmented, augmented, weights)
 def test_products_of_linear_combinations_match_the_oracle(x, y, xa, ya, lam):
-    assert quasi_shuffle(x, y, lam) == _oracle_sum(
-        x, y, lambda u, v: mixed_shuffle(u, v, lam)
-    )
-    assert mod_quasi_shuffle(x, y, lam) == _oracle_sum(
-        x, y, lambda u, v: mod_quasi_shuffle_oracle(u, v, lam)
-    )
-    assert aug_quasi_shuffle(xa, ya, lam) == _oracle_sum(
-        xa, ya, _head_merged(mixed_shuffle, lam)
-    )
-    assert aug_mod_quasi_shuffle(xa, ya) == _oracle_sum(
-        xa, ya, _head_merged(mod_quasi_shuffle_oracle, 1)
-    )
+    results = [
+        (quasi_shuffle(x, y, lam), _oracle_sum(x, y, lambda u, v: mixed_shuffle(u, v, lam))),
+        (
+            mod_quasi_shuffle(x, y, lam),
+            _oracle_sum(x, y, lambda u, v: mod_quasi_shuffle_oracle(u, v, lam)),
+        ),
+        (aug_quasi_shuffle(xa, ya, lam), _oracle_sum(xa, ya, _head_merged(mixed_shuffle, lam))),
+        (
+            aug_mod_quasi_shuffle(xa, ya),
+            _oracle_sum(xa, ya, _head_merged(mod_quasi_shuffle_oracle, 1)),
+        ),
+    ]
+    for product, oracle in results:
+        assert product == oracle
+        # an int exactly where the coefficient is integral
+        assert all(in_exact_form(coeff) for _, coeff in product.iterterms())
 
 
 @SETTINGS
@@ -127,7 +132,7 @@ def test_subtraction_adds_the_negation(x, y, same):
         y = TensorElement(x.iterterms())
     difference = x - y
     assert difference == x + (-y)
-    assert all(type(coeff) is Fraction and coeff for _, coeff in difference.iterterms())
+    assert all(in_exact_form(coeff) for _, coeff in difference.iterterms())
     assert (not difference) == (x == y)
 
 

@@ -13,7 +13,8 @@ from nijalg import (
     gen,
     grade_lengths,
 )
-from conftest import te, words_over
+from nijalg.base import exact
+from conftest import in_exact_form, te, words_over
 
 
 def test_addition_examples(ab):
@@ -92,12 +93,41 @@ def test_equality_and_hash(ab):
     assert x != x + te(a)
 
 
-def test_from_word_stores_one_fraction_and_no_zero(ab):
+def test_from_word_stores_exact_coefficients_and_no_zero(ab):
     a, b = ab
-    for coeff in (1, 2, "-1/3", Fraction(5, 2)):
+    forms = ((1, int), (2, int), ("4/2", int), ("-1/3", Fraction), (Fraction(5, 2), Fraction))
+    for coeff, form in forms:
         ((word, stored),) = (coeff * TensorElement.from_word([a, b])).iterterms()
-        assert word == (a, b) and type(stored) is Fraction and stored == Fraction(coeff)
+        assert word == (a, b) and type(stored) is form and stored == Fraction(coeff)
+        assert in_exact_form(stored)
+    ((_, one),) = TensorElement.from_word([a]).iterterms()
+    assert type(one) is int and one == 1
     assert 0 * TensorElement.from_word((a,)) == TensorElement.zero()
     assert not Fraction(0) * TensorElement.from_word((a,))
     with pytest.raises(TypeError):
         TensorElement.from_word(("a",))
+
+
+def test_exact_puts_integral_scalars_in_int_form():
+    for value in (3, Fraction(6, 2), "2/2", "-4", True):
+        assert type(exact(value)) is int and exact(value) == Fraction(value)
+    for value in (Fraction(1, 3), "-5/2", "0.5"):
+        assert type(exact(value)) is Fraction and exact(value) == Fraction(value)
+
+
+def test_sums_that_cancel_to_an_integer_store_an_int(ab):
+    a, b = ab
+    x = Fraction(1, 3) * te(a) + Fraction(2, 3) * te(a) + Fraction(1, 2) * te(b)
+    assert dict(x.iterterms()) == {(a,): 1, (b,): Fraction(1, 2)}
+    assert [type(c) for _, c in x.terms()] == [int, Fraction]
+    built = TensorElement([((a,), "1/4"), ((a,), Fraction(3, 4)), ((b,), Fraction(1, 2))])
+    assert built == x and all(in_exact_form(c) for _, c in built.iterterms())
+    assert str(x) == "a + 1/2·b"
+
+
+def test_scaling_to_an_integer_stores_an_int(ab):
+    a, b = ab
+    x = Fraction(3, 2) * (Fraction(2, 3) * te(a, b) + Fraction(4, 3) * te(b))
+    assert dict(x.iterterms()) == {(a, b): 1, (b,): 2}
+    assert all(type(c) is int for _, c in x.iterterms())
+    assert -x == -1 * x and all(type(c) is int for _, c in (-x).iterterms())

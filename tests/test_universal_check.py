@@ -91,7 +91,7 @@ def ref_pairs(v):
 
 
 def ref_universal_check(target, pairs, product, operator, label, relation):
-    _operator_sanity(operator, relation, target.dim)
+    _operator_sanity(operator, relation)
     records = []
     for x, y in pairs:
         inputs = f"X={x}; Y={y}; {label}; mask={sorted(target.mask)}"
