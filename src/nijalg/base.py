@@ -153,8 +153,8 @@ def exact(c):
     """The canonical form of the rational scalar ``c``: an ``int`` when it is
     integral, else a ``Fraction`` with denominator > 1.
 
-    Every scalar enters the tensor module through here, so at an integral λ
-    the products run on ints and never build a ``Fraction``.
+    Every scalar enters the tensor module through here, so products of
+    elements with integral coefficients at an integral λ run on ints alone.
     """
     if type(c) is int:
         return c

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 TABLE = Path(__file__).resolve().parent / "cli_corpus.json"
 
@@ -130,16 +131,9 @@ def run(argv) -> list:
     from nijalg import cli
 
     out, err = io.StringIO(), io.StringIO()
-    saved = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
+    with mock.patch.dict(os.environ, COLUMNS="80"):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(list(argv))
-    finally:
-        if saved is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = saved
     return [
         hashlib.sha256(out.getvalue().encode()).hexdigest(),
         hashlib.sha256(err.getvalue().encode()).hexdigest(),
