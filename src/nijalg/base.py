@@ -155,10 +155,13 @@ def exact(c):
 
     Every scalar enters the tensor module through here, so products of
     elements with integral coefficients at an integral λ run on ints alone.
+    A float raises ``TypeError``: its binary value is not the decimal it shows.
     """
     if type(c) is int:
         return c
     if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError(f"{c!r} is a float, not an exact rational; pass Fraction(\"{c!r}\")")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

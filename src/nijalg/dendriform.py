@@ -9,16 +9,20 @@ elements by the origin of the leading letter:
 
 so the three sum exactly to the quasi-shuffle product.  At λ = 0 • vanishes
 and (≺, ≻) is the weight-0 dendriform dialgebra split of the shuffle.
+
+The B⁺ₑ forms are the definitions and the tests' references.  On two words
+the code reads the memoized terms of the quasi-shuffle recursion: ≺ is its
+``lead`` and ≻ its ``trail``, and • is −λ·⊡, which reads its ``head``.
 """
 
 from __future__ import annotations
 
 from .base import exact
-from .products import _bilinear, _qsh, _require_augmented, _word_product, aug_quasi_shuffle
+from .products import _bilinear, _qsh, _require_augmented, _term, aug_quasi_shuffle
 # unused here, but nijbench's tracing test checks that its wrappers reach
 # this binding
 from .products import quasi_shuffle  # noqa: F401
-from .tensor import TensorElement, Word, b_plus, fold_letters
+from .tensor import TensorElement, Word, fold_letters
 
 
 class DendriformContext:
@@ -31,13 +35,13 @@ class DendriformContext:
         """x ≺ y: the quasi-shuffle terms led by the first factor's head."""
         _require_augmented(x, "prec")
         _require_augmented(y, "prec")
-        return aug_quasi_shuffle(x, b_plus(y), self.lam)
+        return _bilinear(lambda w1, w2: _term(_qsh.lead, w1, w2, self.lam), x, y)
 
     def succ(self, x: TensorElement, y: TensorElement) -> TensorElement:
         """x ≻ y: the quasi-shuffle terms led by the second factor's head."""
         _require_augmented(x, "succ")
         _require_augmented(y, "succ")
-        return aug_quasi_shuffle(b_plus(x), y, self.lam)
+        return _bilinear(lambda w1, w2: _term(_qsh.trail, w1, w2, self.lam), x, y)
 
     def bullet(self, x: TensorElement, y: TensorElement) -> TensorElement:
         """x • y = −λ·(x ⊡ y): the quasi-shuffle terms that merge both heads."""
@@ -48,29 +52,6 @@ class DendriformContext:
     def star(self, x: TensorElement, y: TensorElement) -> TensorElement:
         """≺ + ≻ + •, which equals the quasi-shuffle product."""
         return self.prec(x, y) + self.succ(x, y) + self.bullet(x, y)
-
-    # head-letter forms of the defining identities, used as cross-checks
-
-    def _words(self, w1: Word, w2: Word) -> TensorElement:
-        """The quasi-shuffle of two words at this weight."""
-        return _word_product(_qsh, w1, w2, self.lam)
-
-    def prec_head_form(self, x: TensorElement, y: TensorElement) -> TensorElement:
-        _require_augmented(x, "prec")
-        _require_augmented(y, "prec")
-        return _bilinear(lambda w1, w2: self._words(w1[1:], w2).prepend(w1[0]), x, y)
-
-    def succ_head_form(self, x: TensorElement, y: TensorElement) -> TensorElement:
-        _require_augmented(x, "succ")
-        _require_augmented(y, "succ")
-        return _bilinear(lambda w1, w2: self._words(w1, w2[1:]).prepend(w2[0]), x, y)
-
-    def bullet_head_form(self, x: TensorElement, y: TensorElement) -> TensorElement:
-        _require_augmented(x, "bullet")
-        _require_augmented(y, "bullet")
-        return -self.lam * _bilinear(
-            lambda w1, w2: self._words(w1[1:], w2[1:]).prepend(w1[0] * w2[0]), x, y
-        )
 
 
 def dialgebra_defects(ctx: DendriformContext, x, y, z):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Tuple
 
-from .base import Monomial, check_generator
+from .base import Monomial, check_generator, exact
 from .errors import EmptyWordTermError, UnmappedGeneratorError
 from .products import aug_mod_quasi_shuffle, aug_quasi_shuffle
 from .tensor import TensorElement, Word, b_plus, fold_letters
@@ -43,7 +43,7 @@ class VectorAlgebraElement:
     __slots__ = ("_coords",)
 
     def __init__(self, coords: Iterable):
-        self._coords = tuple(Fraction(c) for c in coords)
+        self._coords = tuple(Fraction(exact(c)) for c in coords)
 
     @classmethod
     def _trusted(cls, coords: Tuple[Fraction, ...]) -> "VectorAlgebraElement":
@@ -80,7 +80,7 @@ class VectorAlgebraElement:
     def __mul__(self, other):
         if isinstance(other, VectorAlgebraElement):
             return self._trusted(tuple([a * b for a, b in zip(self._coords, other._coords)]))
-        other = Fraction(other)
+        other = Fraction(exact(other))
         return self._trusted(tuple([a * other for a in self._coords]))
 
     __rmul__ = __mul__  # a scalar on the left; the product is commutative
@@ -130,7 +130,7 @@ class NijenhuisTarget:
             check_generator(name)
             if vec.dim != self.dim:
                 raise ValueError(f"image of {name!r} has wrong dimension")
-        object.__setattr__(self, "tau", Fraction(self.tau))
+        object.__setattr__(self, "tau", Fraction(exact(self.tau)))
 
     def masked_diagonal(self, on, off) -> VectorAlgebraElement:
         """The vector that is ``on`` at the mask's coordinates, ``off`` elsewhere."""
@@ -139,7 +139,7 @@ class NijenhuisTarget:
     def scaled_projection(self, lam) -> DiagonalOperator:
         """λ·R: a Rota-Baxter operator of weight λ on this algebra; the
         projection R itself is ``scaled_projection(1)``."""
-        lam = Fraction(lam)
+        lam = Fraction(exact(lam))
         return DiagonalOperator(
             f"{lam}*proj{sorted(self.mask)}", self.masked_diagonal(lam, 0)
         )
@@ -163,7 +163,7 @@ def nijenhuis_defect(operator: Callable, mul: Callable, x, y):
 def rota_baxter_defect(operator: Callable, mul: Callable, lam, x, y):
     """R(x)R(y) + λR(xy) − R(R(x)y + xR(y)); zero iff the weight-λ relation holds."""
     rx, ry = operator(x), operator(y)
-    return mul(rx, ry) + Fraction(lam) * operator(mul(x, y)) - operator(mul(rx, y) + mul(x, ry))
+    return mul(rx, ry) + exact(lam) * operator(mul(x, y)) - operator(mul(rx, y) + mul(x, ry))
 
 
 def hochschild_coboundary(tmap: Callable, mul: Callable, a, b, c):
@@ -334,7 +334,7 @@ def universal_property_check(target: NijenhuisTarget, pairs) -> list:
 def rb_universal_check(lam, target: NijenhuisTarget, pairs) -> list:
     """Rota-Baxter analog: ⊡ at weight λ against the operator λ·projection,
     with the same defect pairs as ``universal_property_check``."""
-    lam = Fraction(lam)
+    lam = Fraction(exact(lam))
     operator = target.scaled_projection(lam)
     product = lambda x, y: aug_quasi_shuffle(x, y, lam)
     relation = lambda x, y: rota_baxter_defect(operator, vec_mul, lam, x, y)

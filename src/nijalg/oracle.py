@@ -70,6 +70,7 @@ def _merge(labeled: LabeledWord, chosen, homogeneous: bool) -> Word:
 
 def _mixed(x_word: Word, z_word: Word, lam, homogeneous: bool) -> TensorElement:
     lam = exact(lam)
+    powers = [(-lam) ** k for k in range(min(len(x_word), len(z_word)) + 1)]
 
     def terms():
         for labeled in enumerate_shuffles(x_word, z_word):
@@ -77,7 +78,7 @@ def _mixed(x_word: Word, z_word: Word, lam, homogeneous: bool) -> TensorElement:
             for size in range(len(pairs) + 1):
                 for chosen in itertools.combinations(pairs, size):
                     word = _merge(labeled, frozenset(chosen), homogeneous)
-                    yield word, (-lam) ** size
+                    yield word, powers[size]
 
     return TensorElement(terms())
 

@@ -7,12 +7,15 @@ written before a merged letter [ab]: none for *, the unit letter e for ⊛.
 Each cache is keyed by (word, word, lambda) and never changes results;
 λ is put in ``base.exact`` form first, so an integral λ is an ``int`` key
 however it was given (1, Fraction(1), "2/2"), and at such a λ the recursion
-runs on ints.
+runs on ints.  Three memoized one-step terms of aU ∘ bV sit beside each
+recursion ∘, keyed the same way: ``lead`` a(U ∘ bV), ``trail`` b(aU ∘ V) and
+``head`` [ab](U ∘ V), so ⊡, ⊠, ≺ and ≻ of two words are cache reads.
 A product of two single words whose coefficients multiply to 1 returns the
 cached element itself, unscaled and uncopied; elements are immutable.  A
 word pair longer than MAX_RECURSION_LETTERS is multiplied bottom-up over its
 suffix pairs instead, outside the cache, so no input reaches Python's
-recursion limit.
+recursion limit; its terms are not stored either.  ``clear_caches`` empties
+every memo.
 
   quasi_shuffle        aU * bV  = a(U*bV) + b(aU*V) - λ·[ab](U*V)
   aug_quasi_shuffle    aU ⊡ bV = [ab](U*V)               (augmented module)
@@ -41,6 +44,8 @@ def _word_recursion(merge_prefix: Word):
 
     One step of it, ``rec.step(w1, w2, lam, sub)``, reads the three products
     of shorter pairs through ``sub``; the memoized ``rec`` passes itself.
+    ``rec.lead``, ``rec.trail`` and ``rec.head`` memoize its three terms of two
+    nonempty words, a(U ∘ bV), b(aU ∘ V) and [ab](U ∘ V), read by ``_term``.
     """
 
     def step(w1: Word, w2: Word, lam, sub) -> TensorElement:
@@ -60,6 +65,12 @@ def _word_recursion(merge_prefix: Word):
         return step(w1, w2, lam, rec)
 
     rec.step = step
+    memo = lru_cache(maxsize=None)
+    rec.lead = memo(lambda w1, w2, lam: _word_product(rec, w1[1:], w2, lam).prepend(w1[0]))
+    rec.trail = memo(lambda w1, w2, lam: _word_product(rec, w1, w2[1:], lam).prepend(w2[0]))
+    rec.head = memo(
+        lambda w1, w2, lam: _word_product(rec, w1[1:], w2[1:], lam).prepend(w1[0] * w2[0])
+    )
     return rec
 
 
@@ -108,6 +119,14 @@ def _word_product(rec, w1: Word, w2: Word, lam) -> TensorElement:
     return table[w1, w2]
 
 
+def _term(memo, w1: Word, w2: Word, lam) -> TensorElement:
+    """``memo(w1, w2, lam)`` for one of a recursion's memoized terms; a pair
+    past MAX_RECURSION_LETTERS letters is computed and not stored."""
+    if len(w1) + len(w2) > MAX_RECURSION_LETTERS:
+        return memo.__wrapped__(w1, w2, lam)
+    return memo(w1, w2, lam)
+
+
 def _bilinear(word_fn, x: TensorElement, y: TensorElement) -> TensorElement:
     """The bilinear extension of ``word_fn`` to x ⊗ y.
 
@@ -151,11 +170,7 @@ def aug_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElemen
     _require_augmented(x, "aug_quasi_shuffle")
     _require_augmented(y, "aug_quasi_shuffle")
     lam = exact(lam)
-
-    def word_fn(w1: Word, w2: Word) -> TensorElement:
-        return _word_product(_qsh, w1[1:], w2[1:], lam).prepend(w1[0] * w2[0])
-
-    return _bilinear(word_fn, x, y)
+    return _bilinear(lambda w1, w2: _term(_qsh.head, w1, w2, lam), x, y)
 
 
 def mod_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
@@ -172,11 +187,7 @@ def aug_mod_quasi_shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
     """
     _require_augmented(x, "aug_mod_quasi_shuffle")
     _require_augmented(y, "aug_mod_quasi_shuffle")
-
-    def word_fn(w1: Word, w2: Word) -> TensorElement:
-        return _word_product(_mqsh, w1[1:], w2[1:], 1).prepend(w1[0] * w2[0])
-
-    return _bilinear(word_fn, x, y)
+    return _bilinear(lambda w1, w2: _term(_mqsh.head, w1, w2, 1), x, y)
 
 
 def mu_product(x, y, operator: Callable, mul: Callable):
@@ -190,5 +201,6 @@ def nijenhuis_torsion(x, y, operator: Callable, mul: Callable):
 
 
 def clear_caches() -> None:
-    _qsh.cache_clear()
-    _mqsh.cache_clear()
+    for rec in (_qsh, _mqsh):
+        for memo in (rec, rec.lead, rec.trail, rec.head):
+            memo.cache_clear()

@@ -82,6 +82,11 @@ def elt(w: Word) -> TensorElement:
     return TensorElement.from_word(w)
 
 
+def _elements(max_len: int, min_len: int = 0) -> dict:
+    """Each word of ``words_up_to`` with its one-word element, built once per sweep."""
+    return {w: elt(w) for w in words_up_to(max_len, min_len)}
+
+
 def _inputs(*words: Word) -> str:
     """``x=… y=… z=…``: the words of one check, in order."""
     return " ".join(f"{name}={word_str(w)}" for name, w in zip("xyz", words))
@@ -106,12 +111,13 @@ def _tally(results) -> Tuple[int, list]:
 
 
 def _assoc_sweep(product, max_len, lambdas, min_len):
+    e = _elements(max_len, min_len)
     for lam in lambdas:
         for x, y in word_pairs(max_len, min_len):
-            defect = product(elt(x), elt(y), lam) - product(elt(y), elt(x), lam)
+            defect = product(e[x], e[y], lam) - product(e[y], e[x], lam)
             yield defect and _failure(f"comm lambda={lam} {_inputs(x, y)}", defect)
         for x, y, z in word_triples(max_len, min_len):
-            ex, ey, ez = elt(x), elt(y), elt(z)
+            ex, ey, ez = e[x], e[y], e[z]
             defect = product(product(ex, ey, lam), ez, lam) - product(
                 ex, product(ey, ez, lam), lam
             )
@@ -135,27 +141,28 @@ def suite_assoc_amq(max_len, lambdas, seed):
 
 
 def suite_nijenhuis(max_len, lambdas, seed):
+    e = _elements(max_len, 1)
     for x, y in word_pairs(max_len, 1):
-        defect = nijenhuis_defect(b_plus, aug_mod_quasi_shuffle, elt(x), elt(y))
+        defect = nijenhuis_defect(b_plus, aug_mod_quasi_shuffle, e[x], e[y])
         yield defect and _failure(_inputs(x, y), defect)
 
 
 def suite_rota_baxter(max_len, lambdas, seed):
+    e = _elements(max_len, 1)
     for lam in lambdas:
         mul = lambda u, v: aug_quasi_shuffle(u, v, lam)
         for x, y in word_pairs(max_len, 1):
-            defect = rota_baxter_defect(b_plus, mul, lam, elt(x), elt(y))
+            defect = rota_baxter_defect(b_plus, mul, lam, e[x], e[y])
             yield defect and _failure(f"lambda={lam} {_inputs(x, y)}", defect)
 
 
 def suite_mixed_oracle(max_len, lambdas, seed):
+    e = _elements(max_len)
     for lam in lambdas:
         for x, y in word_pairs(max_len):
-            defect = mixed_shuffle(x, y, lam) - quasi_shuffle(elt(x), elt(y), lam)
+            defect = mixed_shuffle(x, y, lam) - quasi_shuffle(e[x], e[y], lam)
             yield defect and _failure(f"mixed lambda={lam} {_inputs(x, y)}", defect)
-            defect = mod_quasi_shuffle_oracle(x, y, lam) - mod_quasi_shuffle(
-                elt(x), elt(y), lam
-            )
+            defect = mod_quasi_shuffle_oracle(x, y, lam) - mod_quasi_shuffle(e[x], e[y], lam)
             yield defect and _failure(f"mod lambda={lam} {_inputs(x, y)}", defect)
 
 
@@ -167,25 +174,27 @@ def suite_factorization(max_len, lambdas, seed):
 
 def suite_dendriform_di(max_len, lambdas, seed):
     ctx = DendriformContext(0)
+    e = _elements(max_len, 1)
     for x, y in word_pairs(max_len, 1):
-        defect = ctx.star(elt(x), elt(y)) - quasi_shuffle(elt(x), elt(y), 0)
+        defect = ctx.star(e[x], e[y]) - quasi_shuffle(e[x], e[y], 0)
         yield defect and _failure(f"split {_inputs(x, y)}", defect)
     for x, y, z in word_triples(max_len, 1):
-        for i, defect in enumerate(dialgebra_defects(ctx, elt(x), elt(y), elt(z)), 1):
+        for i, defect in enumerate(dialgebra_defects(ctx, e[x], e[y], e[z]), 1):
             yield defect and _failure(f"axiom{i} {_inputs(x, y, z)}", defect)
 
 
 def suite_dendriform_tri(max_len, lambdas, seed):
+    e = _elements(max_len, 1)
     for lam in lambdas:
         ctx = DendriformContext(lam)
         for x, y in word_pairs(max_len, 1):
-            ex, ey = elt(x), elt(y)
+            ex, ey = e[x], e[y]
             defect = ctx.star(ex, ey) - quasi_shuffle(ex, ey, lam)
             yield defect and _failure(f"split lambda={lam} {_inputs(x, y)}", defect)
             defect = ctx.bullet(ex, ey) - (-lam) * aug_quasi_shuffle(ex, ey, lam)
             yield defect and _failure(f"convention lambda={lam} {_inputs(x, y)}", defect)
         for x, y, z in word_triples(max_len, 1):
-            for i, defect in enumerate(trialgebra_defects(ctx, elt(x), elt(y), elt(z)), 1):
+            for i, defect in enumerate(trialgebra_defects(ctx, e[x], e[y], e[z]), 1):
                 yield defect and _failure(f"axiom{i} lambda={lam} {_inputs(x, y, z)}", defect)
 
 
@@ -201,11 +210,12 @@ def suite_torsion_cocycle(max_len, lambdas, seed):
     mul = aug_mod_quasi_shuffle
     torsion = lambda u, v: nijenhuis_torsion(u, v, b_plus, mul)
     mu = lambda u, v: mu_product(u, v, b_plus, mul)
+    e = _elements(max_len, 1)
     for x, y in word_pairs(max_len, 1):
-        defect = torsion(elt(x), elt(y))
+        defect = torsion(e[x], e[y])
         yield defect and _failure(f"torsion {_inputs(x, y)}", defect)
     for x, y, z in word_triples(max_len, 1):
-        ex, ey, ez = elt(x), elt(y), elt(z)
+        ex, ey, ez = e[x], e[y], e[z]
         defect = mu(mu(ex, ey), ez) - mu(ex, mu(ey, ez))
         yield defect and _failure(f"mu-assoc {_inputs(x, y, z)}", defect)
         defect = hochschild_coboundary(torsion, mul, ex, ey, ez)

@@ -9,6 +9,7 @@ from nijalg import (
     EmptyWordTermError,
     TensorElement,
     aug_quasi_shuffle,
+    b_plus,
     dialgebra_defects,
     gen,
     omega_prec,
@@ -16,6 +17,7 @@ from nijalg import (
     quasi_shuffle,
     trialgebra_defects,
 )
+from nijalg import products
 from conftest import te, words_over
 
 ZERO = TensorElement.zero()
@@ -55,26 +57,42 @@ def test_succ_examples(ab):
         assert ctx.succ(te(*x), te(*y)) == ctx.prec(te(*y), te(*x))
 
 
+def _b_plus_forms(ctx, x, y):
+    """x ⊡ B⁺(y), B⁺(x) ⊡ y and −λ·(x ⊡ y): the definitions of ≺, ≻ and •."""
+    lam = ctx.lam
+    return (
+        aug_quasi_shuffle(x, b_plus(y), lam),
+        aug_quasi_shuffle(b_plus(x), y, lam),
+        -lam * aug_quasi_shuffle(x, y, lam),
+    )
+
+
 def test_head_forms_agree(ab):
+    # the operations read the recursion's head-letter terms; the B⁺ forms
+    # define them
     for lam in (Fraction(0), Fraction(1), Fraction(-1)):
         ctx = DendriformContext(lam)
         for x, y in _aug_pairs(ab, 5):
             ex, ey = te(*x), te(*y)
-            assert ctx.prec(ex, ey) == ctx.prec_head_form(ex, ey)
-            assert ctx.succ(ex, ey) == ctx.succ_head_form(ex, ey)
-            assert ctx.bullet(ex, ey) == ctx.bullet_head_form(ex, ey)
-            assert ctx.bullet(ex, ey) == -lam * aug_quasi_shuffle(ex, ey, lam)
+            operations = (ctx.prec(ex, ey), ctx.succ(ex, ey), ctx.bullet(ex, ey))
+            assert operations == _b_plus_forms(ctx, ex, ey)
 
 
 def test_head_forms_of_long_words_do_not_recurse(ab):
-    # each head form multiplies the 350-letter word, or its tail, by a short
-    # word, which takes the bottom-up product path instead of recursing one
-    # level per letter
+    # ≺ and ≻ multiply the 350-letter word, or its tail, by a short word,
+    # which takes the bottom-up product path instead of recursing one level
+    # per letter (three frames a level would pass the recursion limit), and
+    # a pair that long is stored in no memo
     a, b = ab
     long = te(*(a,) * 350)
     ctx = DendriformContext(1)
-    assert ctx.prec_head_form(long, te(b)) == ctx.prec(long, te(b))
-    assert ctx.succ_head_form(long, te(b, b)) == ctx.succ(long, te(b, b))
+    products.clear_caches()
+    prec, succ = ctx.prec(long, te(b)), ctx.succ(long, te(b, b))
+    for rec in (products._qsh, products._mqsh):
+        for memo in (rec, rec.lead, rec.trail, rec.head):
+            assert memo.cache_info().currsize == 0
+    assert prec == aug_quasi_shuffle(long, b_plus(te(b)))
+    assert succ == aug_quasi_shuffle(b_plus(long), te(b, b))
 
 
 def test_bullet_conventions(ab):

@@ -95,9 +95,6 @@ def test_non_stdlib_import_is_detected():
 TEST_ONLY = {
     "grade_lengths": "the acceptance gate asserts the grading of every product with it",
     "TensorElement.zero": "the value that identity tests compare each defect with",
-    "DendriformContext.prec_head_form": "the reference that prec is tested against",
-    "DendriformContext.succ_head_form": "the reference that succ is tested against",
-    "DendriformContext.bullet_head_form": "the reference that bullet is tested against",
 }
 
 

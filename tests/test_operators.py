@@ -240,6 +240,26 @@ def test_rb_universal_small(ab):
     assert phi_extend(target, b_plus(x), op) == phi_extend(target, x, op)
 
 
+def test_operator_scalars_refuse_floats(ab):
+    a, b = ab
+    target = _target({0, 1}, 0)
+    pairs = [(te(a), te(b))]
+    for build in (
+        lambda: VectorAlgebraElement.unit(4) * 0.5,
+        lambda: NijenhuisTarget(4, frozenset(), 0.5, target.images),
+        lambda: target.scaled_projection(0.5),
+        lambda: rb_universal_check(0.5, target, pairs),
+        lambda: rota_baxter_defect(b_plus, aug_quasi_shuffle, 0.5, te(a), te(b)),
+    ):
+        with pytest.raises(TypeError, match="float"):
+            build()
+    for lam in ("2/3", 1, Fraction(2, 3)):
+        assert target.scaled_projection(lam).diagonal == target.scaled_projection(
+            Fraction(lam)
+        ).diagonal
+        assert rb_universal_check(lam, target, pairs) == [(None, None)]
+
+
 def test_universal_check_refuses_an_operator_that_fails_its_relation(ab, monkeypatch):
     # 2 is neither 0 nor λ = 1, so this diagonal operator is not a weight-1
     # Rota-Baxter operator, and the sanity check must refuse it before any pair

@@ -285,7 +285,7 @@ def test_vector_arithmetic_matches_coercing_constructor():
     for dim in (1, 4, 6):
         for _ in range(50):
             u, v = _vector(rng, dim), _vector(rng, dim)
-            s = rng.choice((0, 3, -2, 0.5, Fraction(2, 3), _rational(rng)))
+            s = rng.choice((0, 3, -2, "1/2", Fraction(2, 3), _rational(rng)))
             cases = [
                 (u + v, [a + b for a, b in zip(u.coords, v.coords)]),
                 (u - v, [a - b for a, b in zip(u.coords, v.coords)]),

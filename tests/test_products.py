@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nijalg import (
+    DendriformContext,
     EmptyWordTermError,
     MONO_UNIT,
     TensorElement,
@@ -22,7 +23,7 @@ from nijalg import (
 )
 from nijalg.expr import eval_expr, parse_expr
 from nijalg.oracle import mixed_shuffle, mod_quasi_shuffle_oracle
-from nijalg.products import _qsh, clear_caches
+from nijalg.products import _mqsh, _qsh, clear_caches
 from conftest import in_exact_form, te, words_over
 
 LAMBDAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))
@@ -223,6 +224,45 @@ def test_products_match_the_oracle_in_exact_form(ab, lam):
                 assert all(in_exact_form(coeff) for coeff in coeffs)
                 if Fraction(lam).denominator == 1:
                     assert all(type(coeff) is int for coeff in coeffs)
+
+
+@pytest.mark.parametrize("lam", [0, 1, -1, Fraction(2, 3), Fraction(-1, 2)])
+def test_memoized_terms_match_their_definitions(ab, lam):
+    # every pair of nonempty words of total length at most 5 over a, b, [ab], e
+    a, b = ab
+    words = words_over((a, b, a * b, MONO_UNIT), 4, 1)
+    ctx = DendriformContext(lam)
+    for u in words:
+        for v in words:
+            if len(u) + len(v) > 5:
+                continue
+            x, y = te(*u), te(*v)
+            prec, succ, bullet = ctx.prec(x, y), ctx.succ(x, y), ctx.bullet(x, y)
+            assert prec == aug_quasi_shuffle(x, b_plus(y), lam)
+            assert succ == aug_quasi_shuffle(b_plus(x), y, lam)
+            assert prec + succ + bullet == quasi_shuffle(x, y, lam) == mixed_shuffle(u, v, lam)
+            if lam == 1:  # ⊠ fixes λ = 1
+                head = u[0] * v[0]
+                assert aug_mod_quasi_shuffle(x, y) == mod_quasi_shuffle_oracle(
+                    u[1:], v[1:], 1
+                ).prepend(head)
+
+
+def _memos():
+    """Each word recursion and its three memoized terms."""
+    return [memo for rec in (_qsh, _mqsh) for memo in (rec, rec.lead, rec.trail, rec.head)]
+
+
+def test_clear_caches_empties_every_memo(ab):
+    a, b = ab
+    x, y = te(a, b), te(b, a, a)
+    ctx = DendriformContext(Fraction(2, 3))
+    for operation in (ctx.prec, ctx.succ, ctx.bullet, aug_mod_quasi_shuffle):
+        operation(x, y)
+    unread = (_mqsh.lead, _mqsh.trail)  # ⊠ reads only the head of ⊛
+    assert all(memo.cache_info().currsize for memo in _memos() if memo not in unread)
+    clear_caches()
+    assert [memo.cache_info().currsize for memo in _memos()] == [0] * 8
 
 
 def test_bilinear_weights_that_multiply_to_an_integer_store_ints(ab):

@@ -2,8 +2,8 @@
 
 Random words mix multi-generator letters, powers and the unit letter e, at
 random rational weights.  The references are the non-recursive oracle
-(`oracle.py`) and the dendriform head-letter forms.  Every test is
-derandomized, so a run always draws the same examples.
+(`oracle.py`) and the B⁺ forms that define the dendriform operations.
+Every test is derandomized, so a run always draws the same examples.
 """
 
 from fractions import Fraction
@@ -18,6 +18,7 @@ from nijalg import (
     TensorElement,
     aug_mod_quasi_shuffle,
     aug_quasi_shuffle,
+    b_plus,
     mixed_shuffle,
     mod_quasi_shuffle,
     mod_quasi_shuffle_oracle,
@@ -65,10 +66,12 @@ def test_augmented_products_are_head_merged_oracle_products(u, v, lam):
 @SETTINGS
 @given(augmented, augmented, weights)
 def test_dendriform_operations_match_their_head_forms(x, y, lam):
+    # the operations read the recursion's head-letter terms; the B⁺ forms
+    # define them
     ctx = DendriformContext(lam)
-    assert ctx.prec(x, y) == ctx.prec_head_form(x, y)
-    assert ctx.succ(x, y) == ctx.succ_head_form(x, y)
-    assert ctx.bullet(x, y) == ctx.bullet_head_form(x, y)
+    assert ctx.prec(x, y) == aug_quasi_shuffle(x, b_plus(y), lam)
+    assert ctx.succ(x, y) == aug_quasi_shuffle(b_plus(x), y, lam)
+    assert ctx.bullet(x, y) == -ctx.lam * aug_quasi_shuffle(x, y, lam)
 
 
 def _naive_sum(terms):
@@ -161,10 +164,17 @@ def _four_products(u, v, lam):
     ]
 
 
+def _splits(u, v, lam):
+    """≺ and ≻ of two words, which read the memoized terms ⊡ and ⊠ do not."""
+    ctx = DendriformContext(lam)
+    return [ctx.prec(te(u), te(v)), ctx.succ(te(u), te(v))]
+
+
 @SETTINGS
 @given(st.lists(letters, min_size=1, max_size=5).map(tuple), nonempty_words, weights)
 def test_bottom_up_products_match_the_recursion(u, v, lam):
     recursive = _four_products(u, v, lam)
+    splits = _splits(u, v, lam)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(products, "MAX_RECURSION_LETTERS", 0)
         products.clear_caches()
@@ -172,5 +182,11 @@ def test_bottom_up_products_match_the_recursion(u, v, lam):
         # only the augmented products' empty-word calls enter the caches
         assert products._qsh.cache_info().currsize <= 1
         assert products._mqsh.cache_info().currsize <= 1
+        bottom_up_splits = _splits(u, v, lam)
+        # no pair past the letter bound enters a memoized term
+        for rec in (products._qsh, products._mqsh):
+            for memo in (rec.lead, rec.trail, rec.head):
+                assert memo.cache_info().currsize == 0
+    assert bottom_up_splits == splits
     assert bottom_up == recursive
     assert bottom_up[0] == mixed_shuffle(u, v, lam)

@@ -8,10 +8,13 @@ from nijalg import (
     EmptyWordTermError,
     MONO_UNIT,
     TensorElement,
+    VectorAlgebraElement,
     b_minus,
     b_plus,
     gen,
     grade_lengths,
+    mixed_shuffle,
+    quasi_shuffle,
 )
 from nijalg.base import exact
 from conftest import in_exact_form, te, words_over
@@ -113,6 +116,28 @@ def test_exact_puts_integral_scalars_in_int_form():
         assert type(exact(value)) is int and exact(value) == Fraction(value)
     for value in (Fraction(1, 3), "-5/2", "0.5"):
         assert type(exact(value)) is Fraction and exact(value) == Fraction(value)
+
+
+def test_floats_are_refused_and_exact_scalars_pass(ab):
+    # a float's binary value is not the decimal it prints as: 0.1 would be
+    # stored as 3602879701896397/36028797018963968
+    a, _ = ab
+    x = te(a)
+    for build in (
+        lambda: exact(0.1),
+        lambda: quasi_shuffle(x, x, 0.1),
+        lambda: 0.1 * x,
+        lambda: TensorElement({(a,): 0.5}),
+        lambda: VectorAlgebraElement([0.5]),
+    ):
+        with pytest.raises(TypeError, match=r'float.*Fraction\("0\.[15]"\)'):
+            build()
+    for value in ("2/3", 2, -1, Fraction(2, 3), Fraction(4, 2)):
+        q = Fraction(value)
+        assert exact(value) == q
+        assert value * x == TensorElement({(a,): value}) == q * x
+        assert quasi_shuffle(x, x, value) == mixed_shuffle((a,), (a,), q)
+        assert VectorAlgebraElement([value, 1]).coords == (q, 1)
 
 
 def test_sums_that_cancel_to_an_integer_store_an_int(ab):
