@@ -11,14 +11,16 @@ so the three sum exactly to the quasi-shuffle product.  At λ = 0 • vanishes
 and (≺, ≻) is the weight-0 dendriform dialgebra split of the shuffle.
 
 The B⁺ₑ forms are the definitions and the tests' references.  On two words
-the code reads the memoized terms of the quasi-shuffle recursion: ≺ is its
-``lead`` and ≻ its ``trail``, and • is −λ·⊡, which reads its ``head``.
+the code reads the memoized terms of the quasi-shuffle recursion through
+``products._term_product``: ≺ is its ``lead``, and ≻ is ``lead`` with its
+factors swapped, since the quasi-shuffle commutes (x ≻ y = y ≺ x); • is
+−λ·⊡, which reads its ``head`` through the same reader.
 """
 
 from __future__ import annotations
 
 from .base import exact
-from .products import _bilinear, _qsh, _require_augmented, _term, aug_quasi_shuffle
+from .products import _qsh, _term_product
 # unused here, but nijbench's tracing test checks that its wrappers reach
 # this binding
 from .products import quasi_shuffle  # noqa: F401
@@ -33,21 +35,15 @@ class DendriformContext:
 
     def prec(self, x: TensorElement, y: TensorElement) -> TensorElement:
         """x ≺ y: the quasi-shuffle terms led by the first factor's head."""
-        _require_augmented(x, "prec")
-        _require_augmented(y, "prec")
-        return _bilinear(lambda w1, w2: _term(_qsh.lead, w1, w2, self.lam), x, y)
+        return _term_product(_qsh.lead, "prec", x, y, self.lam)
 
     def succ(self, x: TensorElement, y: TensorElement) -> TensorElement:
-        """x ≻ y: the quasi-shuffle terms led by the second factor's head."""
-        _require_augmented(x, "succ")
-        _require_augmented(y, "succ")
-        return _bilinear(lambda w1, w2: _term(_qsh.trail, w1, w2, self.lam), x, y)
+        """x ≻ y = y ≺ x: the quasi-shuffle terms led by the second factor's head."""
+        return _term_product(_qsh.lead, "succ", y, x, self.lam)
 
     def bullet(self, x: TensorElement, y: TensorElement) -> TensorElement:
         """x • y = −λ·(x ⊡ y): the quasi-shuffle terms that merge both heads."""
-        _require_augmented(x, "bullet")
-        _require_augmented(y, "bullet")
-        return -self.lam * aug_quasi_shuffle(x, y, self.lam)
+        return -self.lam * _term_product(_qsh.head, "bullet", x, y, self.lam)
 
     def star(self, x: TensorElement, y: TensorElement) -> TensorElement:
         """≺ + ≻ + •, which equals the quasi-shuffle product."""

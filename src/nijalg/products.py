@@ -7,15 +7,16 @@ written before a merged letter [ab]: none for *, the unit letter e for ⊛.
 Each cache is keyed by (word, word, lambda) and never changes results;
 λ is put in ``base.exact`` form first, so an integral λ is an ``int`` key
 however it was given (1, Fraction(1), "2/2"), and at such a λ the recursion
-runs on ints.  Three memoized one-step terms of aU ∘ bV sit beside each
-recursion ∘, keyed the same way: ``lead`` a(U ∘ bV), ``trail`` b(aU ∘ V) and
-``head`` [ab](U ∘ V), so ⊡, ⊠, ≺ and ≻ of two words are cache reads.
+runs on ints.  Three one-step terms of aU ∘ bV are memoized the same way
+and read through ``_term_product``: ``head`` [ab](U ∘ V) beside each
+recursion ∘, read by ⊡, the dendriform • and ⊠, and ``_qsh.lead``
+a(U * bV), read by ≺ and, with its factors swapped, by ≻, since * commutes.
+``clear_caches`` empties these five memos, the two recursions included.
 A product of two single words whose coefficients multiply to 1 returns the
 cached element itself, unscaled and uncopied; elements are immutable.  A
 word pair longer than MAX_RECURSION_LETTERS is multiplied bottom-up over its
 suffix pairs instead, outside the cache, so no input reaches Python's
-recursion limit; its terms are not stored either.  ``clear_caches`` empties
-every memo.
+recursion limit; its terms are not stored either.
 
   quasi_shuffle        aU * bV  = a(U*bV) + b(aU*V) - λ·[ab](U*V)
   aug_quasi_shuffle    aU ⊡ bV = [ab](U*V)               (augmented module)
@@ -44,8 +45,8 @@ def _word_recursion(merge_prefix: Word):
 
     One step of it, ``rec.step(w1, w2, lam, sub)``, reads the three products
     of shorter pairs through ``sub``; the memoized ``rec`` passes itself.
-    ``rec.lead``, ``rec.trail`` and ``rec.head`` memoize its three terms of two
-    nonempty words, a(U ∘ bV), b(aU ∘ V) and [ab](U ∘ V), read by ``_term``.
+    ``rec.head`` memoizes its merge term of two nonempty words, [ab](U ∘ V),
+    which ⊡, • and ⊠ read through ``_term_product``.
     """
 
     def step(w1: Word, w2: Word, lam, sub) -> TensorElement:
@@ -65,10 +66,7 @@ def _word_recursion(merge_prefix: Word):
         return step(w1, w2, lam, rec)
 
     rec.step = step
-    memo = lru_cache(maxsize=None)
-    rec.lead = memo(lambda w1, w2, lam: _word_product(rec, w1[1:], w2, lam).prepend(w1[0]))
-    rec.trail = memo(lambda w1, w2, lam: _word_product(rec, w1, w2[1:], lam).prepend(w2[0]))
-    rec.head = memo(
+    rec.head = lru_cache(maxsize=None)(
         lambda w1, w2, lam: _word_product(rec, w1[1:], w2[1:], lam).prepend(w1[0] * w2[0])
     )
     return rec
@@ -77,6 +75,11 @@ def _word_recursion(merge_prefix: Word):
 _qsh = _word_recursion(())
 # merged letters are shifted behind a fresh unit letter, preserving length
 _mqsh = _word_recursion((MONO_UNIT,))
+# a(U * bV), the terms of aU * bV led by the first word's head: ≺ reads it,
+# and ≻ reads it with its factors swapped, since * commutes
+_qsh.lead = lru_cache(maxsize=None)(
+    lambda w1, w2, lam: _word_product(_qsh, w1[1:], w2, lam).prepend(w1[0])
+)
 
 # Most letters (m + n) a word pair may carry into the memoized recursion,
 # which recurses one level per letter at three frames a level.  This stays
@@ -119,14 +122,6 @@ def _word_product(rec, w1: Word, w2: Word, lam) -> TensorElement:
     return table[w1, w2]
 
 
-def _term(memo, w1: Word, w2: Word, lam) -> TensorElement:
-    """``memo(w1, w2, lam)`` for one of a recursion's memoized terms; a pair
-    past MAX_RECURSION_LETTERS letters is computed and not stored."""
-    if len(w1) + len(w2) > MAX_RECURSION_LETTERS:
-        return memo.__wrapped__(w1, w2, lam)
-    return memo(w1, w2, lam)
-
-
 def _bilinear(word_fn, x: TensorElement, y: TensorElement) -> TensorElement:
     """The bilinear extension of ``word_fn`` to x ⊗ y.
 
@@ -149,9 +144,23 @@ def _bilinear(word_fn, x: TensorElement, y: TensorElement) -> TensorElement:
     return TensorElement._trusted(acc)
 
 
-def _require_augmented(x: TensorElement, op: str) -> None:
-    if not x.is_augmented():
-        raise EmptyWordTermError(f"{op} is defined on the augmented module only")
+def _term_product(memo, name: str, x: TensorElement, y: TensorElement, lam) -> TensorElement:
+    """The bilinear extension to x ⊗ y of ``memo``, one of the memoized
+    one-step terms, at weight λ; ``name`` is the operation named when a
+    factor is not augmented.  A word pair past MAX_RECURSION_LETTERS letters
+    is computed through the memo's ``__wrapped__`` and not stored.
+    """
+    for factor in (x, y):
+        if not factor.is_augmented():
+            raise EmptyWordTermError(f"{name} is defined on the augmented module only")
+    lam = exact(lam)
+
+    def term(w1: Word, w2: Word) -> TensorElement:
+        if len(w1) + len(w2) > MAX_RECURSION_LETTERS:
+            return memo.__wrapped__(w1, w2, lam)
+        return memo(w1, w2, lam)
+
+    return _bilinear(term, x, y)
 
 
 def quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
@@ -167,10 +176,7 @@ def shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
 
 def aug_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
     """The product aU ⊡ bV = [ab](U*V) on the augmented module; unit is e."""
-    _require_augmented(x, "aug_quasi_shuffle")
-    _require_augmented(y, "aug_quasi_shuffle")
-    lam = exact(lam)
-    return _bilinear(lambda w1, w2: _term(_qsh.head, w1, w2, lam), x, y)
+    return _term_product(_qsh.head, "aug_quasi_shuffle", x, y, lam)
 
 
 def mod_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
@@ -185,9 +191,7 @@ def aug_mod_quasi_shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
 
     Every term of an (m-word ⊠ n-word) has length m + n - 1.
     """
-    _require_augmented(x, "aug_mod_quasi_shuffle")
-    _require_augmented(y, "aug_mod_quasi_shuffle")
-    return _bilinear(lambda w1, w2: _term(_mqsh.head, w1, w2, 1), x, y)
+    return _term_product(_mqsh.head, "aug_mod_quasi_shuffle", x, y, 1)
 
 
 def mu_product(x, y, operator: Callable, mul: Callable):
@@ -201,6 +205,5 @@ def nijenhuis_torsion(x, y, operator: Callable, mul: Callable):
 
 
 def clear_caches() -> None:
-    for rec in (_qsh, _mqsh):
-        for memo in (rec, rec.lead, rec.trail, rec.head):
-            memo.cache_clear()
+    for memo in (_qsh, _qsh.lead, _qsh.head, _mqsh, _mqsh.head):
+        memo.cache_clear()

@@ -47,7 +47,7 @@ class TensorElement:
     with denominator > 1.  So equality of elements is equality of their
     term maps, and elements with integral coefficients (every product at
     an integral λ) carry no ``Fraction`` at all.
-    Instances are immutable and hashable (products memoize on them); all
+    Instances are immutable and hashable, equal elements hashing equal; all
     arithmetic returns new canonical elements.
     """
 

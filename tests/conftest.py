@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nijalg import Monomial, TensorElement, gen
+from nijalg import Monomial, TensorElement, gen, products
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +29,14 @@ def in_exact_form(coeff) -> bool:
     if type(coeff) is int:
         return coeff != 0
     return type(coeff) is Fraction and coeff.denominator > 1
+
+
+def product_memos():
+    """Every ``lru_cache`` reachable from ``nijalg.products``: its module
+    globals and the attributes set on them (the recursions' term memos)."""
+    found = []
+    for value in vars(products).values():
+        for candidate in (value, *getattr(value, "__dict__", {}).values()):
+            if hasattr(candidate, "cache_info") and candidate not in found:
+                found.append(candidate)
+    return found

@@ -18,7 +18,7 @@ from nijalg import (
     trialgebra_defects,
 )
 from nijalg import products
-from conftest import te, words_over
+from conftest import product_memos, te, words_over
 
 ZERO = TensorElement.zero()
 
@@ -49,9 +49,10 @@ def test_prec_examples(ab):
     assert ctx.prec(te(a, b), te(c)) == te(a, b, c) + te(a, c, b) - lam * te(a, b * c)
 
 
-def test_succ_examples(ab):
+@pytest.mark.parametrize("lam", [0, 1, -1, Fraction(2, 3)])
+def test_succ_examples(ab, lam):
     a, b = ab
-    ctx = DendriformContext(1)
+    ctx = DendriformContext(lam)
     assert ctx.succ(te(a), te(b)) == te(b, a)
     for x, y in _aug_pairs(ab, 5):
         assert ctx.succ(te(*x), te(*y)) == ctx.prec(te(*y), te(*x))
@@ -88,9 +89,8 @@ def test_head_forms_of_long_words_do_not_recurse(ab):
     ctx = DendriformContext(1)
     products.clear_caches()
     prec, succ = ctx.prec(long, te(b)), ctx.succ(long, te(b, b))
-    for rec in (products._qsh, products._mqsh):
-        for memo in (rec, rec.lead, rec.trail, rec.head):
-            assert memo.cache_info().currsize == 0
+    for memo in product_memos():
+        assert memo.cache_info().currsize == 0
     assert prec == aug_quasi_shuffle(long, b_plus(te(b)))
     assert succ == aug_quasi_shuffle(b_plus(long), te(b, b))
 

@@ -24,7 +24,7 @@ from nijalg import (
 from nijalg.expr import eval_expr, parse_expr
 from nijalg.oracle import mixed_shuffle, mod_quasi_shuffle_oracle
 from nijalg.products import _mqsh, _qsh, clear_caches
-from conftest import in_exact_form, te, words_over
+from conftest import in_exact_form, product_memos, te, words_over
 
 LAMBDAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))
 
@@ -248,21 +248,20 @@ def test_memoized_terms_match_their_definitions(ab, lam):
                 ).prepend(head)
 
 
-def _memos():
-    """Each word recursion and its three memoized terms."""
-    return [memo for rec in (_qsh, _mqsh) for memo in (rec, rec.lead, rec.trail, rec.head)]
-
-
 def test_clear_caches_empties_every_memo(ab):
+    # the memos are discovered, not listed, so one that no operation fills
+    # or that clear_caches misses fails here
+    memos = product_memos()
+    assert _qsh in memos and _mqsh in memos
     a, b = ab
     x, y = te(a, b), te(b, a, a)
     ctx = DendriformContext(Fraction(2, 3))
+    clear_caches()
     for operation in (ctx.prec, ctx.succ, ctx.bullet, aug_mod_quasi_shuffle):
         operation(x, y)
-    unread = (_mqsh.lead, _mqsh.trail)  # ⊠ reads only the head of ⊛
-    assert all(memo.cache_info().currsize for memo in _memos() if memo not in unread)
+    assert all(memo.cache_info().currsize for memo in memos)
     clear_caches()
-    assert [memo.cache_info().currsize for memo in _memos()] == [0] * 8
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
 
 
 def test_bilinear_weights_that_multiply_to_an_integer_store_ints(ab):

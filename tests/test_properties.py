@@ -25,7 +25,7 @@ from nijalg import (
     quasi_shuffle,
 )
 from nijalg import products
-from conftest import in_exact_form
+from conftest import in_exact_form, product_memos
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -72,6 +72,8 @@ def test_dendriform_operations_match_their_head_forms(x, y, lam):
     assert ctx.prec(x, y) == aug_quasi_shuffle(x, b_plus(y), lam)
     assert ctx.succ(x, y) == aug_quasi_shuffle(b_plus(x), y, lam)
     assert ctx.bullet(x, y) == -ctx.lam * aug_quasi_shuffle(x, y, lam)
+    # the quasi-shuffle commutes, so its split mirrors: x ≻ y = y ≺ x
+    assert ctx.succ(x, y) == ctx.prec(y, x)
 
 
 def _naive_sum(terms):
@@ -184,8 +186,8 @@ def test_bottom_up_products_match_the_recursion(u, v, lam):
         assert products._mqsh.cache_info().currsize <= 1
         bottom_up_splits = _splits(u, v, lam)
         # no pair past the letter bound enters a memoized term
-        for rec in (products._qsh, products._mqsh):
-            for memo in (rec.lead, rec.trail, rec.head):
+        for memo in product_memos():
+            if memo not in (products._qsh, products._mqsh):
                 assert memo.cache_info().currsize == 0
     assert bottom_up_splits == splits
     assert bottom_up == recursive
