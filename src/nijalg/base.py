@@ -11,6 +11,7 @@ into a term map and drops the zeros.
 
 from __future__ import annotations
 
+import operator
 import re
 import weakref
 from fractions import Fraction
@@ -54,7 +55,7 @@ class Monomial:
         acc: dict = {}
         for name, exp in items:
             check_generator(name)
-            exp = int(exp)
+            exp = operator.index(exp)  # an int, never a truncated float or string
             if exp < 0:
                 raise ValueError(f"negative exponent for generator {name!r}")
             if exp:
@@ -79,10 +80,6 @@ class Monomial:
         # which returns the interned instance
         return (Monomial, (self._pairs,))
 
-    @classmethod
-    def gen(cls, name: str, exp: int = 1) -> "Monomial":
-        return cls(((name, exp),))
-
     @property
     def exponents(self) -> Tuple[Tuple[str, int], ...]:
         return self._pairs
@@ -104,7 +101,7 @@ class Monomial:
         return Monomial._from_pairs(tuple(sorted(merged.items())))
 
     def __pow__(self, exp: int) -> "Monomial":
-        exp = int(exp)
+        exp = operator.index(exp)
         if exp < 0:
             raise ValueError("negative monomial power")
         return Monomial({g: n * exp for g, n in self._pairs})
@@ -146,7 +143,7 @@ MONO_UNIT = Monomial()
 
 def gen(name: str) -> Monomial:
     """Degree-1 monomial for a single generator."""
-    return Monomial.gen(name)
+    return Monomial(((name, 1),))
 
 
 def exact(c):

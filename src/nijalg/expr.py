@@ -19,6 +19,10 @@ anywhere is reported before any parse error.  It then hands the parser a
 token stream that lexes only as far as the parser reads: input the parser
 rejects, say past MAX_NESTING, is read only up to that point.  A token
 holds its offset, and an error turns the offset into a line and column.
+
+An operator node's tag is the operator as written: one of ``BINOPS`` for a
+``BinOp``, 'B+' or 'B-' for a ``UnaryOp``.  The parser stores the token's
+text, the printer writes the tag, and the evaluator looks the tag up.
 """
 
 from __future__ import annotations
@@ -40,17 +44,8 @@ from .products import (
 )
 from .tensor import TensorElement, Word, b_minus, b_plus, word_str
 
-# binary operation tags and their concrete syntax
-QSH, SH, AQS, MQS, AMQ, PREC, SUCC, BULLET = (
-    "QSH", "SH", "AQS", "MQS", "AMQ", "PREC", "SUCC", "BULLET",
-)
-BPLUS, BMINUS = "BPLUS", "BMINUS"
-
-BINOP_SYMBOL = {
-    QSH: "*", SH: "sh", AQS: "#", MQS: "@", AMQ: "%",
-    PREC: "<", SUCC: ">", BULLET: "&",
-}
-SYMBOL_BINOP = {v: k for k, v in BINOP_SYMBOL.items()}
+# the infix products the parser accepts, in the grammar's order
+BINOPS = ("*", "sh", "#", "@", "%", "<", ">", "&")
 
 
 @dataclass(frozen=True)
@@ -199,10 +194,8 @@ class _Parser:
         return tok.kind == "SYM" and tok.text in syms
 
     def at_binop(self) -> bool:
-        tok = self.tok
-        if tok.kind == "SYM":
-            return tok.text in SYMBOL_BINOP
-        return tok.kind == "IDENT" and tok.text == "sh"
+        # only a SYM or the IDENT 'sh' has the text of a binop
+        return self.tok.text in BINOPS
 
     # ---- grammar ----
 
@@ -221,7 +214,7 @@ class _Parser:
         # "2/3 a", "2*a", or "2 a": a scalar immediately followed by an atom
         if nxt.kind == "SYM":
             return nxt.text in ("/", "*", "(", "[")
-        return nxt.kind in _ATOM_START and (nxt.kind != "IDENT" or nxt.text != "sh")
+        return nxt.kind in _ATOM_START and nxt.text not in BINOPS
 
     def parse_prod(self) -> Node:
         coeff = None
@@ -233,9 +226,7 @@ class _Parser:
         if coeff is not None:
             node = Scale(coeff, node)
         while self.at_binop():
-            tok = self.advance()
-            tag = SH if tok.text == "sh" else SYMBOL_BINOP[tok.text]
-            node = BinOp(tag, node, self.parse_atom())
+            node = BinOp(self.advance().text, node, self.parse_atom())
         return node
 
     def parse_int(self) -> int:
@@ -262,7 +253,7 @@ class _Parser:
         if tok.kind in ("BPLUS", "BMINUS"):
             self.advance()
             self.expect_sym("(")
-            return UnaryOp(BPLUS if tok.kind == "BPLUS" else BMINUS, self.parse_nested(tok))
+            return UnaryOp(tok.text, self.parse_nested(tok))
         if self.at_sym("("):
             self.advance()
             return self.parse_nested(tok)
@@ -302,7 +293,7 @@ class _Parser:
             self.expect_sym("]")
             mono = MONO_UNIT
             for name, exp in pairs:
-                mono = mono * Monomial.gen(name, exp)
+                mono = mono * Monomial(((name, exp),))
             return mono
         tok = self.tok
         if tok.kind != "IDENT":
@@ -383,8 +374,7 @@ def to_text(node: Node) -> str:
     elif isinstance(leaf, Scale):
         text = f"{leaf.coeff}*{_atom_text(leaf.child)}"
     elif isinstance(leaf, UnaryOp):
-        op = "B+" if leaf.tag == BPLUS else "B-"
-        text = f"{op}({to_text(leaf.child)})"
+        text = f"{leaf.tag}({to_text(leaf.child)})"
     else:
         raise TypeError(f"not an AST node: {leaf!r}")
     left = leaf
@@ -393,7 +383,7 @@ def to_text(node: Node) -> str:
             # all binops share one left-associative level, so a binop chain
             # needs no parentheses on its left
             lhs = text if _is_atom(left) or isinstance(left, BinOp) else f"({text})"
-            text = f"{lhs} {BINOP_SYMBOL[link.tag]} {_atom_text(link.right)}"
+            text = f"{lhs} {link.tag} {_atom_text(link.right)}"
         else:
             rhs = to_text(link.right)
             if isinstance(link.right, (Add, Sub)):
@@ -408,16 +398,16 @@ def eval_expr(node: Node, lam=1) -> TensorElement:
     lam = exact(lam)
     ctx = DendriformContext(lam)
     ops = {
-        QSH: lambda x, y: quasi_shuffle(x, y, lam),
-        SH: shuffle,
-        AQS: lambda x, y: aug_quasi_shuffle(x, y, lam),
-        MQS: lambda x, y: mod_quasi_shuffle(x, y, lam),
-        AMQ: aug_mod_quasi_shuffle,
-        PREC: ctx.prec,
-        SUCC: ctx.succ,
-        BULLET: ctx.bullet,
-        BPLUS: b_plus,
-        BMINUS: b_minus,
+        "*": lambda x, y: quasi_shuffle(x, y, lam),
+        "sh": shuffle,
+        "#": lambda x, y: aug_quasi_shuffle(x, y, lam),
+        "@": lambda x, y: mod_quasi_shuffle(x, y, lam),
+        "%": aug_mod_quasi_shuffle,
+        "<": ctx.prec,
+        ">": ctx.succ,
+        "&": ctx.bullet,
+        "B+": b_plus,
+        "B-": b_minus,
     }
 
     def apply(n: Node, *args: TensorElement) -> TensorElement:

@@ -92,28 +92,27 @@ def _word_product(rec, w1: Word, w2: Word, lam) -> TensorElement:
     """``rec(w1, w2, lam)`` for one of the word recursions.
 
     Past MAX_RECURSION_LETTERS the product is built bottom-up instead, over
-    the suffix pairs (u, v) of (w1, w2), shortest first.  Only two rows of
-    suffix products are kept, each along the shorter word, and none enters
-    the cache: for an m-letter word the cached recursion would hold O(m³)
-    letters, and so would a row along an m-letter word.
+    the suffix pairs (u, v) of (w1, w2), shortest first.  Both recursions
+    commute at every λ, so the longer word is taken as w1, and each row pairs
+    one suffix of it with every suffix of the shorter word.  Only two rows
+    are kept, and none enters the cache: for an m-letter word the cached
+    recursion would hold O(m³) letters, and so would a row along an m-letter
+    word.
     """
     if not w1 or not w2 or len(w1) + len(w2) <= MAX_RECURSION_LETTERS:
         return rec(w1, w2, lam)
+    if len(w1) < len(w2):
+        w1, w2 = w2, w1
     step = rec.step
     table: dict = {}
 
     def sub(p: Word, q: Word, _lam) -> TensorElement:
         return table[p, q]
 
-    # a row pairs one suffix of the longer word with every suffix of the
-    # shorter; the pairs keep their (w1, w2) order, so every step is the same
-    transposed = len(w1) < len(w2)
-    outer, inner = (w2, w1) if transposed else (w1, w2)
-    inner_suffixes = [inner[j:] for j in reversed(range(len(inner) + 1))]
+    suffixes = [w2[j:] for j in reversed(range(len(w2) + 1))]
     previous = ()
-    for i in reversed(range(len(outer) + 1)):
-        s = outer[i:]
-        row = [(t, s) if transposed else (s, t) for t in inner_suffixes]
+    for i in reversed(range(len(w1) + 1)):
+        row = [(w1[i:], t) for t in suffixes]
         for u, v in row:
             table[u, v] = step(u, v, lam, sub)
         for key in previous:  # a row is read by the next row only

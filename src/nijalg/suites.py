@@ -8,6 +8,10 @@ when it fails.  Every check, ``universal``'s too, is written ``yield defect
 and _failure(text, defect)``, so its inputs are named only when it fails.
 ``_failure`` builds every record, and ``_tally`` counts every check and keeps
 the failures; the report holds both.  All comparisons are exact.
+
+Each suite is registered once, in the ordered table ``_SUITES``, with its
+sweep and the weights it fixes; ``SUITES``, ``run_suite`` and the CLI's
+suite list all read that table, so a new suite is one entry.
 """
 
 from __future__ import annotations
@@ -60,31 +64,31 @@ def words_up_to(max_len: int, min_len: int = 0) -> List[Word]:
 
 
 def word_pairs(max_total: int, min_len: int = 0):
-    ws = words_up_to(max_total, min_len)
-    for x in ws:
-        for y in ws:
-            if len(x) + len(y) <= max_total:
-                yield x, y
-
-
-def word_triples(max_total: int, min_len: int = 0):
+    """Each pair of ``words_up_to`` words with at most ``max_total`` letters,
+    in canonical order.  The words are sorted by length, so each inner loop
+    stops at the first word that is too long."""
     ws = words_up_to(max_total, min_len)
     for x in ws:
         for y in ws:
             if len(x) + len(y) > max_total:
-                continue
-            for z in ws:
-                if len(x) + len(y) + len(z) <= max_total:
-                    yield x, y, z
+                break
+            yield x, y
 
 
-def elt(w: Word) -> TensorElement:
-    return TensorElement.from_word(w)
+def word_triples(max_total: int, min_len: int = 0):
+    """Each ``word_pairs`` pair followed by a third word, within ``max_total``
+    letters in all, in canonical order."""
+    ws = words_up_to(max_total, min_len)
+    for x, y in word_pairs(max_total, min_len):
+        for z in ws:
+            if len(x) + len(y) + len(z) > max_total:
+                break
+            yield x, y, z
 
 
 def _elements(max_len: int, min_len: int = 0) -> dict:
     """Each word of ``words_up_to`` with its one-word element, built once per sweep."""
-    return {w: elt(w) for w in words_up_to(max_len, min_len)}
+    return {w: TensorElement.from_word(w) for w in words_up_to(max_len, min_len)}
 
 
 def _inputs(*words: Word) -> str:
@@ -124,22 +128,6 @@ def _assoc_sweep(product, max_len, lambdas, min_len):
             yield defect and _failure(f"assoc lambda={lam} {_inputs(x, y, z)}", defect)
 
 
-def suite_assoc_qsh(max_len, lambdas, seed):
-    return _assoc_sweep(quasi_shuffle, max_len, lambdas, 0)
-
-
-def suite_assoc_aqs(max_len, lambdas, seed):
-    return _assoc_sweep(aug_quasi_shuffle, max_len, lambdas, 1)
-
-
-def suite_assoc_mqs(max_len, lambdas, seed):
-    return _assoc_sweep(mod_quasi_shuffle, max_len, lambdas, 0)
-
-
-def suite_assoc_amq(max_len, lambdas, seed):
-    return _assoc_sweep(lambda x, y, lam: aug_mod_quasi_shuffle(x, y), max_len, lambdas, 1)
-
-
 def suite_nijenhuis(max_len, lambdas, seed):
     e = _elements(max_len, 1)
     for x, y in word_pairs(max_len, 1):
@@ -168,7 +156,7 @@ def suite_mixed_oracle(max_len, lambdas, seed):
 
 def suite_factorization(max_len, lambdas, seed):
     for w in words_up_to(max_len, 1):
-        defect = factorization_check(w) - elt(w)
+        defect = factorization_check(w) - TensorElement.from_word(w)
         yield defect and _failure(f"w={word_str(w)}", defect)
 
 
@@ -200,9 +188,9 @@ def suite_dendriform_tri(max_len, lambdas, seed):
 
 def suite_omega(max_len, lambdas, seed):
     for w in words_up_to(max_len, 1):
-        defect = omega_prec(w) - elt(w)
+        defect = omega_prec(w) - TensorElement.from_word(w)
         yield defect and _failure(f"omega_prec w={word_str(w)}", defect)
-        defect = omega_succ(w) - elt(w)
+        defect = omega_succ(w) - TensorElement.from_word(w)
         yield defect and _failure(f"omega_succ w={word_str(w)}", defect)
 
 
@@ -300,46 +288,44 @@ def suite_universal(max_len, lambdas, seed):
     yield from _rota_baxter_results(max_len, seed, 32)
 
 
-# Suites whose identities hold at fixed weights: they check these, whatever
-# weights the caller asks for, and their reports list these.  The other
-# suites check every requested λ.
-FIXED_LAMBDAS = {
-    "assoc-amq": (1,),
-    "nijenhuis": (1,),
-    "factorization": (1,),
-    "omega": (1,),
-    "torsion-cocycle": (1,),
-    "dendriform-di": (0,),
-    "universal": RB_LAMBDAS,
+# Every suite, in the order the CLI lists them: its name -> (its sweep, the
+# weights it fixes).  A suite whose identities hold at fixed weights checks
+# these, whatever weights the caller asks for, and its report lists them;
+# None checks every requested λ.  An entry names its product inside a
+# lambda, so the product is looked up each time the suite runs.
+_SUITES = {
+    "assoc-qsh": (lambda n, lams, seed: _assoc_sweep(quasi_shuffle, n, lams, 0), None),
+    "assoc-aqs": (lambda n, lams, seed: _assoc_sweep(aug_quasi_shuffle, n, lams, 1), None),
+    "assoc-mqs": (lambda n, lams, seed: _assoc_sweep(mod_quasi_shuffle, n, lams, 0), None),
+    "assoc-amq": (
+        lambda n, lams, seed: _assoc_sweep(
+            lambda x, y, lam: aug_mod_quasi_shuffle(x, y), n, lams, 1
+        ),
+        (1,),
+    ),
+    "nijenhuis": (suite_nijenhuis, (1,)),
+    "rota-baxter": (suite_rota_baxter, None),
+    "mixed-oracle": (suite_mixed_oracle, None),
+    "factorization": (suite_factorization, (1,)),
+    "dendriform-di": (suite_dendriform_di, (0,)),
+    "dendriform-tri": (suite_dendriform_tri, None),
+    "omega": (suite_omega, (1,)),
+    "universal": (suite_universal, RB_LAMBDAS),
+    "torsion-cocycle": (suite_torsion_cocycle, (1,)),
 }
 
-_SUITE_FNS = {
-    "assoc-qsh": suite_assoc_qsh,
-    "assoc-aqs": suite_assoc_aqs,
-    "assoc-mqs": suite_assoc_mqs,
-    "assoc-amq": suite_assoc_amq,
-    "nijenhuis": suite_nijenhuis,
-    "rota-baxter": suite_rota_baxter,
-    "mixed-oracle": suite_mixed_oracle,
-    "factorization": suite_factorization,
-    "dendriform-di": suite_dendriform_di,
-    "dendriform-tri": suite_dendriform_tri,
-    "omega": suite_omega,
-    "universal": suite_universal,
-    "torsion-cocycle": suite_torsion_cocycle,
-}
-
-SUITES = tuple(_SUITE_FNS)
+SUITES = tuple(_SUITES)
 
 
 def run_suite(name: str, max_len: int = 4, lambdas: Iterable = ("1",), seed: int = 0) -> dict:
     """Run one sweep; the report lists each failing instance with its defect."""
-    if name not in _SUITE_FNS:
+    if name not in _SUITES:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose from: {', '.join(SUITES)}"
         )
-    lams = tuple(exact(v) for v in FIXED_LAMBDAS.get(name, lambdas))
-    checked, failures = _tally(_SUITE_FNS[name](max_len, lams, seed))
+    sweep, fixed = _SUITES[name]
+    lams = tuple(exact(v) for v in (lambdas if fixed is None else fixed))
+    checked, failures = _tally(sweep(max_len, lams, seed))
     return {
         "suite": name,
         "max_len": max_len,

@@ -40,3 +40,17 @@ def product_memos():
             if hasattr(candidate, "cache_info") and candidate not in found:
                 found.append(candidate)
     return found
+
+
+def count_calls(monkeypatch, module, name):
+    """Rebind ``module.name`` to a wrapper that records the arguments of each
+    call; returns that record."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls

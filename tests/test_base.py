@@ -105,6 +105,16 @@ def test_monomial_rejects_negative_exponent():
         Monomial({"a": -1})
 
 
+def test_monomial_rejects_non_integer_exponents():
+    # an exponent is an int: a float or a string raises instead of being
+    # truncated to one
+    for exponents in ({"a": 2.7}, [("a", 0.4)], {"a": "3"}, {"a": Fraction(2)}):
+        with pytest.raises(TypeError):
+            Monomial(exponents)
+    with pytest.raises(TypeError):
+        gen("a") ** 2.5
+
+
 def _random_tensor_element(rng, words):
     return TensorElement(
         (rng.choice(words), Fraction(rng.randint(-4, 4), rng.randint(1, 4)))

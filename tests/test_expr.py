@@ -16,15 +16,9 @@ from nijalg import (
 )
 from nijalg import expr
 from nijalg.expr import (
-    AMQ,
+    BINOPS,
     Add,
-    BPLUS,
-    BMINUS,
     BinOp,
-    MQS,
-    PREC,
-    QSH,
-    SH,
     Scale,
     Sub,
     UnaryOp,
@@ -37,15 +31,15 @@ from nijalg.expr import (
     parse_expr,
     to_text,
 )
-from conftest import te
+from conftest import count_calls, te
 
 
 def test_parse_examples(ab):
     a, b = ab
     c = gen("c")
-    assert parse_expr("a.b * c") == BinOp(QSH, WordLit((a, b)), WordLit((c,)))
+    assert parse_expr("a.b * c") == BinOp("*", WordLit((a, b)), WordLit((c,)))
     assert parse_expr("B+(a.b) % c") == BinOp(
-        AMQ, UnaryOp(BPLUS, WordLit((a, b))), WordLit((c,))
+        "%", UnaryOp("B+", WordLit((a, b))), WordLit((c,))
     )
     assert parse_expr("1") == WordLit(())
     assert parse_expr("e.a.[a b]") == WordLit((MONO_UNIT, a, a * b))
@@ -58,9 +52,9 @@ def test_parse_examples(ab):
     )
     # binops chain left at one precedence level
     assert parse_expr("a * b < c") == BinOp(
-        PREC, BinOp(QSH, WordLit((a,)), WordLit((b,))), WordLit((c,))
+        "<", BinOp("*", WordLit((a,)), WordLit((b,))), WordLit((c,))
     )
-    assert parse_expr("a sh b") == BinOp(SH, WordLit((a,)), WordLit((b,)))
+    assert parse_expr("a sh b") == BinOp("sh", WordLit((a,)), WordLit((b,)))
 
 
 def test_parse_errors():
@@ -95,6 +89,26 @@ def test_eval_examples(ab):
     assert eval_expr(parse_expr("a & b"), 1) == -te(a * b)
     assert eval_expr(parse_expr("a sh b"), 5) == te(a, b) + te(b, a)
     assert eval_expr(parse_expr("a # b"), 1) == te(a * b)
+
+
+@pytest.mark.parametrize(
+    "text, product",
+    [
+        ("a * b", "quasi_shuffle"),
+        ("a sh b", "shuffle"),
+        ("a # b", "aug_quasi_shuffle"),
+        ("a @ b", "mod_quasi_shuffle"),
+        ("a % b", "aug_mod_quasi_shuffle"),
+        ("B+(a)", "b_plus"),
+        ("B-(a)", "b_minus"),
+    ],
+)
+def test_eval_looks_its_products_up_when_called(monkeypatch, text, product):
+    # an operation table that kept the product it found at import would
+    # escape every later rebinding of it, such as a tracer's wrapper
+    calls = count_calls(monkeypatch, expr, product)
+    eval_expr(parse_expr(text), 1)
+    assert calls
 
 
 def test_eval_surfaces_offending_subexpression(ab):
@@ -136,12 +150,11 @@ def random_ast(rng, depth):
             Fraction(rng.randint(1, 9), rng.randint(1, 9)), random_ast(rng, depth - 1)
         )
     if roll < 0.55:
-        return UnaryOp(rng.choice((BPLUS, BMINUS)), random_ast(rng, depth - 1))
+        return UnaryOp(rng.choice(("B+", "B-")), random_ast(rng, depth - 1))
     if roll < 0.75:
         node = Add if rng.random() < 0.5 else Sub
         return node(random_ast(rng, depth - 1), random_ast(rng, depth - 1))
-    tag = rng.choice((QSH, SH, "AQS", MQS, AMQ, PREC, "SUCC", "BULLET"))
-    return BinOp(tag, random_ast(rng, depth - 1), random_ast(rng, depth - 1))
+    return BinOp(rng.choice(BINOPS), random_ast(rng, depth - 1), random_ast(rng, depth - 1))
 
 
 def test_printer_parser_round_trip():

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses
 or a module outside the standard library, every definition has a caller
-outside the tests, and the README names every check suite.
+outside the tests, and the README names every check suite and infix
+product.
 
 No linter is part of the toolchain, so this parses each module with ``ast``
 instead.  ``__init__.py`` is skipped: its imports are the package's exports.
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from nijalg.suites import SUITES
+from nijalg.expr import BINOPS
+from nijalg.suites import _SUITES, SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nijalg"
@@ -252,3 +254,17 @@ def test_readme_lists_every_suite():
     readme = (ROOT / "README.md").read_text()
     paragraph = readme.split("Check suites:", 1)[1].split("\n\n", 1)[0]
     assert tuple(re.findall(r"`([^`]+)`", paragraph)) == SUITES
+
+
+def test_readme_lists_the_suites_that_check_every_lambda():
+    readme = (ROOT / "README.md").read_text()
+    sentence = readme.split(" check every `--lambda` given.", 1)[0].rsplit("\n\n", 1)[1]
+    unfixed = tuple(name for name, (_, fixed) in _SUITES.items() if fixed is None)
+    assert tuple(re.findall(r"`([^`]+)`", sentence)) == unfixed
+
+
+def test_readme_lists_every_infix_product():
+    readme = (ROOT / "README.md").read_text()
+    bullet = readme.split("- Infix products", 1)[1].split("\n- ", 1)[0]
+    # the symbols follow the colon; `+`/`-` before it name the sum's level
+    assert tuple(re.findall(r"`([^`]+)`", bullet.split(":", 1)[1])) == BINOPS

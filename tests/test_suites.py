@@ -19,8 +19,9 @@ from nijalg import (
     suites,
     universal_property_check,
 )
-from nijalg.suites import SUITES, elt, run_suite, word_pairs
+from nijalg.suites import SUITES, run_suite, word_pairs, word_triples, words_up_to
 from nijalg.tensor import word_str
+from conftest import count_calls
 
 # sha256 of json.dumps(run_suite(suite, 3, lambdas, 0)).  Every byte of a
 # report is part of the CLI's output; these were taken from the reports of
@@ -68,6 +69,40 @@ def test_reports_match_their_pinned_digests(suite, lambdas):
         assert report["failures"]  # the pinned set holds a failing report
     digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
     assert digest == REPORT_DIGESTS[suite, lambdas]
+
+
+@pytest.mark.parametrize(
+    "suite, product",
+    [
+        ("assoc-qsh", "quasi_shuffle"),
+        ("assoc-aqs", "aug_quasi_shuffle"),
+        ("assoc-mqs", "mod_quasi_shuffle"),
+        ("assoc-amq", "aug_mod_quasi_shuffle"),
+        ("nijenhuis", "b_plus"),
+    ],
+)
+def test_suites_look_their_products_up_when_they_run(monkeypatch, suite, product):
+    # a suite that kept the product it found at import would escape every
+    # later rebinding of it, such as a tracer's wrapper or a mutant
+    calls = count_calls(monkeypatch, suites, product)
+    report = run_suite(suite, 3, ["1"], 0)
+    assert report["checked"] > 0 and report["failures"] == []
+    assert calls
+
+
+@pytest.mark.parametrize("min_len", [0, 1])
+def test_word_sweeps_match_the_filtered_cross_product(min_len):
+    for max_total in range(7):
+        ws = words_up_to(max_total, min_len)
+        pairs = [(x, y) for x in ws for y in ws if len(x) + len(y) <= max_total]
+        triples = [
+            (x, y, z)
+            for x, y in pairs
+            for z in ws
+            if len(x) + len(y) + len(z) <= max_total
+        ]
+        assert list(word_pairs(max_total, min_len)) == pairs
+        assert list(word_triples(max_total, min_len)) == triples
 
 
 def test_passing_checks_never_name_their_inputs(monkeypatch):
@@ -131,7 +166,11 @@ def test_convention_check_sees_a_bullet_of_the_wrong_sign(monkeypatch):
     assert convention == [
         {
             "inputs": f"convention lambda=2/3 x={word_str(x)} y={word_str(y)}",
-            "defect": str(2 * lam * aug_quasi_shuffle(elt(x), elt(y), lam)),
+            "defect": str(
+                2 * lam * aug_quasi_shuffle(
+                    TensorElement.from_word(x), TensorElement.from_word(y), lam
+                )
+            ),
             "pass": False,
         }
         for x, y in word_pairs(3, 1)
