@@ -150,8 +150,8 @@ def exact(c):
     """The canonical form of the rational scalar ``c``: an ``int`` when it is
     integral, else a ``Fraction`` with denominator > 1.
 
-    Every scalar enters the tensor module through here, so products of
-    elements with integral coefficients at an integral λ run on ints alone.
+    Every scalar enters the tensor module through here, and is then kept as
+    integer numerators over a shared denominator.
     A float raises ``TypeError``: its binary value is not the decimal it shows.
     """
     if type(c) is int:
@@ -165,9 +165,7 @@ def exact(c):
 
 def accumulate(acc: dict, items: Iterable) -> dict:
     """Add each (key, coeff) of ``items`` into the term map ``acc`` and drop
-    every key whose coefficient cancels to zero; returns ``acc``.  Each stored
-    coefficient is put in ``exact`` form, so Fractions that sum or multiply
-    to an integer are stored as an ``int``."""
+    every key whose coefficient cancels to zero; returns ``acc``."""
     for key, coeff in items:
         if key in acc:
             coeff += acc[key]
@@ -176,5 +174,5 @@ def accumulate(acc: dict, items: Iterable) -> dict:
                 continue
         elif not coeff:
             continue
-        acc[key] = coeff if type(coeff) is int else exact(coeff)
+        acc[key] = coeff
     return acc

@@ -226,9 +226,11 @@ def _phi_core(target: NijenhuisTarget, operator: DiagonalOperator):
     letters = {}  # letter -> φ(letter)
 
     def phi(x: TensorElement) -> Tuple[Tuple[int, int], ...]:
-        # each coordinate sums its terms per denominator, then folds the sums
+        # x's integer numerators share the denominator x._den, so each
+        # coordinate sums its terms per denominator of the letter factors,
+        # then folds the sums and divides by x._den once
         sums = [{} for _ in range(target.dim)]  # denominator -> numerator
-        for word, coeff in x.iterterms():
+        for word, numerator in x._terms.items():
             if not word:
                 raise EmptyWordTermError("phi_extend is defined on the augmented module only")
             while len(powers) < len(word):
@@ -241,9 +243,8 @@ def _phi_core(target: NijenhuisTarget, operator: DiagonalOperator):
                 if image is None:
                     image = letters[mono] = _pairs(phi_monomial(target, mono))
                 factors.append(image)
-            numerator, denominator = coeff.numerator, coeff.denominator
             for by_den, column in zip(sums, zip(*factors)):
-                num, den = numerator, denominator
+                num, den = numerator, 1
                 for p, q in column:
                     num *= p
                     den *= q
@@ -254,7 +255,7 @@ def _phi_core(target: NijenhuisTarget, operator: DiagonalOperator):
             num, den = 0, 1
             for q, p in by_den.items():
                 num, den = num * q + p * den, den * q
-            value.append((num, den))
+            value.append((num, den * x._den))
         return tuple(value)
 
     return phi

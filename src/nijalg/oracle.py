@@ -74,7 +74,8 @@ def _mixed(x_word: Word, z_word: Word, lam, homogeneous: bool) -> TensorElement:
 
     def terms():
         for labeled in enumerate_shuffles(x_word, z_word):
-            pairs = admissible_pairs(labeled)
+            # at λ = 0 every merge has coefficient 0: only the plain shuffle is formed
+            pairs = admissible_pairs(labeled) if lam else ()
             for size in range(len(pairs) + 1):
                 for chosen in itertools.combinations(pairs, size):
                     word = _merge(labeled, frozenset(chosen), homogeneous)

@@ -5,12 +5,15 @@ bilinearly.  The quasi-shuffle * and the modified quasi-shuffle ⊛ share one
 memoized word recursion, which differs between them only in the letters
 written before a merged letter [ab]: none for *, the unit letter e for ⊛.
 Each cache is keyed by (word, word, lambda) and never changes results;
-λ is put in ``base.exact`` form first, so an integral λ is an ``int`` key
-however it was given (1, Fraction(1), "2/2"), and at such a λ the recursion
-runs on ints.  Three one-step terms of aU ∘ bV are memoized the same way
-and read through ``_term_product``: ``head`` [ab](U ∘ V) beside each
-recursion ∘, read by ⊡, the dendriform • and ⊠, and ``_qsh.lead``
-a(U * bV), read by ≺ and, with its factors swapped, by ≻, since * commutes.
+λ enters as an ``int`` when it is integral, however it was given (1,
+Fraction(1), "2/2"), and otherwise as the int pair (p, q) of λ = p/q in
+lowest terms (Fraction(2, 3), "4/6"), so no ``Fraction`` is hashed.  The
+elements hold integer numerators over a shared denominator, and the merge
+term is scaled by p/q in ints: every product runs on ints.  Three one-step
+terms of aU ∘ bV are memoized the same way and read through
+``_term_product``: ``head`` [ab](U ∘ V) beside each recursion ∘, read by
+⊡, the dendriform • and ⊠, and ``_qsh.lead`` a(U * bV), read by ≺ and,
+with its factors swapped, by ≻, since * commutes.
 ``clear_caches`` empties these five memos, the two recursions included.
 A product of two single words whose coefficients multiply to 1 returns the
 cached element itself, unscaled and uncopied; elements are immutable.  A
@@ -30,6 +33,7 @@ at λ = 1, which is why ⊠ hard-codes that value.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 from typing import Callable
 
 from .base import MONO_UNIT, accumulate, exact
@@ -58,7 +62,8 @@ def _word_recursion(merge_prefix: Word):
         b, v = w2[0], w2[1:]
         out = sub(u, w2, lam).prepend(a) + sub(w1, v, lam).prepend(b)
         if lam:
-            out = out - lam * sub(u, v, lam).prepend(*merge_prefix, a * b)
+            merged = sub(u, v, lam).prepend(*merge_prefix, a * b)
+            out = out - (merged._scaled(*lam) if type(lam) is tuple else lam * merged)
         return out
 
     @lru_cache(maxsize=None)
@@ -121,26 +126,47 @@ def _word_product(rec, w1: Word, w2: Word, lam) -> TensorElement:
     return table[w1, w2]
 
 
+def _weight(lam):
+    """λ as the word recursions and their memos take it: an ``int`` when it
+    is integral, else its (numerator, denominator) pair of ints."""
+    lam = exact(lam)
+    return lam if type(lam) is int else (lam.numerator, lam.denominator)
+
+
 def _bilinear(word_fn, x: TensorElement, y: TensorElement) -> TensorElement:
-    """The bilinear extension of ``word_fn`` to x ⊗ y.
+    """The bilinear extension of ``word_fn`` to x ⊗ y, in integer numerators.
 
     A product of two single words with coefficient product 1 is the element
     ``word_fn`` returned, which may be a cached recursion result: elements
-    are immutable, so it is shared, not copied.
+    are immutable, so it is shared, not copied.  Otherwise the word products
+    are summed over the least common multiple of their denominators, which
+    changes only when a product's denominator differs from the sum's.
     """
+    scale = x._den * y._den
     if len(x._terms) == 1 and len(y._terms) == 1:
-        ((w1, c1),) = x.iterterms()
-        ((w2, c2),) = y.iterterms()
-        weight = exact(c1 * c2)
+        ((w1, c1),) = x._terms.items()
+        ((w2, c2),) = y._terms.items()
+        weight = c1 * c2
         product = word_fn(w1, w2)
-        return product if weight == 1 else weight * product
+        return product if weight == scale else product._scaled(weight, scale)
     acc: dict = {}
-    for w1, c1 in x.iterterms():
-        for w2, c2 in y.iterterms():
-            weight = exact(c1 * c2)
-            terms = word_fn(w1, w2).iterterms()
-            accumulate(acc, terms if weight == 1 else ((w, weight * c) for w, c in terms))
-    return TensorElement._trusted(acc)
+    den = 1
+    for w1, c1 in x._terms.items():
+        for w2, c2 in y._terms.items():
+            product = word_fn(w1, w2)
+            weight = c1 * c2
+            if product._den != den:
+                common = lcm(den, product._den)
+                if common != den:
+                    grow = common // den
+                    for w in acc:
+                        acc[w] *= grow
+                    den = common
+                weight *= den // product._den
+            terms = product._terms.items()
+            accumulate(acc, terms if weight == 1 else ((w, weight * n) for w, n in terms))
+    den *= scale
+    return TensorElement._trusted(acc) if den == 1 else TensorElement._reduced(acc, den)
 
 
 def _term_product(memo, name: str, x: TensorElement, y: TensorElement, lam) -> TensorElement:
@@ -152,7 +178,7 @@ def _term_product(memo, name: str, x: TensorElement, y: TensorElement, lam) -> T
     for factor in (x, y):
         if not factor.is_augmented():
             raise EmptyWordTermError(f"{name} is defined on the augmented module only")
-    lam = exact(lam)
+    lam = _weight(lam)
 
     def term(w1: Word, w2: Word) -> TensorElement:
         if len(w1) + len(w2) > MAX_RECURSION_LETTERS:
@@ -164,7 +190,7 @@ def _term_product(memo, name: str, x: TensorElement, y: TensorElement, lam) -> T
 
 def quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
     """Hoffman's quasi-shuffle product; associative and commutative for any λ."""
-    lam = exact(lam)
+    lam = _weight(lam)
     return _bilinear(lambda a, b: _word_product(_qsh, a, b, lam), x, y)
 
 
@@ -181,7 +207,7 @@ def aug_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElemen
 def mod_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
     """Length-homogeneous quasi-shuffle variant; associative iff the merge
     term is present with λ = 1."""
-    lam = exact(lam)
+    lam = _weight(lam)
     return _bilinear(lambda a, b: _word_product(_mqsh, a, b, lam), x, y)
 
 

@@ -2,14 +2,17 @@
 
 A word is a finite tuple of monomials; the empty word ``1`` spans the
 length-0 component and is the unit of the shuffle-type products.  A
-``TensorElement`` is a canonical rational linear combination of words, and
-the only element class of the package: its arithmetic is the module
-structure that every product, check and report works in.  The "augmented"
-submodule consists of elements with no empty-word term.
+``TensorElement`` is a canonical rational linear combination of words, kept
+as integer numerators over one shared denominator, and the only element
+class of the package: its arithmetic is the module structure that every
+product, check and report works in.  The "augmented" submodule consists of
+elements with no empty-word term.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Tuple, Union
 
 from .base import MONO_UNIT, Monomial, accumulate, exact
@@ -42,27 +45,52 @@ def word_str(w: Word) -> str:
 class TensorElement:
     """A finite linear combination of words with exact rational coefficients.
 
-    Canonical form stores no zero coefficient, and every coefficient in
-    ``base.exact`` form: an ``int`` when it is integral, else a ``Fraction``
-    with denominator > 1.  So equality of elements is equality of their
-    term maps, and elements with integral coefficients (every product at
-    an integral λ) carry no ``Fraction`` at all.
+    The coefficients are stored as integer numerators over one shared
+    positive denominator: ``_terms`` maps each word to a nonzero ``int``
+    and ``_den`` is an ``int`` ≥ 1, in lowest terms, so
+    gcd(_den, *numerators) = 1 and the zero element has ``_den == 1``.
+    Equality of elements is therefore equality of (terms, denominator).
+    All arithmetic runs on these ints, and where every coefficient is
+    integral (every product at an integral λ of such elements) ``_den``
+    stays 1 and no gcd is taken.  ``iterterms`` and ``terms`` read each
+    coefficient in ``base.exact`` form: an ``int`` when it is integral, else
+    a ``Fraction`` with denominator > 1, built only when ``_den > 1``.
     Instances are immutable and hashable, equal elements hashing equal; all
     arithmetic returns new canonical elements.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_den", "_hash")
 
     def __init__(self, terms: Union[Mapping, Iterable] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self._terms = accumulate({}, ((word, exact(coeff)) for word, coeff in items))
+        coeffs = accumulate({}, ((word, exact(coeff)) for word, coeff in items))
+        fractions = [c.denominator for c in coeffs.values() if type(c) is not int]
+        den = 1
+        if fractions:
+            # the lcm of the nonzero sums' reduced denominators shares no
+            # factor with every numerator over it: no gcd is needed
+            den = lcm(*fractions)
+            coeffs = {word: c.numerator * (den // c.denominator) for word, c in coeffs.items()}
+        self._terms, self._den = coeffs, den
 
     @classmethod
-    def _trusted(cls, terms: dict) -> "TensorElement":
-        """Wrap a term map that is already canonical, without copying it."""
+    def _trusted(cls, terms: dict, den: int = 1) -> "TensorElement":
+        """Wrap integer numerators over ``den`` that are already canonical,
+        without copying them."""
         out = cls.__new__(cls)
         out._terms = terms
+        out._den = den
         return out
+
+    @classmethod
+    def _reduced(cls, terms: dict, den: int) -> "TensorElement":
+        """Nonzero integer numerators over ``den`` ≥ 1, put in lowest terms."""
+        if den > 1:
+            g = gcd(den, *terms.values())
+            if g > 1:
+                den //= g
+                terms = {word: n // g for word, n in terms.items()}
+        return cls._trusted(terms, den)
 
     @classmethod
     def zero(cls) -> "TensorElement":
@@ -74,47 +102,75 @@ class TensorElement:
 
     def terms(self):
         """Term list in canonical word order."""
-        return sorted(self._terms.items(), key=lambda kv: word_sort_key(kv[0]))
+        return sorted(self.iterterms(), key=lambda kv: word_sort_key(kv[0]))
 
     def iterterms(self):
-        return self._terms.items()
+        """The (word, coefficient) pairs, each coefficient in ``exact`` form."""
+        den = self._den
+        if den == 1:
+            return self._terms.items()
+        return [(word, exact(Fraction(n, den))) for word, n in self._terms.items()]
 
     def is_augmented(self) -> bool:
         return EMPTY_WORD not in self._terms
 
     def prepend(self, *letters: Monomial) -> "TensorElement":
         """Write ``letters`` in front of every word."""
-        return self._trusted({letters + w: c for w, c in self._terms.items()})
+        return self._trusted({letters + w: n for w, n in self._terms.items()}, self._den)
 
     def __bool__(self):
         return bool(self._terms)
 
     def __eq__(self, other):
-        return type(other) is type(self) and self._terms == other._terms
+        return (
+            type(other) is type(self)
+            and self._den == other._den
+            and self._terms == other._terms
+        )
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:  # the slot is filled on first use
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((frozenset(self._terms.items()), self._den))
             return self._hash
 
     def __add__(self, other):
-        return self._trusted(accumulate(dict(self._terms), other._terms.items()))
+        den = self._den
+        if den == other._den:
+            acc = accumulate(dict(self._terms), other._terms.items())
+        else:
+            den = lcm(den, other._den)
+            mine, theirs = den // self._den, den // other._den
+            acc = accumulate(
+                {w: n * mine for w, n in self._terms.items()},
+                ((w, n * theirs) for w, n in other._terms.items()),
+            )
+        return self._trusted(acc) if den == 1 else self._reduced(acc, den)
 
     def __neg__(self):
-        return self._trusted({word: -c for word, c in self._terms.items()})
+        return self._trusted({word: -n for word, n in self._terms.items()}, self._den)
 
     def __sub__(self, other):
-        if self._terms == other._terms:  # the common outcome of an identity check
+        if self._terms == other._terms and self._den == other._den:
+            # the common outcome of an identity check
             return self._trusted({})
         return self + (-other)
 
     def _scale(self, coeff):
         c = exact(coeff)
-        return self._trusted({word: exact(k * c) for word, k in self._terms.items()} if c else {})
+        if not c:
+            return self._trusted({})
+        if type(c) is int and self._den == 1:
+            return self._trusted({word: n * c for word, n in self._terms.items()})
+        return self._scaled(c.numerator, c.denominator)
 
     __mul__ = __rmul__ = _scale
+
+    def _scaled(self, p: int, q: int) -> "TensorElement":
+        """This element times p/q, for ints p ≠ 0 and q ≥ 1."""
+        terms = {word: n * p for word, n in self._terms.items()}
+        return self._reduced(terms, self._den * q)
 
     def __str__(self):
         if not self._terms:
@@ -146,7 +202,8 @@ def b_minus(x: TensorElement) -> TensorElement:
     """
     if not x.is_augmented():
         raise EmptyWordTermError("b_minus is defined on the augmented module only")
-    return TensorElement._trusted(accumulate({}, ((w[1:], c) for w, c in x.iterterms())))
+    terms = accumulate({}, ((w[1:], n) for w, n in x._terms.items()))
+    return TensorElement._reduced(terms, x._den)
 
 
 def fold_letters(w: Word, combine, name: str) -> TensorElement:

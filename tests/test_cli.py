@@ -66,6 +66,17 @@ def test_readme_cli_examples_are_found():
     assert any(code for _, code, _ in README_EXAMPLES)
 
 
+def test_the_package_runs_as_a_module_from_a_checkout():
+    # README's first example through `python -m nijalg`, with only the
+    # source tree on the path
+    argv, code, out = README_EXAMPLES[0]
+    env = {**os.environ, "PYTHONPATH": str(Path(nijalg.__file__).parent.parent)}
+    command = [sys.executable, "-m", "nijalg", *argv]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=30, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+    assert out == "-[a b] + a.b + b.a\n"
+
+
 def test_eval_text(capsys):
     code, out, err = run(capsys, "eval", "a * b")
     assert code == 0 and err == ""

@@ -14,8 +14,10 @@ from nijalg import (
     mod_quasi_shuffle,
     mod_quasi_shuffle_oracle,
     quasi_shuffle,
+    shuffle,
 )
-from conftest import te, words_over
+from nijalg import oracle
+from conftest import count_calls, te, words_over
 
 LAMBDAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(5, 7))
 
@@ -104,3 +106,20 @@ def test_oracle_equality_sweep(ab):
                 assert mod_quasi_shuffle_oracle(x, z, lam) == mod_quasi_shuffle(
                     te(*x), te(*z), lam
                 )
+
+
+def test_the_weight_zero_oracle_forms_no_merged_word(monkeypatch, ab):
+    # every merge carries (-λ)^k = 0 at λ = 0, so only the 35 shuffles of
+    # abab and bab are built, one _merge call each
+    a, b = ab
+    x, z = (a, b, a, b), (b, a, b)
+    merges = count_calls(monkeypatch, oracle, "_merge")
+    shuffles = enumerate_shuffles(x, z)
+    for build, product in (
+        (mixed_shuffle, shuffle),
+        (mod_quasi_shuffle_oracle, lambda u, v: mod_quasi_shuffle(u, v, 0)),
+    ):
+        merges.clear()
+        assert build(x, z, 0) == product(te(*x), te(*z))
+        assert len(merges) == len(shuffles) == comb(7, 3)
+        assert all(not chosen for _, chosen, _ in merges)

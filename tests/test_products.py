@@ -302,6 +302,51 @@ def test_every_form_of_an_integral_lambda_is_one_cache_entry(ab):
     assert all(type(coeff) is int for _, coeff in first.iterterms())
 
 
+def test_every_form_of_a_rational_lambda_is_one_cache_entry(ab):
+    # the memos key a rational λ by its integer pair, whatever form it came in
+    a, b = ab
+    x, y = te(a, b), te(b, a)
+    clear_caches()
+    first = quasi_shuffle(x, y, Fraction(2, 3))
+    entries = _qsh.cache_info().currsize
+    for lam in (Fraction(2, 3), "2/3", "4/6", Fraction(4, 6)):
+        assert quasi_shuffle(x, y, lam) is first
+    assert _qsh.cache_info().currsize == entries
+    assert first == mixed_shuffle((a, b), (b, a), Fraction(2, 3))
+
+
+def test_products_at_a_rational_lambda_hash_no_fraction(ab, monkeypatch):
+    # the word memos key λ = 2/3 by its integer pair and the elements hold
+    # integer numerators, so no Fraction is hashed on cleared caches
+    a, b = ab
+    hashed = []
+    original = Fraction.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return original(self)
+
+    lam = Fraction(2, 3)
+    x = te(a, b) + Fraction(1, 2) * te(b)
+    y = te(b, a, a) - Fraction(3, 4) * te(a * b)
+    ctx = DendriformContext(lam)
+    operations = (
+        lambda u, v: quasi_shuffle(u, v, lam),
+        lambda u, v: mod_quasi_shuffle(u, v, lam),
+        lambda u, v: aug_quasi_shuffle(u, v, lam),
+        ctx.prec,
+        ctx.succ,
+        ctx.bullet,
+    )
+    clear_caches()
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    results = [operation(x, y) for operation in operations]
+    monkeypatch.undo()
+    assert hashed == []
+    assert all(result._den > 1 for result in results)
+    assert results[0] == results[3] + results[4] + results[5]
+
+
 def _traced_peak(fn, *args):
     """``fn(*args)`` and the peak of memory traced while it ran, in bytes."""
     clear_caches()

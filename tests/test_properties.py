@@ -7,6 +7,7 @@ Every test is derandomized, so a run always draws the same examples.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from nijalg import (
     TensorElement,
     aug_mod_quasi_shuffle,
     aug_quasi_shuffle,
+    b_minus,
     b_plus,
     mixed_shuffle,
     mod_quasi_shuffle,
@@ -128,6 +130,72 @@ def test_products_of_linear_combinations_match_the_oracle(x, y, xa, ya, lam):
         assert product == oracle
         # an int exactly where the coefficient is integral
         assert all(in_exact_form(coeff) for _, coeff in product.iterterms())
+
+
+def assert_canonical(x):
+    """Integer numerators, none zero, over a positive denominator in lowest
+    terms; the zero element over 1."""
+    numerators = list(x._terms.values())
+    assert type(x._den) is int and x._den >= 1
+    assert all(type(n) is int and n for n in numerators)
+    assert gcd(x._den, *numerators) == 1
+    assert numerators or x._den == 1
+
+
+def _reference_products(rx, ry, oracle):
+    """The bilinear extension of ``oracle`` to two Fraction-dict elements,
+    summed as Fractions."""
+    return _naive_sum(
+        (w, c1 * c2 * c)
+        for w1, c1 in rx.items()
+        for w2, c2 in ry.items()
+        for w, c in oracle(w1, w2).iterterms()
+    )
+
+
+augmented_terms = st.lists(st.tuples(nonempty_words, coeffs), max_size=4)
+
+
+@SETTINGS
+@given(augmented_terms, augmented_terms, coeffs, weights)
+def test_every_operation_keeps_the_canonical_form(xs, ys, c, lam):
+    # each result against a reference summed over plain Fraction dicts
+    x, y = TensorElement(xs), TensorElement(ys)
+    rx, ry = _naive_sum(xs), _naive_sum(ys)
+    head = MONO_UNIT
+    cases = [
+        (x, rx),
+        (x + y, _naive_sum([*rx.items(), *ry.items()])),
+        (x - y, _naive_sum([*rx.items(), *((w, -v) for w, v in ry.items())])),
+        (-x, {w: -v for w, v in rx.items()}),
+        (c * x, _naive_sum((w, c * v) for w, v in rx.items())),
+        (x.prepend(head), {(head, *w): v for w, v in rx.items()}),
+        (b_minus(x), _naive_sum((w[1:], v) for w, v in rx.items())),
+        (
+            quasi_shuffle(x, y, lam),
+            _reference_products(rx, ry, lambda u, v: mixed_shuffle(u, v, lam)),
+        ),
+        (
+            mod_quasi_shuffle(x, y, lam),
+            _reference_products(rx, ry, lambda u, v: mod_quasi_shuffle_oracle(u, v, lam)),
+        ),
+        (
+            aug_quasi_shuffle(x, y, lam),
+            _reference_products(rx, ry, _head_merged(mixed_shuffle, lam)),
+        ),
+        (
+            aug_mod_quasi_shuffle(x, y),
+            _reference_products(rx, ry, _head_merged(mod_quasi_shuffle_oracle, 1)),
+        ),
+    ]
+    for element, reference in cases:
+        assert_canonical(element)
+        assert dict(element.iterterms()) == reference
+        assert all(in_exact_form(coeff) for _, coeff in element.iterterms())
+        # built another way, from its Fraction coefficients
+        rebuilt = TensorElement(reference)
+        assert rebuilt == element and hash(rebuilt) == hash(element)
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
 
 
 @SETTINGS
