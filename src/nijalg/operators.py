@@ -68,18 +68,25 @@ class VectorAlgebraElement:
     def dim(self) -> int:
         return len(self._coords)
 
+    def _zip(self, other: "VectorAlgebraElement"):
+        """The coordinate pairs of two vectors, refused unless they have one
+        dimension: ``zip`` alone would drop the longer one's tail."""
+        if len(other._coords) != len(self._coords):
+            raise ValueError(f"dimension mismatch: K^{self.dim} and K^{other.dim}")
+        return zip(self._coords, other._coords)
+
     def __add__(self, other: "VectorAlgebraElement") -> "VectorAlgebraElement":
-        return self._trusted(tuple([a + b for a, b in zip(self._coords, other._coords)]))
+        return self._trusted(tuple([a + b for a, b in self._zip(other)]))
 
     def __sub__(self, other: "VectorAlgebraElement") -> "VectorAlgebraElement":
-        return self._trusted(tuple([a - b for a, b in zip(self._coords, other._coords)]))
+        return self._trusted(tuple([a - b for a, b in self._zip(other)]))
 
     def __neg__(self) -> "VectorAlgebraElement":
         return self._trusted(tuple([-a for a in self._coords]))
 
     def __mul__(self, other):
         if isinstance(other, VectorAlgebraElement):
-            return self._trusted(tuple([a * b for a, b in zip(self._coords, other._coords)]))
+            return self._trusted(tuple([a * b for a, b in self._zip(other)]))
         other = Fraction(exact(other))
         return self._trusted(tuple([a * other for a in self._coords]))
 
@@ -199,8 +206,10 @@ def phi_extend(
     coordinate.  ``operator`` defaults to the target's N_τ; pass
     ``target.scaled_projection(λ)`` for the Rota-Baxter variant.
 
-    The value is computed in exact integers by ``_phi_core`` and turned into
-    one Fraction per coordinate at the end.
+    The value is computed in exact integers by ``_phi_core``, in its two
+    stages: the letter stage sums c_w·φ(a₁)⋯φ(aₙ) over the words w of each
+    length n, and the operator stage folds those sums with d^(n-1).  It is
+    turned into one Fraction per coordinate at the end.
     """
     if operator is None:
         operator = make_n_tau(target)
@@ -212,10 +221,72 @@ def _phi_core(target: NijenhuisTarget, operator: DiagonalOperator):
     augmented element to one (numerator, positive denominator) pair per
     coordinate, not necessarily in lowest terms.
 
-    The function keeps a memo of φ(letter) and of the powers d^k of the
-    operator's diagonal d, as pairs too.  The memo belongs to the function,
-    so it serves one target and operator and lives as long as the caller
-    keeps the function: one universal check, or one ``phi_extend`` call.
+    It is the target's ``_letter_stage`` followed by the operator's
+    ``_operator_stage``, and keeps their memos as long as the caller keeps
+    the function: one ``phi_extend`` call.  A universal check runs the two
+    stages itself, so that one letter stage serves all its targets.
+    """
+    fold = _operator_stage(target, operator)
+    letters = _letter_stage(target)
+    return lambda x: fold(letters(x))
+
+
+def _letter_stage(target: NijenhuisTarget):
+    """φ̃'s first stage, which depends on the images φ alone.
+
+    The returned function maps an augmented element x = Σ c_w·w to a dict
+    from each word length n of x to the sums Σ_{|w|=n} c_w·φ(a₁)⋯φ(aₙ), one
+    (numerator, positive denominator) pair per coordinate, not necessarily in
+    lowest terms.  It keeps a memo of φ(letter), as pairs too, which lives
+    as long as the caller keeps the function.
+    """
+    dim = target.dim
+    letters = {}  # letter -> φ(letter)
+
+    def sums(x: TensorElement) -> dict:
+        # x's integer numerators share the denominator x._den, so each length
+        # and coordinate sums its terms per denominator of the letter
+        # factors, then folds the sums and divides by x._den once
+        by_len = {}  # n -> per coordinate: denominator -> numerator
+        for word, numerator in x._terms.items():
+            if not word:
+                raise EmptyWordTermError("phi_extend is defined on the augmented module only")
+            factors = []
+            for mono in word:
+                image = letters.get(mono)
+                if image is None:
+                    image = letters[mono] = _pairs(phi_monomial(target, mono))
+                factors.append(image)
+            by_coord = by_len.get(len(word))
+            if by_coord is None:
+                by_coord = by_len[len(word)] = [{} for _ in range(dim)]
+            for by_den, column in zip(by_coord, zip(*factors)):
+                num, den = numerator, 1
+                for p, q in column:
+                    num *= p
+                    den *= q
+                if num:
+                    by_den[den] = by_den.get(den, 0) + num
+        out = {}
+        for n, by_coord in by_len.items():
+            value = []
+            for by_den in by_coord:
+                num, den = 0, 1
+                for q, p in by_den.items():
+                    num, den = num * q + p * den, den * q
+                value.append((num, den * x._den))
+            out[n] = tuple(value)
+        return out
+
+    return sums
+
+
+def _operator_stage(target: NijenhuisTarget, operator: DiagonalOperator):
+    """φ̃'s second stage, for a diagonal ``operator`` d on the target's K^d.
+
+    The returned function folds the letter stage's sums S_n of an element
+    into φ̃ of it, Σ_n d^(n-1)·S_n, one (numerator, positive denominator)
+    pair per coordinate.  It keeps the powers d^k it has needed, as pairs.
     """
     if not isinstance(operator, DiagonalOperator) or operator.diagonal.dim != target.dim:
         raise TypeError(
@@ -223,42 +294,22 @@ def _phi_core(target: NijenhuisTarget, operator: DiagonalOperator):
         )
     diagonal = _pairs(operator.diagonal)
     powers = [((1, 1),) * target.dim]  # powers[k] = d^k
-    letters = {}  # letter -> φ(letter)
+    zero_vector = ((0, 1),) * target.dim
 
-    def phi(x: TensorElement) -> Tuple[Tuple[int, int], ...]:
-        # x's integer numerators share the denominator x._den, so each
-        # coordinate sums its terms per denominator of the letter factors,
-        # then folds the sums and divides by x._den once
-        sums = [{} for _ in range(target.dim)]  # denominator -> numerator
-        for word, numerator in x._terms.items():
-            if not word:
-                raise EmptyWordTermError("phi_extend is defined on the augmented module only")
-            while len(powers) < len(word):
+    def fold(sums: dict) -> Tuple[Tuple[int, int], ...]:
+        value = None
+        for n, column in sums.items():
+            while len(powers) < n:
                 powers.append(
                     tuple([(p * q, r * s) for (p, r), (q, s) in zip(powers[-1], diagonal)])
                 )
-            factors = [powers[len(word) - 1]]
-            for mono in word:
-                image = letters.get(mono)
-                if image is None:
-                    image = letters[mono] = _pairs(phi_monomial(target, mono))
-                factors.append(image)
-            for by_den, column in zip(sums, zip(*factors)):
-                num, den = numerator, 1
-                for p, q in column:
-                    num *= p
-                    den *= q
-                if num:
-                    by_den[den] = by_den.get(den, 0) + num
-        value = []
-        for by_den in sums:
-            num, den = 0, 1
-            for q, p in by_den.items():
-                num, den = num * q + p * den, den * q
-            value.append((num, den * x._den))
-        return tuple(value)
+            term = [(p * dp, q * dq) for (p, q), (dp, dq) in zip(column, powers[n - 1])]
+            value = term if value is None else [
+                (p * s + r * q, q * s) for (p, q), (r, s) in zip(value, term)
+            ]
+        return zero_vector if value is None else tuple(value)
 
-    return phi
+    return fold
 
 
 def _pairs(v: VectorAlgebraElement) -> Tuple[Tuple[int, int], ...]:
@@ -294,27 +345,49 @@ def _operator_sanity(operator: DiagonalOperator, relation: Callable) -> None:
         raise ValueError(f"target operator {operator.name} fails its relation")
 
 
-def _universal_check(target, pairs, product, operator, relation) -> list:
-    """One (multiplicative, intertwining) defect pair per input pair, ``None``
-    for a check that holds, once ``relation`` (the operator's defect on two
-    vectors) passes a sanity check.  One ``_phi_core`` memo serves every pair;
+def _universal_check(target, pairs, checks) -> list:
+    """The universal checks of one image map on ``pairs``.
+
+    ``target`` stands for the image map and dimension that every checked
+    operator shares, and ``checks`` holds one (product, [(operator, relation),
+    …]) entry per product, ``relation`` being the operator's defect on two
+    vectors.  The result is one defect list per operator, in the order of
+    ``checks``; a defect list has one (multiplicative, intertwining) pair per
+    input pair, ``None`` for a check that holds.  Every operator must first
+    pass its sanity check.
+
+    φ̃ runs in its two stages.  One ``_letter_stage``, made here and dropped
+    on return, serves every operator: it runs once per element of each pair,
+    on x, y and B⁺ₑx, and on product(x, y) once per product.  Each operator's
+    ``_operator_stage`` then folds those sums with its own diagonal, which is
+    exact because every operator is diagonal on the commutative K^d.
     φ̃(product(x, y)) is compared with φ̃(x)·φ̃(y), and φ̃(B⁺ₑx) with d·φ̃(x),
     by integer cross-multiplication (``_is_product``), and only a failing
     check builds its Fraction defect, from the same integers."""
-    _operator_sanity(operator, relation)
-    phi = _phi_core(target, operator)
-    diagonal = _pairs(operator.diagonal)
-    defects = []
+    stages = []
+    for product, operators in checks:
+        folds = []
+        for operator, relation in operators:
+            _operator_sanity(operator, relation)
+            fold = _operator_stage(target, operator)
+            folds.append((operator, fold, _pairs(operator.diagonal)))
+        stages.append((product, folds))
+    letters = _letter_stage(target)
+    results = [[] for _, operators in stages for _ in operators]
     for x, y in pairs:
-        phix, phiy = phi(x), phi(y)
-        phixy, phibx = phi(product(x, y)), phi(b_plus(x))
-        mult = twine = None
-        if not _is_product(phixy, phix, phiy):
-            mult = _vector(phixy) - _vector(phix) * _vector(phiy)
-        if not _is_product(phibx, diagonal, phix):
-            twine = _vector(phibx) - operator(_vector(phix))
-        defects.append((mult, twine))
-    return defects
+        sx, sy, sbx = letters(x), letters(y), letters(b_plus(x))
+        out = iter(results)
+        for product, operators in stages:
+            sxy = letters(product(x, y))
+            for operator, fold, diagonal in operators:
+                phix, phiy, phixy, phibx = fold(sx), fold(sy), fold(sxy), fold(sbx)
+                mult = twine = None
+                if not _is_product(phixy, phix, phiy):
+                    mult = _vector(phixy) - _vector(phix) * _vector(phiy)
+                if not _is_product(phibx, diagonal, phix):
+                    twine = _vector(phibx) - operator(_vector(phix))
+                next(out).append((mult, twine))
+    return results
 
 
 def _is_product(w, u, v) -> bool:
@@ -323,20 +396,64 @@ def _is_product(w, u, v) -> bool:
     return all(p * q1 * q2 == p1 * p2 * q for (p, q), (p1, q1), (p2, q2) in zip(w, u, v))
 
 
-def universal_property_check(target: NijenhuisTarget, pairs) -> list:
+def _sharing_images(targets) -> list:
+    """``targets``, one target or a sequence of them, as a nonempty list;
+    refused unless all share one dimension and image map, and so one letter
+    stage."""
+    targets = [targets] if isinstance(targets, NijenhuisTarget) else list(targets)
+    if not targets:
+        raise ValueError("no target to check")
+    first = targets[0]
+    for target in targets[1:]:
+        if target.dim != first.dim or (
+            target.images is not first.images and target.images != first.images
+        ):
+            raise ValueError("targets checked together must share one image map")
+    return targets
+
+
+def universal_property_check(targets, pairs) -> list:
     """Check multiplicativity and operator intertwining of φ̃ for ⊠ and B⁺ₑ:
     one (multiplicative, intertwining) pair per input pair, ``None`` for a
-    check that holds, else its nonzero defect vector."""
-    operator = make_n_tau(target)
-    relation = lambda x, y: nijenhuis_defect(operator, vec_mul, x, y)
-    return _universal_check(target, pairs, aug_mod_quasi_shuffle, operator, relation)
+    check that holds, else its nonzero defect vector.
+
+    ``targets`` is one target, or a sequence of targets that share one image
+    map; for a sequence the result is one such list per target, in order,
+    and each element's letter stage serves every target."""
+    many = not isinstance(targets, NijenhuisTarget)
+    targets = _sharing_images(targets)
+    checks = []
+    for target in targets:
+        operator = make_n_tau(target)
+        relation = lambda x, y, operator=operator: nijenhuis_defect(operator, vec_mul, x, y)
+        checks.append((operator, relation))
+    defects = _universal_check(targets[0], pairs, [(aug_mod_quasi_shuffle, checks)])
+    return defects if many else defects[0]
 
 
-def rb_universal_check(lam, target: NijenhuisTarget, pairs) -> list:
+def rb_universal_check(lams, targets, pairs) -> list:
     """Rota-Baxter analog: ⊡ at weight λ against the operator λ·projection,
-    with the same defect pairs as ``universal_property_check``."""
-    lam = Fraction(exact(lam))
-    operator = target.scaled_projection(lam)
-    product = lambda x, y: aug_quasi_shuffle(x, y, lam)
-    relation = lambda x, y: rota_baxter_defect(operator, vec_mul, lam, x, y)
-    return _universal_check(target, pairs, product, operator, relation)
+    with the same defect pairs as ``universal_property_check``.
+
+    ``lams`` is one weight, or a list or tuple of them, and ``targets`` one
+    target or a sequence sharing one image map.  If either is a sequence,
+    the result is one defect list per (target, λ), targets outer, and the
+    letter stage of x ⊡ y at each weight serves every target."""
+    one_weight = not isinstance(lams, (list, tuple))
+    many = not one_weight or not isinstance(targets, NijenhuisTarget)
+    lams = [Fraction(exact(lam)) for lam in ((lams,) if one_weight else lams)]
+    targets = _sharing_images(targets)
+    checks = []
+    for lam in lams:
+        operators = []
+        for target in targets:
+            operator = target.scaled_projection(lam)
+            relation = lambda x, y, operator=operator, lam=lam: rota_baxter_defect(
+                operator, vec_mul, lam, x, y
+            )
+            operators.append((operator, relation))
+        product = lambda x, y, lam=lam: aug_quasi_shuffle(x, y, lam)
+        checks.append((product, operators))
+    by_lam = _universal_check(targets[0], pairs, checks)
+    defects = [by_lam[j * len(targets) + i] for i in range(len(targets)) for j in range(len(lams))]
+    return defects if many else defects[0]

@@ -258,19 +258,19 @@ def _universal_results(pairs, defects, label):
 
 def _nijenhuis_results(max_len, seed, samples):
     images, pairs = _sample(max_len, seed, samples)
-    for mask in MASKS:
-        for tau in TAUS:
-            defects = universal_property_check(NijenhuisTarget(4, mask, tau, images), pairs)
-            yield from _universal_results(pairs, defects, f"tau={tau}; mask={sorted(mask)}")
+    params = [(mask, tau) for mask in MASKS for tau in TAUS]
+    targets = [NijenhuisTarget(4, mask, tau, images) for mask, tau in params]
+    for (mask, tau), defects in zip(params, universal_property_check(targets, pairs)):
+        yield from _universal_results(pairs, defects, f"tau={tau}; mask={sorted(mask)}")
 
 
 def _rota_baxter_results(max_len, seed, samples):
     images, pairs = _sample(max_len, seed, samples)
-    for mask in (frozenset({0, 1}), frozenset(range(4))):
-        target = NijenhuisTarget(4, mask, Fraction(0), images)
-        for lam in RB_LAMBDAS:
-            defects = rb_universal_check(lam, target, pairs)
-            yield from _universal_results(pairs, defects, f"lambda={lam}; mask={sorted(mask)}")
+    masks = (frozenset({0, 1}), frozenset(range(4)))
+    targets = [NijenhuisTarget(4, mask, Fraction(0), images) for mask in masks]
+    params = [(mask, lam) for mask in masks for lam in RB_LAMBDAS]
+    for (mask, lam), defects in zip(params, rb_universal_check(RB_LAMBDAS, targets, pairs)):
+        yield from _universal_results(pairs, defects, f"lambda={lam}; mask={sorted(mask)}")
 
 
 def universal_sweep(max_len=6, seed=0, samples=500) -> Tuple[int, list]:

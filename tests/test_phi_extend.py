@@ -302,3 +302,23 @@ def test_vector_arithmetic_matches_coercing_constructor():
                 want = VectorAlgebraElement(coords)
                 assert got == want and hash(got) == hash(want) and str(got) == str(want)
                 assert all(type(c) is Fraction for c in got.coords)
+
+
+@pytest.mark.parametrize(
+    "combine",
+    [lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v],
+    ids=["add", "sub", "mul"],
+)
+def test_vector_arithmetic_refuses_mismatched_dimensions(combine):
+    # zip alone would truncate: (1, 2, 3) + (1, 2) read (2, 4), and
+    # (1, 2, 3) * (5) read (5)
+    for u, v in (
+        (VectorAlgebraElement([1, 2, 3]), VectorAlgebraElement([1, 2])),
+        (VectorAlgebraElement([1, 2, 3]), VectorAlgebraElement([5])),
+        (VectorAlgebraElement([1]), VectorAlgebraElement.unit(4)),
+    ):
+        for left, right in ((u, v), (v, u)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                combine(left, right)
+    u = VectorAlgebraElement([1, 2, 3])
+    assert combine(u, u) == VectorAlgebraElement([combine(a, a) for a in (1, 2, 3)])

@@ -9,9 +9,18 @@ and the failure records that ``suites`` builds from them must equal the
 reference's failing records in order and text.  Both are compared for the
 real products and for product mutants that the K^4 targets catch, so the
 failure path is exercised too.
+
+The sweeps check every target of a sample against one shared letter stage
+of φ̃; their failure records are compared with the per-target reference
+over the same sample, the letter stage's evaluations are counted, and no
+state of it may outlive a sweep.
 """
 
+import copy
+import gc
+import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -34,7 +43,7 @@ from nijalg import (
     universal_property_check,
     vec_mul,
 )
-from nijalg import operators
+from nijalg import operators, suites
 from nijalg.operators import DiagonalOperator, _operator_sanity
 from nijalg.suites import (
     MASKS,
@@ -229,3 +238,158 @@ def test_records_match_the_fraction_reference(name, monkeypatch):
             )
     # the mutants reach the failure path; the real products never do
     assert (failing == 0) == (name == "real")
+
+
+def _reference_sweep(sample, records):
+    """The failing records of a sweep over ``sample`` = (images, pairs), in
+    order, from one per-target Fraction reference per (mask, parameter)."""
+    images, pairs = sample
+    failing = []
+    for target_records in records(images, pairs):
+        failing.extend(r for r in target_records if not r["pass"])
+    return failing
+
+
+def _reference_nijenhuis(amq):
+    def records(images, pairs):
+        for mask in MASKS:
+            for tau in TAUS:
+                yield ref_nijenhuis_records(NijenhuisTarget(4, mask, tau, images), pairs, amq)
+
+    return records
+
+
+def _reference_rota_baxter(aqs):
+    def records(images, pairs):
+        for mask in (frozenset({0, 1}), frozenset(range(4))):
+            target = NijenhuisTarget(4, mask, Fraction(0), images)
+            for lam in RB_LAMBDAS:
+                yield ref_rota_baxter_records(lam, target, pairs, aqs)
+
+    return records
+
+
+@pytest.mark.parametrize("seed", [5, 20261018])
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_sweeps_match_the_per_target_fraction_reference(name, seed, monkeypatch):
+    # the sweeps check every target of a sample against one shared letter
+    # stage; under each mutant their failure records must be the per-target
+    # reference's, in the same order and with the same bytes
+    amq, aqs = PRODUCTS[name]
+    monkeypatch.setattr(operators, "aug_mod_quasi_shuffle", amq)
+    monkeypatch.setattr(operators, "aug_quasi_shuffle", aqs)
+    max_len, samples = 6, 6
+    sample = suites._sample(max_len, seed, samples)
+    failing = 0
+    for sweep, records, per_pair in (
+        (suites.universal_sweep, _reference_nijenhuis(amq), 2 * len(MASKS) * len(TAUS)),
+        (suites.rb_universal_sweep, _reference_rota_baxter(aqs), 2 * 2 * len(RB_LAMBDAS)),
+    ):
+        checked, failures = sweep(max_len, seed, samples)
+        want = _reference_sweep(sample, records)
+        assert checked == per_pair * samples
+        assert failures == want
+        assert json.dumps(failures) == json.dumps(want)
+        failing += len(failures)
+    assert (failing == 0) == (name == "real")
+
+
+def _counting_letter_stage(monkeypatch):
+    """Rebind ``operators._letter_stage`` so that each stage it makes counts
+    its evaluations; returns (the count, weak references to the stages)."""
+    original = operators._letter_stage
+    count = [0]
+    stages = []
+
+    def letter_stage(target):
+        sums = original(target)
+
+        def counted(x):
+            count[0] += 1
+            return sums(x)
+
+        stages.append(weakref.ref(counted))
+        return counted
+
+    monkeypatch.setattr(operators, "_letter_stage", letter_stage)
+    return count, stages
+
+
+@pytest.mark.parametrize(
+    "masks, taus",
+    [(MASKS, TAUS), (MASKS[:1], TAUS[:1]), (MASKS[:2], TAUS + (Fraction(-1, 2),))],
+)
+def test_the_letter_stage_runs_once_per_element(masks, taus, monkeypatch):
+    # per pair: x, y, B+x, and the product once per weight, however many
+    # (mask, τ) targets share them
+    monkeypatch.setattr(suites, "MASKS", masks)
+    monkeypatch.setattr(suites, "TAUS", taus)
+    count, stages = _counting_letter_stage(monkeypatch)
+    samples = 7
+    checked, _ = suites.universal_sweep(6, 3, samples)
+    assert checked == 2 * len(masks) * len(taus) * samples
+    assert count[0] == (3 + 1) * samples and len(stages) == 1
+    count[0] = 0
+    checked, _ = suites.rb_universal_sweep(6, 3, samples)
+    assert checked == 2 * 2 * len(RB_LAMBDAS) * samples
+    assert count[0] == (3 + len(RB_LAMBDAS)) * samples and len(stages) == 2
+
+
+def _module_state(module):
+    """What a call could leave behind in ``module``: its names, a copy of
+    each mutable container it holds, and the attributes and cache sizes of
+    everything else."""
+    state = {}
+    for name, value in vars(module).items():
+        if name.startswith("__"):
+            continue
+        if isinstance(value, (dict, list, set)):
+            state[name] = copy.copy(value)
+        else:
+            info = getattr(value, "cache_info", None)
+            attrs = dict(getattr(value, "__dict__", {}))
+            state[name] = (value, attrs, info and info().currsize)
+    return state
+
+
+def test_no_state_survives_a_sweep(monkeypatch):
+    count, stages = _counting_letter_stage(monkeypatch)
+    before = _module_state(operators)
+    suites.universal_sweep(6, 1, 5)
+    suites.rb_universal_sweep(6, 1, 5)
+    assert _module_state(operators) == before
+    # each sweep's letter stage, and its memo of letter images, is dropped
+    # with the sweep
+    gc.collect()
+    assert count[0] > 0 and len(stages) == 2
+    assert [stage() for stage in stages] == [None, None]
+
+
+def test_targets_checked_together_share_one_image_map():
+    rng = random.Random(8)
+    images, other = random_images(rng), random_images(rng)
+    pairs = random_augmented_pairs(rng, 6, 6)
+    first = NijenhuisTarget(4, frozenset({0}), Fraction(1), images)
+    # equal image maps in distinct dicts share a letter stage, and each
+    # target gets the defects it gets alone
+    same = NijenhuisTarget(4, frozenset({0, 1}), Fraction(5, 3), dict(images))
+    targets = [first, same]
+    assert universal_property_check(targets, pairs) == [
+        universal_property_check(t, pairs) for t in targets
+    ]
+    assert rb_universal_check(RB_LAMBDAS, targets, pairs) == [
+        rb_universal_check(lam, t, pairs) for t in targets for lam in RB_LAMBDAS
+    ]
+    # a different image map, or dimension, is refused before any check
+    mixed = NijenhuisTarget(4, frozenset({0}), Fraction(1), other)
+    smaller = NijenhuisTarget(3, frozenset({0}), Fraction(1), {})
+    bare = NijenhuisTarget(4, frozenset({0}), Fraction(1), {})
+    for targets in ([first, mixed], [mixed, first, first], [bare, smaller]):
+        with pytest.raises(ValueError, match="share one image map"):
+            universal_property_check(targets, pairs)
+        with pytest.raises(ValueError, match="share one image map"):
+            rb_universal_check(RB_LAMBDAS, targets, pairs)
+        with pytest.raises(ValueError, match="share one image map"):
+            rb_universal_check(1, targets, pairs)
+    with pytest.raises(ValueError, match="no target"):
+        universal_property_check([], pairs)
