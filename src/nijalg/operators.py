@@ -405,9 +405,7 @@ def _sharing_images(targets) -> list:
         raise ValueError("no target to check")
     first = targets[0]
     for target in targets[1:]:
-        if target.dim != first.dim or (
-            target.images is not first.images and target.images != first.images
-        ):
+        if target.dim != first.dim or target.images != first.images:
             raise ValueError("targets checked together must share one image map")
     return targets
 
