@@ -11,10 +11,10 @@ so the three sum exactly to the quasi-shuffle product.  At λ = 0 • vanishes
 and (≺, ≻) is the weight-0 dendriform dialgebra split of the shuffle.
 
 The B⁺ₑ forms are the definitions and the tests' references.  On two words
-the code reads the memoized terms of the quasi-shuffle recursion through
-``products._term_product``: ≺ is its ``lead``, and ≻ is ``lead`` with its
-factors swapped, since the quasi-shuffle commutes (x ≻ y = y ≺ x); • is
-−λ·⊡, which reads its ``head`` through the same reader.
+the code reads the quasi-shuffle's memos of one-step terms, through
+``products._term_product``: ≺ reads ``lead`` a(U * bV), ≻ reads it with its
+factors swapped, since the quasi-shuffle commutes (x ≻ y = y ≺ x), and • is
+−λ·⊡, which reads ``head`` [ab](U * V) through the same reader.
 """
 
 from __future__ import annotations

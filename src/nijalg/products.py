@@ -2,11 +2,11 @@
 
 All four products are defined on basis words by recursion and extended
 bilinearly.  The quasi-shuffle * and the modified quasi-shuffle ⊛ share one
-memoized word recursion, which differs between them only in the letters
-written before a merged letter [ab]: none for *, the unit letter e for ⊛.
-Each cache is keyed by (word, word, lambda) and never changes results;
-λ enters as an ``int`` when it is integral, however it was given (1,
-Fraction(1), "2/2"), and otherwise as the int pair (p, q) of λ = p/q in
+word recursion, which differs between them only in the letters written
+before a merged letter [ab]: none for *, the unit letter e for ⊛.  Their
+products are kept in memos, dicts keyed by (word, word, λ) that never change
+results; λ enters as an ``int`` when it is integral, however it was given
+(1, Fraction(1), "2/2"), and otherwise as the int pair (p, q) of λ = p/q in
 lowest terms (Fraction(2, 3), "4/6"), so no ``Fraction`` is hashed.  The
 elements hold integer numerators over a shared denominator, and the merge
 term is scaled by p/q in ints: every product runs on ints.  Three one-step
@@ -15,11 +15,13 @@ terms of aU ∘ bV are memoized the same way and read through
 ⊡, the dendriform • and ⊠, and ``_qsh.lead`` a(U * bV), read by ≺ and,
 with its factors swapped, by ≻, since * commutes.
 ``clear_caches`` empties these five memos, the two recursions included.
-A product of two single words whose coefficients multiply to 1 returns the
-cached element itself, unscaled and uncopied; elements are immutable.  A
-word pair longer than MAX_RECURSION_LETTERS is multiplied bottom-up over its
-suffix pairs instead, outside the cache, so no input reaches Python's
-recursion limit; its terms are not stored either.
+
+One loop, ``_rows``, computes every word product without recursing, over
+the grid of suffix pairs, shortest first.  A pair of at most
+MAX_STORED_LETTERS letters is stored with every cell of its grid, so stored
+pairs are closed under taking suffixes and each row starts at its first
+missing cell, stepping down from the row below.  A longer pair keeps only
+two rows, along the shorter word, in a scratch dict.
 
   quasi_shuffle        aU * bV  = a(U*bV) + b(aU*V) - λ·[ab](U*V)
   aug_quasi_shuffle    aU ⊡ bV = [ab](U*V)               (augmented module)
@@ -32,47 +34,96 @@ at λ = 1, which is why ⊠ hard-codes that value.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import partial
 from math import lcm
+from types import SimpleNamespace
 from typing import Callable
 
 from .base import MONO_UNIT, accumulate, exact
 from .errors import EmptyWordTermError
 from .tensor import TensorElement, Word
 
+# Most letters (m + n) of a pair a memo stores; an m-letter grid holds O(m³) letters
+MAX_STORED_LETTERS = 100
 
-def _word_recursion(merge_prefix: Word):
-    """Hoffman's quasi-shuffle recursion on words, memoized, with every merged
-    letter written behind ``merge_prefix``:
+
+class _Memo(dict):
+    """Word products keyed by (w1, w2, λ); ``compute`` makes a missing one, kept if
+    the pair has at most MAX_STORED_LETTERS letters.  ``lookups`` counts ``_bilinear``'s reads."""
+
+    # slots: attributes of a dict subclass's instance __dict__ are slow to update
+    __slots__ = ("compute", "lookups", "misses", "__dict__")
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+        self.lookups = self.misses = 0
+
+    def __missing__(self, key):
+        self.misses += 1
+        value = self.compute(*key)
+        if len(key[0]) + len(key[1]) <= MAX_STORED_LETTERS:
+            self[key] = value
+        return value
+
+    def cache_info(self) -> SimpleNamespace:
+        hits = self.lookups - self.misses
+        return SimpleNamespace(hits=hits, misses=self.misses, currsize=len(self))
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.lookups = self.misses = 0
+
+
+def _rows(memo: _Memo, merge_prefix: Word, w1: Word, w2: Word, lam) -> TensorElement:
+    """w1 ∘ w2 by Hoffman's recursion, with merged letters behind ``merge_prefix``:
 
         aU ∘ bV = a(U ∘ bV) + b(aU ∘ V) - λ·merge_prefix[ab](U ∘ V)
 
-    One step of it, ``rec.step(w1, w2, lam, sub)``, reads the three products
-    of shorter pairs through ``sub``; the memoized ``rec`` passes itself.
-    ``rec.head`` memoizes its merge term of two nonempty words, [ab](U ∘ V),
-    which ⊡, • and ⊠ read through ``_term_product``.
+    Row i pairs w1[i:] with every suffix of w2, and rows are filled shortest
+    first: a stored pair's missing cells straight into ``memo``, a longer
+    pair's into a scratch dict that drops each row once the next has read it.
     """
+    if not w1 or not w2:
+        return TensorElement._trusted({w1 or w2: 1})
+    m, n = len(w1), len(w2)
+    table = memo if m + n <= MAX_STORED_LETTERS else {}
+    if table is not memo and m < n:
+        w1, w2, m, n = w2, w1, n, m  # both recursions commute: rows along the shorter word
+    top = m  # a stored pair of nonempty words comes with all its suffix pairs
+    while top and (w1[top - 1:], w2, lam) in table:
+        top -= 1
+    stop, u1 = 1, w1[top:]  # cell j of row i is (w1[i:], w2[j:]); cell 0 is missing
+    for i in range(top - 1, -1, -1):
+        u = w1[i:]
+        # a row's stored cells are a prefix, no longer than the row below's
+        while stop <= n and (u, w2[stop:], lam) not in table:
+            stop += 1
+        if not u1:  # 1 × v may be stored without 1 × (v's suffixes): fill what is read
+            for j in range(min(stop, n) + 1):
+                table[(), w2[j:], lam] = TensorElement._trusted({w2[j:]: 1})
+        if stop > n:  # the cell (u, 1)
+            table[u, (), lam] = TensorElement._trusted({u: 1})
+        for j in range(min(stop, n) - 1, -1, -1):
+            v, v1 = w2[j:], w2[j + 1:]
+            a, b = u[0], v[0]
+            out = table[u1, v, lam].prepend(a) + table[u, v1, lam].prepend(b)
+            if lam:
+                merged = table[u1, v1, lam].prepend(*merge_prefix, a * b)
+                out = out - (merged._scaled(*lam) if type(lam) is tuple else lam * merged)
+            table[u, v, lam] = out
+        if table is not memo:
+            for j in range(n + 1):  # a row is read by the next row only
+                del table[u1, w2[j:], lam]
+        u1 = u
+    return table[w1, w2, lam]
 
-    def step(w1: Word, w2: Word, lam, sub) -> TensorElement:
-        if not w1:
-            return TensorElement._trusted({w2: 1})
-        if not w2:
-            return TensorElement._trusted({w1: 1})
-        a, u = w1[0], w1[1:]
-        b, v = w2[0], w2[1:]
-        out = sub(u, w2, lam).prepend(a) + sub(w1, v, lam).prepend(b)
-        if lam:
-            merged = sub(u, v, lam).prepend(*merge_prefix, a * b)
-            out = out - (merged._scaled(*lam) if type(lam) is tuple else lam * merged)
-        return out
 
-    @lru_cache(maxsize=None)
-    def rec(w1: Word, w2: Word, lam) -> TensorElement:
-        return step(w1, w2, lam, rec)
-
-    rec.step = step
-    rec.head = lru_cache(maxsize=None)(
-        lambda w1, w2, lam: _word_product(rec, w1[1:], w2[1:], lam).prepend(w1[0] * w2[0])
+def _word_recursion(merge_prefix: Word) -> _Memo:
+    """The memo of one word recursion; its ``head`` memoizes [ab](U ∘ V) for ⊡, • and ⊠."""
+    rec = _Memo(None)
+    rec.compute = partial(_rows, rec, merge_prefix)
+    rec.head = _Memo(
+        lambda w1, w2, lam: _rows(rec, merge_prefix, w1[1:], w2[1:], lam).prepend(w1[0] * w2[0])
     )
     return rec
 
@@ -82,78 +133,39 @@ _qsh = _word_recursion(())
 _mqsh = _word_recursion((MONO_UNIT,))
 # a(U * bV), the terms of aU * bV led by the first word's head: ≺ reads it,
 # and ≻ reads it with its factors swapped, since * commutes
-_qsh.lead = lru_cache(maxsize=None)(
-    lambda w1, w2, lam: _word_product(_qsh, w1[1:], w2, lam).prepend(w1[0])
-)
-
-# Most letters (m + n) a word pair may carry into the memoized recursion,
-# which recurses one level per letter at three frames a level.  This stays
-# far inside Python's default recursion limit of 1000, even when called from
-# deep in an expression.
-MAX_RECURSION_LETTERS = 100
-
-
-def _word_product(rec, w1: Word, w2: Word, lam) -> TensorElement:
-    """``rec(w1, w2, lam)`` for one of the word recursions.
-
-    Past MAX_RECURSION_LETTERS the product is built bottom-up instead, over
-    the suffix pairs (u, v) of (w1, w2), shortest first.  Both recursions
-    commute at every λ, so the longer word is taken as w1, and each row pairs
-    one suffix of it with every suffix of the shorter word.  Only two rows
-    are kept, and none enters the cache: for an m-letter word the cached
-    recursion would hold O(m³) letters, and so would a row along an m-letter
-    word.
-    """
-    if not w1 or not w2 or len(w1) + len(w2) <= MAX_RECURSION_LETTERS:
-        return rec(w1, w2, lam)
-    if len(w1) < len(w2):
-        w1, w2 = w2, w1
-    step = rec.step
-    table: dict = {}
-
-    def sub(p: Word, q: Word, _lam) -> TensorElement:
-        return table[p, q]
-
-    suffixes = [w2[j:] for j in reversed(range(len(w2) + 1))]
-    previous = ()
-    for i in reversed(range(len(w1) + 1)):
-        row = [(w1[i:], t) for t in suffixes]
-        for u, v in row:
-            table[u, v] = step(u, v, lam, sub)
-        for key in previous:  # a row is read by the next row only
-            del table[key]
-        previous = row
-    return table[w1, w2]
+_qsh.lead = _Memo(lambda w1, w2, lam: _rows(_qsh, (), w1[1:], w2, lam).prepend(w1[0]))
 
 
 def _weight(lam):
-    """λ as the word recursions and their memos take it: an ``int`` when it
-    is integral, else its (numerator, denominator) pair of ints."""
+    """λ as the memos key it: an ``int`` when integral, else its (p, q) pair of ints."""
     lam = exact(lam)
     return lam if type(lam) is int else (lam.numerator, lam.denominator)
 
 
-def _bilinear(word_fn, x: TensorElement, y: TensorElement) -> TensorElement:
-    """The bilinear extension of ``word_fn`` to x ⊗ y, in integer numerators.
+def _bilinear(memo: _Memo, lam, x: TensorElement, y: TensorElement) -> TensorElement:
+    """The bilinear extension to x ⊗ y of the word products in ``memo`` at
+    weight ``lam``, in integer numerators, one counted read per word pair.
 
     A product of two single words with coefficient product 1 is the element
-    ``word_fn`` returned, which may be a cached recursion result: elements
-    are immutable, so it is shared, not copied.  Otherwise the word products
-    are summed over the least common multiple of their denominators, which
-    changes only when a product's denominator differs from the sum's.
+    the memo holds: elements are immutable, so it is shared, not copied.
+    Otherwise the word products are summed over the least common multiple of
+    their denominators, which changes only when a product's denominator
+    differs from the sum's.
     """
     scale = x._den * y._den
     if len(x._terms) == 1 and len(y._terms) == 1:
+        memo.lookups += 1
         ((w1, c1),) = x._terms.items()
         ((w2, c2),) = y._terms.items()
         weight = c1 * c2
-        product = word_fn(w1, w2)
+        product = memo[w1, w2, lam]
         return product if weight == scale else product._scaled(weight, scale)
+    memo.lookups += len(x._terms) * len(y._terms)
     acc: dict = {}
     den = 1
     for w1, c1 in x._terms.items():
         for w2, c2 in y._terms.items():
-            product = word_fn(w1, w2)
+            product = memo[w1, w2, lam]
             weight = c1 * c2
             if product._den != den:
                 common = lcm(den, product._den)
@@ -169,29 +181,18 @@ def _bilinear(word_fn, x: TensorElement, y: TensorElement) -> TensorElement:
     return TensorElement._trusted(acc) if den == 1 else TensorElement._reduced(acc, den)
 
 
-def _term_product(memo, name: str, x: TensorElement, y: TensorElement, lam) -> TensorElement:
-    """The bilinear extension to x ⊗ y of ``memo``, one of the memoized
-    one-step terms, at weight λ; ``name`` is the operation named when a
-    factor is not augmented.  A word pair past MAX_RECURSION_LETTERS letters
-    is computed through the memo's ``__wrapped__`` and not stored.
-    """
+def _term_product(memo: _Memo, name: str, x: TensorElement, y: TensorElement, lam) -> TensorElement:
+    """The bilinear extension to x ⊗ y of ``memo``, a memoized one-step term,
+    at weight λ; ``name`` is the operation named when a factor is not augmented."""
     for factor in (x, y):
         if not factor.is_augmented():
             raise EmptyWordTermError(f"{name} is defined on the augmented module only")
-    lam = _weight(lam)
-
-    def term(w1: Word, w2: Word) -> TensorElement:
-        if len(w1) + len(w2) > MAX_RECURSION_LETTERS:
-            return memo.__wrapped__(w1, w2, lam)
-        return memo(w1, w2, lam)
-
-    return _bilinear(term, x, y)
+    return _bilinear(memo, _weight(lam), x, y)
 
 
 def quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
     """Hoffman's quasi-shuffle product; associative and commutative for any λ."""
-    lam = _weight(lam)
-    return _bilinear(lambda a, b: _word_product(_qsh, a, b, lam), x, y)
+    return _bilinear(_qsh, _weight(lam), x, y)
 
 
 def shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
@@ -207,8 +208,7 @@ def aug_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElemen
 def mod_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
     """Length-homogeneous quasi-shuffle variant; associative iff the merge
     term is present with λ = 1."""
-    lam = _weight(lam)
-    return _bilinear(lambda a, b: _word_product(_mqsh, a, b, lam), x, y)
+    return _bilinear(_mqsh, _weight(lam), x, y)
 
 
 def aug_mod_quasi_shuffle(x: TensorElement, y: TensorElement) -> TensorElement:

@@ -32,12 +32,16 @@ def in_exact_form(coeff) -> bool:
 
 
 def product_memos():
-    """Every ``lru_cache`` reachable from ``nijalg.products``: its module
-    globals and the attributes set on them (the recursions' term memos)."""
+    """Every ``products._Memo`` instance reachable from ``nijalg.products``:
+    its module globals and the attributes set on them (the recursions' term
+    memos)."""
     found = []
     for value in vars(products).values():
         for candidate in (value, *getattr(value, "__dict__", {}).values()):
-            if hasattr(candidate, "cache_info") and candidate not in found:
+            # by identity: memos are dicts, and equal ones (empty ones) are distinct
+            if isinstance(candidate, products._Memo) and not any(
+                candidate is memo for memo in found
+            ):
                 found.append(candidate)
     return found
 

@@ -28,6 +28,10 @@ WORKLOAD_CALLS = (
     ("cli", "main"),
 )
 
+# the memos whose cache_info() nijbench/workloads.py CacheStats reads
+CACHE_STATS = ("_qsh", "_mqsh")
+CACHE_FIELDS = ("hits", "misses", "currsize")
+
 TARGETS = [
     (layer, qualname) for layer, qualnames in TRACING["SPANS"].items() for qualname in qualnames
 ] + list(TRACING["COUNTED"].values())
@@ -46,3 +50,21 @@ def test_traced_targets_resolve(layer, qualname):
 )
 def test_workload_calls_resolve(layer, name):
     assert callable(getattr(importlib.import_module(f"nijalg.{layer}"), name))
+
+
+def test_cache_stats_read_the_product_memos():
+    # CacheStats reads a memo without cache_info() as zero, silently
+    nijalg = importlib.import_module("nijalg")
+    products = nijalg.products
+    x = nijalg.TensorElement.from_word([nijalg.gen("a"), nijalg.gen("b")])
+    products.clear_caches()
+    nijalg.quasi_shuffle(x, x)
+    nijalg.mod_quasi_shuffle(x, x)
+    for name in CACHE_STATS:
+        info = getattr(products, name).cache_info()
+        assert all(type(getattr(info, field)) is int for field in CACHE_FIELDS)
+        assert info.misses and info.currsize
+    products.clear_caches()
+    for name in CACHE_STATS:
+        info = getattr(products, name).cache_info()
+        assert [getattr(info, field) for field in CACHE_FIELDS] == [0, 0, 0]

@@ -80,10 +80,9 @@ def test_head_forms_agree(ab):
 
 
 def test_head_forms_of_long_words_do_not_recurse(ab):
-    # ≺ and ≻ multiply the 350-letter word, or its tail, by a short word,
-    # which takes the bottom-up product path instead of recursing one level
-    # per letter (three frames a level would pass the recursion limit), and
-    # a pair that long is stored in no memo
+    # ≺ and ≻ multiply the 350-letter word, or its tail, by a short word;
+    # a pair past MAX_STORED_LETTERS is computed in two scratch rows and
+    # stored in no memo
     a, b = ab
     long = te(*(a,) * 350)
     ctx = DendriformContext(1)

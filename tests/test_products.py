@@ -1,5 +1,7 @@
 """The four shuffle-type products and the operator-deformed product."""
 
+import inspect
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -23,7 +25,7 @@ from nijalg import (
 )
 from nijalg.expr import eval_expr, parse_expr
 from nijalg.oracle import mixed_shuffle, mod_quasi_shuffle_oracle
-from nijalg.products import _mqsh, _qsh, clear_caches
+from nijalg.products import MAX_STORED_LETTERS, _mqsh, _qsh, clear_caches
 from conftest import in_exact_form, product_memos, te, words_over
 
 LAMBDAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))
@@ -252,7 +254,8 @@ def test_clear_caches_empties_every_memo(ab):
     # the memos are discovered, not listed, so one that no operation fills
     # or that clear_caches misses fails here
     memos = product_memos()
-    assert _qsh in memos and _mqsh in memos
+    assert len(memos) == 5
+    assert any(memo is _qsh for memo in memos) and any(memo is _mqsh for memo in memos)
     a, b = ab
     x, y = te(a, b), te(b, a, a)
     ctx = DendriformContext(Fraction(2, 3))
@@ -261,7 +264,8 @@ def test_clear_caches_empties_every_memo(ab):
         operation(x, y)
     assert all(memo.cache_info().currsize for memo in memos)
     clear_caches()
-    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
+    cleared = {"hits": 0, "misses": 0, "currsize": 0}
+    assert [vars(memo.cache_info()) for memo in memos] == [cleared] * len(memos)
 
 
 def test_bilinear_weights_that_multiply_to_an_integer_store_ints(ab):
@@ -359,8 +363,9 @@ def _traced_peak(fn, *args):
 
 
 def test_long_products_keep_their_rows_along_the_shorter_word(ab):
-    # 151 letters take the bottom-up path; a row along the 150-letter word
-    # would hold 151 suffix products of up to 301 long words at once
+    # 151 letters are past MAX_STORED_LETTERS, so the loop keeps two rows;
+    # a row along the 150-letter word would hold 151 suffix products of up
+    # to 301 long words at once
     a, b = ab
     short, long = te(b), te(*(a,) * 150)
     lam = Fraction(2, 3)
@@ -372,3 +377,62 @@ def test_long_products_keep_their_rows_along_the_shorter_word(ab):
         short_long, short_long_peak = _traced_peak(product, short, long, lam)
         assert short_long == long_short == oracle((b,), (a,) * 150, lam)
         assert short_long_peak <= 2 * long_short_peak
+
+
+def test_no_product_recurses(ab):
+    # pairs at the store threshold fill their memo grids, and a longer pair
+    # its two scratch rows, in one loop: a few frames whatever the length
+    a, b = ab
+    lam = Fraction(2, 3)
+    at_threshold = (a,) * (MAX_STORED_LETTERS - 1)
+    pair = (at_threshold, (b,))
+    cases = [
+        (quasi_shuffle, pair, mixed_shuffle(*pair, lam)),
+        (mod_quasi_shuffle, pair, mod_quasi_shuffle_oracle(*pair, lam)),
+        (
+            aug_quasi_shuffle,
+            (at_threshold, (b, b)),
+            mixed_shuffle(at_threshold[1:], (b,), lam).prepend(a * b),
+        ),
+        (quasi_shuffle, ((a,) * 150, (b,)), mixed_shuffle((a,) * 150, (b,), lam)),
+    ]
+    clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        results = [product(te(*u), te(*v), lam) for product, (u, v), _ in cases]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert results == [oracle for _, _, oracle in cases]
+
+
+@pytest.mark.parametrize("lam", [0, 1, Fraction(2, 3)])
+@pytest.mark.parametrize("product, memo", [(quasi_shuffle, _qsh), (mod_quasi_shuffle, _mqsh)])
+def test_a_partly_stored_grid_computes_only_its_missing_cells(ab, product, memo, lam):
+    a, b = ab
+    c = gen("c")
+    u, v = (b, c), (a, b, a)
+    oracle = mixed_shuffle if product is quasi_shuffle else mod_quasi_shuffle_oracle
+    clear_caches()
+    product(te(*u), te(*v), lam)
+    before = memo.cache_info()
+    longer = product(te(a, *u), te(*v), lam)
+    after = memo.cache_info()
+    # one new row: aU paired with each of the |V| + 1 suffixes of V
+    assert after.currsize - before.currsize == len(v) + 1
+    assert (after.misses - before.misses, after.hits) == (1, before.hits)
+    clear_caches()
+    assert longer == product(te(a, *u), te(*v), lam) == oracle((a, *u), v, lam)
+
+
+def test_a_stored_unit_product_stands_for_no_other_pair(ab):
+    # 1 × V is stored alone, without 1 × (each suffix of V); a product whose
+    # grid reaches the empty word's row must not take it for that row
+    a, b = ab
+    v = (b, a, b)
+    clear_caches()
+    quasi_shuffle(te(), te(*v), 2)
+    before = _qsh.cache_info()
+    product = quasi_shuffle(te(a), te(*v), 2)
+    assert _qsh.cache_info().misses == before.misses + 1
+    assert product == mixed_shuffle((a,), v, 2)

@@ -242,21 +242,24 @@ def _splits(u, v, lam):
 
 @SETTINGS
 @given(st.lists(letters, min_size=1, max_size=5).map(tuple), nonempty_words, weights)
-def test_bottom_up_products_match_the_recursion(u, v, lam):
-    recursive = _four_products(u, v, lam)
+def test_unstored_products_match_the_stored_ones(u, v, lam):
+    # the same loop, once filling the memos and once keeping two scratch
+    # rows, as it does past MAX_STORED_LETTERS
+    stored = _four_products(u, v, lam)
     splits = _splits(u, v, lam)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(products, "MAX_RECURSION_LETTERS", 0)
+        patch.setattr(products, "MAX_STORED_LETTERS", 0)
         products.clear_caches()
-        bottom_up = _four_products(u, v, lam)
-        # only the augmented products' empty-word calls enter the caches
-        assert products._qsh.cache_info().currsize <= 1
-        assert products._mqsh.cache_info().currsize <= 1
-        bottom_up_splits = _splits(u, v, lam)
-        # no pair past the letter bound enters a memoized term
+        unstored = _four_products(u, v, lam)
+        unstored_splits = _splits(u, v, lam)
         for memo in product_memos():
-            if memo not in (products._qsh, products._mqsh):
-                assert memo.cache_info().currsize == 0
-    assert bottom_up_splits == splits
-    assert bottom_up == recursive
-    assert bottom_up[0] == mixed_shuffle(u, v, lam)
+            assert memo.cache_info().currsize == 0
+    assert unstored_splits == splits
+    assert unstored == stored
+    head = u[0] * v[0]
+    assert unstored == [
+        mixed_shuffle(u, v, lam),
+        mod_quasi_shuffle_oracle(u, v, lam),
+        mixed_shuffle(u[1:], v[1:], lam).prepend(head),
+        mod_quasi_shuffle_oracle(u[1:], v[1:], 1).prepend(head),
+    ]
