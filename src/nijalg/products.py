@@ -17,11 +17,11 @@ with its factors swapped, by ≻, since * commutes.
 ``clear_caches`` empties these five memos, the two recursions included.
 
 One loop, ``_rows``, computes every word product without recursing, over
-the grid of suffix pairs, shortest first.  A pair of at most
-MAX_STORED_LETTERS letters is stored with every cell of its grid, so stored
-pairs are closed under taking suffixes and each row starts at its first
-missing cell, stepping down from the row below.  A longer pair keeps only
-two rows, along the shorter word, in a scratch dict.
+the grid of suffix pairs, shortest row first, in two lists that start from
+1 ∘ v = v and u ∘ 1 = u.  A pair of at most MAX_STORED_LETTERS letters reads
+each cell its memo holds and stores each cell it computes: what the memo
+holds changes the work, never the product.  A longer pair touches no dict
+and runs its rows along the shorter word.
 
   quasi_shuffle        aU * bV  = a(U*bV) + b(aU*V) - λ·[ab](U*V)
   aug_quasi_shuffle    aU ⊡ bV = [ab](U*V)               (augmented module)
@@ -79,43 +79,40 @@ def _rows(memo: _Memo, merge_prefix: Word, w1: Word, w2: Word, lam) -> TensorEle
 
         aU ∘ bV = a(U ∘ bV) + b(aU ∘ V) - λ·merge_prefix[ab](U ∘ V)
 
-    Row i pairs w1[i:] with every suffix of w2, and rows are filled shortest
-    first: a stored pair's missing cells straight into ``memo``, a longer
-    pair's into a scratch dict that drops each row once the next has read it.
+    Cell j of row i is w1[i:] ∘ w2[j:].  Rows are filled shortest first, in
+    two lists, from 1 ∘ v = v and u ∘ 1 = u; a stored pair reads each other
+    cell from ``memo`` if it is there and stores the cells it computes, and a
+    longer pair touches no dict and runs its rows along the shorter word.
     """
     if not w1 or not w2:
         return TensorElement._trusted({w1 or w2: 1})
     m, n = len(w1), len(w2)
-    table = memo if m + n <= MAX_STORED_LETTERS else {}
-    if table is not memo and m < n:
-        w1, w2, m, n = w2, w1, n, m  # both recursions commute: rows along the shorter word
-    top = m  # a stored pair of nonempty words comes with all its suffix pairs
-    while top and (w1[top - 1:], w2, lam) in table:
-        top -= 1
-    stop, u1 = 1, w1[top:]  # cell j of row i is (w1[i:], w2[j:]); cell 0 is missing
-    for i in range(top - 1, -1, -1):
+    stored = m + n <= MAX_STORED_LETTERS
+    if stored:
+        known = memo.get((w1, w2, lam))  # ``head`` and ``lead`` pass stored pairs too
+        if known is not None:
+            return known
+    elif m < n:
+        w1, w2, m, n = w2, w1, n, m  # both recursions commute
+    below = [TensorElement._trusted({w2[j:]: 1}) for j in range(n + 1)]
+    row = [None] * (n + 1)
+    for i in range(m - 1, -1, -1):
         u = w1[i:]
-        # a row's stored cells are a prefix, no longer than the row below's
-        while stop <= n and (u, w2[stop:], lam) not in table:
-            stop += 1
-        if not u1:  # 1 × v may be stored without 1 × (v's suffixes): fill what is read
-            for j in range(min(stop, n) + 1):
-                table[(), w2[j:], lam] = TensorElement._trusted({w2[j:]: 1})
-        if stop > n:  # the cell (u, 1)
-            table[u, (), lam] = TensorElement._trusted({u: 1})
-        for j in range(min(stop, n) - 1, -1, -1):
-            v, v1 = w2[j:], w2[j + 1:]
-            a, b = u[0], v[0]
-            out = table[u1, v, lam].prepend(a) + table[u, v1, lam].prepend(b)
-            if lam:
-                merged = table[u1, v1, lam].prepend(*merge_prefix, a * b)
-                out = out - (merged._scaled(*lam) if type(lam) is tuple else lam * merged)
-            table[u, v, lam] = out
-        if table is not memo:
-            for j in range(n + 1):  # a row is read by the next row only
-                del table[u1, w2[j:], lam]
-        u1 = u
-    return table[w1, w2, lam]
+        a = u[0]
+        row[n] = TensorElement._trusted({u: 1})
+        for j in range(n - 1, -1, -1):
+            out = memo.get((u, w2[j:], lam)) if stored else None
+            if out is None:
+                b = w2[j]
+                out = below[j].prepend(a) + row[j + 1].prepend(b)
+                if lam:
+                    merged = below[j + 1].prepend(*merge_prefix, a * b)
+                    out = out - (merged._scaled(*lam) if type(lam) is tuple else lam * merged)
+                if stored:
+                    memo[u, w2[j:], lam] = out
+            row[j] = out
+        below, row = row, below
+    return below[0]
 
 
 def _word_recursion(merge_prefix: Word) -> _Memo:

@@ -221,4 +221,4 @@ def fold_letters(w: Word, combine, name: str) -> TensorElement:
 
 def grade_lengths(x: TensorElement) -> frozenset:
     """Set of word lengths carrying a nonzero coefficient."""
-    return frozenset(len(w) for w, _ in x.iterterms())
+    return frozenset(map(len, x._terms))

@@ -381,7 +381,7 @@ def test_long_products_keep_their_rows_along_the_shorter_word(ab):
 
 def test_no_product_recurses(ab):
     # pairs at the store threshold fill their memo grids, and a longer pair
-    # its two scratch rows, in one loop: a few frames whatever the length
+    # its two rows and no dict, in one loop: a few frames whatever the length
     a, b = ab
     lam = Fraction(2, 3)
     at_threshold = (a,) * (MAX_STORED_LETTERS - 1)
@@ -418,8 +418,9 @@ def test_a_partly_stored_grid_computes_only_its_missing_cells(ab, product, memo,
     before = memo.cache_info()
     longer = product(te(a, *u), te(*v), lam)
     after = memo.cache_info()
-    # one new row: aU paired with each of the |V| + 1 suffixes of V
-    assert after.currsize - before.currsize == len(v) + 1
+    # one new row: aU paired with each nonempty suffix of V; aU × 1 is read
+    # as aU and stored nowhere
+    assert after.currsize - before.currsize == len(v)
     assert (after.misses - before.misses, after.hits) == (1, before.hits)
     clear_caches()
     assert longer == product(te(a, *u), te(*v), lam) == oracle((a, *u), v, lam)

@@ -243,8 +243,8 @@ def _splits(u, v, lam):
 @SETTINGS
 @given(st.lists(letters, min_size=1, max_size=5).map(tuple), nonempty_words, weights)
 def test_unstored_products_match_the_stored_ones(u, v, lam):
-    # the same loop, once filling the memos and once keeping two scratch
-    # rows, as it does past MAX_STORED_LETTERS
+    # the same loop, once filling the memos and once touching no dict, as
+    # it does past MAX_STORED_LETTERS
     stored = _four_products(u, v, lam)
     splits = _splits(u, v, lam)
     with pytest.MonkeyPatch.context() as patch:
@@ -263,3 +263,51 @@ def test_unstored_products_match_the_stored_ones(u, v, lam):
         mixed_shuffle(u[1:], v[1:], lam).prepend(head),
         mod_quasi_shuffle_oracle(u[1:], v[1:], 1).prepend(head),
     ]
+
+
+def _six_operations(lam):
+    """*, ⊛, ⊡, ⊠, ≺ and ≻ at weight λ, each with the oracle form of its
+    value on two words."""
+    ctx = DendriformContext(lam)
+    return [
+        (lambda x, y: quasi_shuffle(x, y, lam), lambda u, v: mixed_shuffle(u, v, lam)),
+        (
+            lambda x, y: mod_quasi_shuffle(x, y, lam),
+            lambda u, v: mod_quasi_shuffle_oracle(u, v, lam),
+        ),
+        (
+            lambda x, y: aug_quasi_shuffle(x, y, lam),
+            lambda u, v: mixed_shuffle(u[1:], v[1:], lam).prepend(u[0] * v[0]),
+        ),
+        (
+            aug_mod_quasi_shuffle,
+            lambda u, v: mod_quasi_shuffle_oracle(u[1:], v[1:], 1).prepend(u[0] * v[0]),
+        ),
+        (ctx.prec, lambda u, v: mixed_shuffle(u[1:], v, lam).prepend(u[0])),
+        (ctx.succ, lambda u, v: mixed_shuffle(u, v[1:], lam).prepend(v[0])),
+    ]
+
+
+@SETTINGS
+@given(nonempty_words, nonempty_words, st.sampled_from([0, 1, -1, Fraction(2, 3)]), st.data())
+def test_products_do_not_depend_on_what_the_memos_hold(u, v, lam, data):
+    # earlier products leave any mix of cells in the memos: unit pairs,
+    # prefix and suffix pairs, and the ⊡, ⊠ and ≺ terms, which pass their
+    # pairs to the row loop without a top-level read
+    operations = _six_operations(lam)
+    products.clear_caches()
+    cold = [operation(te(u), te(v)) for operation, _ in operations]
+    pieces = [w[:k] for w in (u, v) for k in range(len(w) + 1)]
+    pieces += [w[k:] for w in (u, v) for k in range(len(w) + 1)]
+    nonempty = [w for w in pieces if w]
+    earlier = st.one_of(
+        st.tuples(st.sampled_from(range(2)), st.sampled_from(pieces), st.sampled_from(pieces)),
+        st.tuples(st.sampled_from(range(2, 5)), st.sampled_from(nonempty), st.sampled_from(nonempty)),
+    )
+    products.clear_caches()
+    for k, x, y in data.draw(st.lists(earlier, max_size=8)):
+        operations[k][0](te(x), te(y))
+    for (operation, oracle), expected in zip(operations, cold):
+        misses = sum(memo.cache_info().misses for memo in product_memos())
+        assert operation(te(u), te(v)) == expected == oracle(u, v)
+        assert sum(memo.cache_info().misses for memo in product_memos()) - misses <= 1

@@ -62,6 +62,26 @@ def test_grade_lengths(ab):
     assert grade_lengths(TensorElement.zero()) == frozenset()
 
 
+def test_grade_lengths_builds_no_fraction(ab, monkeypatch):
+    # the lengths are read off the words, so the rational coefficients of a
+    # λ = 2/3 product are never built as Fractions
+    a, b = ab
+    product = quasi_shuffle(te(a, b), te(b), Fraction(2, 3))
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    lengths = grade_lengths(product)
+    monkeypatch.undo()
+    assert built == []
+    assert product._den > 1
+    assert lengths == {2, 3}
+
+
 def test_b_minus_b_plus_is_identity(ab):
     for w in words_over(list(ab) + [MONO_UNIT], 3):
         assert b_minus(b_plus(te(*w))) == te(*w)
