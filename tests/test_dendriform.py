@@ -81,8 +81,8 @@ def test_head_forms_agree(ab):
 
 def test_head_forms_of_long_words_do_not_recurse(ab):
     # ≺ and ≻ multiply the 350-letter word, or its tail, by a short word;
-    # a pair past MAX_STORED_LETTERS is computed in two rows that are no
-    # dict, and stored in no memo
+    # a pair past MAX_STORED_LETTERS is computed in two local rows and
+    # stored in no memo
     a, b = ab
     long = te(*(a,) * 350)
     ctx = DendriformContext(1)

@@ -381,7 +381,7 @@ def test_long_products_keep_their_rows_along_the_shorter_word(ab):
 
 def test_no_product_recurses(ab):
     # pairs at the store threshold fill their memo grids, and a longer pair
-    # its two rows and no dict, in one loop: a few frames whatever the length
+    # its two local rows, in one loop: a few frames whatever the length
     a, b = ab
     lam = Fraction(2, 3)
     at_threshold = (a,) * (MAX_STORED_LETTERS - 1)
