@@ -95,11 +95,10 @@ def _rows(memo: _Memo, merge_prefix: Word, w1: Word, w2: Word, lam) -> TensorEle
     elif m < n:
         w1, w2, m, n = w2, w1, n, m  # both recursions commute
     below = [TensorElement._trusted({w2[j:]: 1}) for j in range(n + 1)]
-    row = [None] * (n + 1)
     for i in range(m - 1, -1, -1):
         u = w1[i:]
         a = u[0]
-        row[n] = TensorElement._trusted({u: 1})
+        row = [None] * n + [TensorElement._trusted({u: 1})]
         for j in range(n - 1, -1, -1):
             out = memo.get((u, w2[j:], lam)) if stored else None
             if out is None:
@@ -111,7 +110,7 @@ def _rows(memo: _Memo, merge_prefix: Word, w1: Word, w2: Word, lam) -> TensorEle
                 if stored:
                     memo[u, w2[j:], lam] = out
             row[j] = out
-        below, row = row, below
+        below = row  # frees the row below: a long pair holds two rows at most
     return below[0]
 
 

@@ -352,18 +352,20 @@ def test_products_at_a_rational_lambda_hash_no_fraction(ab, monkeypatch):
 
 
 def _traced_peak(fn, *args):
-    """``fn(*args)`` and the peak of memory traced while it ran, in bytes."""
+    """``fn(*args)``, the memory traced when it returned and the peak while it
+    ran, in bytes."""
     clear_caches()
     tracemalloc.start()
     try:
         result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
+        return (result, *tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
 
 
 def test_long_products_keep_their_rows_along_the_shorter_word(ab):
-    # 151 letters are past MAX_STORED_LETTERS, so the loop keeps two rows;
+    # 151 letters are past MAX_STORED_LETTERS, so the loop keeps two rows,
+    # the result's and the one below it, about twice the result's memory;
     # a row along the 150-letter word would hold 151 suffix products of up
     # to 301 long words at once
     a, b = ab
@@ -373,9 +375,10 @@ def test_long_products_keep_their_rows_along_the_shorter_word(ab):
         (quasi_shuffle, mixed_shuffle),
         (mod_quasi_shuffle, mod_quasi_shuffle_oracle),
     ):
-        long_short, long_short_peak = _traced_peak(product, long, short, lam)
-        short_long, short_long_peak = _traced_peak(product, short, long, lam)
+        long_short, held, long_short_peak = _traced_peak(product, long, short, lam)
+        short_long, _, short_long_peak = _traced_peak(product, short, long, lam)
         assert short_long == long_short == oracle((b,), (a,) * 150, lam)
+        assert long_short_peak <= 2.5 * held
         assert short_long_peak <= 2 * long_short_peak
 
 
