@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import index
 from typing import Callable, Iterable, Mapping, Tuple
 
 from .base import Monomial, check_generator, exact
@@ -38,22 +40,33 @@ class DiagonalOperator:
 
 
 class VectorAlgebraElement:
-    """An element of K^d with the componentwise (Hadamard) product."""
+    """An element of K^d with the componentwise (Hadamard) product.
 
-    __slots__ = ("_coords",)
+    The coordinates are stored as ``TensorElement`` stores its coefficients:
+    ``_nums``, a tuple of ``int`` numerators, over ``_den``, one ``int``
+    denominator ≥ 1, in lowest terms, so gcd(_den, *_nums) = 1 and zero has
+    ``_den == 1``.  ``coords`` reads each coordinate back as a ``Fraction``.
+    """
+
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coords: Iterable):
-        self._coords = tuple(Fraction(exact(c)) for c in coords)
+        values = [exact(c) for c in coords]
+        # the lcm of the reduced denominators shares no factor with every
+        # numerator over it: no gcd is needed
+        den = lcm(*[c.denominator for c in values])
+        self._nums = tuple([c.numerator * (den // c.denominator) for c in values])
+        self._den = den
 
     @classmethod
-    def _trusted(cls, coords: Tuple[Fraction, ...]) -> "VectorAlgebraElement":
-        """Wrap a tuple whose entries are already Fractions, without coercing.
-
-        Arithmetic results come through here: Fraction operands give
-        Fraction results, so re-wrapping them would only repeat the work.
-        """
+    def _reduced(cls, nums: Tuple[int, ...], den: int) -> "VectorAlgebraElement":
+        """Integer numerators over ``den`` ≥ 1, put in lowest terms."""
+        g = gcd(den, *nums)
+        if g > 1:
+            den //= g
+            nums = tuple([n // g for n in nums])
         self = object.__new__(cls)
-        self._coords = coords
+        self._nums, self._den = nums, den
         return self
 
     @classmethod
@@ -62,50 +75,63 @@ class VectorAlgebraElement:
 
     @property
     def coords(self) -> Tuple[Fraction, ...]:
-        return self._coords
+        return tuple([Fraction(n, self._den) for n in self._nums])
 
     @property
     def dim(self) -> int:
-        return len(self._coords)
+        return len(self._nums)
 
     def _zip(self, other: "VectorAlgebraElement"):
-        """The coordinate pairs of two vectors, refused unless they have one
+        """The numerator pairs of two vectors, refused unless they have one
         dimension: ``zip`` alone would drop the longer one's tail."""
-        if len(other._coords) != len(self._coords):
+        if len(other._nums) != len(self._nums):
             raise ValueError(f"dimension mismatch: K^{self.dim} and K^{other.dim}")
-        return zip(self._coords, other._coords)
+        return zip(self._nums, other._nums)
 
     def __add__(self, other: "VectorAlgebraElement") -> "VectorAlgebraElement":
-        return self._trusted(tuple([a + b for a, b in self._zip(other)]))
+        p, q = self._den, other._den
+        return self._reduced(tuple([a * q + b * p for a, b in self._zip(other)]), p * q)
 
     def __sub__(self, other: "VectorAlgebraElement") -> "VectorAlgebraElement":
-        return self._trusted(tuple([a - b for a, b in self._zip(other)]))
+        p, q = self._den, other._den
+        return self._reduced(tuple([a * q - b * p for a, b in self._zip(other)]), p * q)
 
     def __neg__(self) -> "VectorAlgebraElement":
-        return self._trusted(tuple([-a for a in self._coords]))
+        return self._reduced(tuple([-a for a in self._nums]), self._den)
 
     def __mul__(self, other):
         if isinstance(other, VectorAlgebraElement):
-            return self._trusted(tuple([a * b for a, b in self._zip(other)]))
-        other = Fraction(exact(other))
-        return self._trusted(tuple([a * other for a in self._coords]))
+            return self._reduced(
+                tuple([a * b for a, b in self._zip(other)]), self._den * other._den
+            )
+        c = exact(other)
+        return self._reduced(
+            tuple([a * c.numerator for a in self._nums]), self._den * c.denominator
+        )
 
     __rmul__ = __mul__  # a scalar on the left; the product is commutative
 
     def __pow__(self, exp: int) -> "VectorAlgebraElement":
-        return self._trusted(tuple([a ** exp for a in self._coords]))
+        exp = index(exp)  # an int, never a float or string
+        if exp < 0:
+            return VectorAlgebraElement([c ** exp for c in self.coords])
+        return self._reduced(tuple([a ** exp for a in self._nums]), self._den ** exp)
 
     def __bool__(self):
-        return any(self._coords)
+        return any(self._nums)
 
     def __eq__(self, other):
-        return isinstance(other, VectorAlgebraElement) and self._coords == other._coords
+        return (
+            isinstance(other, VectorAlgebraElement)
+            and self._den == other._den
+            and self._nums == other._nums
+        )
 
     def __hash__(self):
-        return hash(self._coords)
+        return hash((self._nums, self._den))
 
     def __str__(self):
-        return "(" + ", ".join(str(c) for c in self._coords) + ")"
+        return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
     __repr__ = __str__
 
@@ -131,7 +157,7 @@ class NijenhuisTarget:
     images: Mapping[str, VectorAlgebraElement]
 
     def __post_init__(self):
-        if not all(0 <= i < self.dim for i in self.mask):
+        if not all(0 <= index(i) < self.dim for i in self.mask):
             raise ValueError("projection mask out of range")
         for name, vec in self.images.items():
             check_generator(name)
@@ -206,77 +232,42 @@ def phi_extend(
     coordinate.  ``operator`` defaults to the target's N_τ; pass
     ``target.scaled_projection(λ)`` for the Rota-Baxter variant.
 
-    The value is computed in exact integers by ``_phi_core``, in its two
-    stages: the letter stage sums c_w·φ(a₁)⋯φ(aₙ) over the words w of each
-    length n, and the operator stage folds those sums with d^(n-1).  It is
-    turned into one Fraction per coordinate at the end.
+    The value is computed in exact integers, in two stages: the letter
+    stage sums c_w·φ(a₁)⋯φ(aₙ) over the words w of each length n, and the
+    operator stage folds those sums with d^(n-1).
     """
     if operator is None:
         operator = make_n_tau(target)
-    return _vector(_phi_core(target, operator)(x))
-
-
-def _phi_core(target: NijenhuisTarget, operator: DiagonalOperator):
-    """φ̃ for ``operator`` in exact integers: the returned function maps an
-    augmented element to one (numerator, positive denominator) pair per
-    coordinate, not necessarily in lowest terms.
-
-    It is the target's ``_letter_stage`` followed by the operator's
-    ``_operator_stage``, and keeps their memos as long as the caller keeps
-    the function: one ``phi_extend`` call.  A universal check runs the two
-    stages itself, so that one letter stage serves all its targets.
-    """
-    fold = _operator_stage(target, operator)
-    letters = _letter_stage(target)
-    return lambda x: fold(letters(x))
+    nums, den = _operator_stage(target, operator)(_letter_stage(target)(x))
+    return VectorAlgebraElement._reduced(tuple(nums), den)
 
 
 def _letter_stage(target: NijenhuisTarget):
     """φ̃'s first stage, which depends on the images φ alone.
 
     The returned function maps an augmented element x = Σ c_w·w to a dict
-    from each word length n of x to the sums Σ_{|w|=n} c_w·φ(a₁)⋯φ(aₙ), one
-    (numerator, positive denominator) pair per coordinate, not necessarily in
-    lowest terms.  It keeps a memo of φ(letter), as pairs too, which lives
-    as long as the caller keeps the function.
+    from each word length n of x to the sum Σ_{|w|=n} c_w·φ(a₁)⋯φ(aₙ), as
+    (integer numerators, positive denominator), not necessarily in lowest
+    terms.  It keeps a memo of φ(letter), which lives as long as the caller
+    keeps the function.
     """
-    dim = target.dim
     letters = {}  # letter -> φ(letter)
 
     def sums(x: TensorElement) -> dict:
-        # x's integer numerators share the denominator x._den, so each length
-        # and coordinate sums its terms per denominator of the letter
-        # factors, then folds the sums and divides by x._den once
-        by_len = {}  # n -> per coordinate: denominator -> numerator
+        by_len = {}  # n -> the sum over x's words of length n
         for word, numerator in x._terms.items():
             if not word:
                 raise EmptyWordTermError("phi_extend is defined on the augmented module only")
-            factors = []
+            nums, den = (numerator,) * target.dim, x._den
             for mono in word:
                 image = letters.get(mono)
                 if image is None:
-                    image = letters[mono] = _pairs(phi_monomial(target, mono))
-                factors.append(image)
-            by_coord = by_len.get(len(word))
-            if by_coord is None:
-                by_coord = by_len[len(word)] = [{} for _ in range(dim)]
-            for by_den, column in zip(by_coord, zip(*factors)):
-                num, den = numerator, 1
-                for p, q in column:
-                    num *= p
-                    den *= q
-                if num:
-                    by_den[den] = by_den.get(den, 0) + num
-        out = {}
-        for n, by_coord in by_len.items():
-            value = []
-            for by_den in by_coord:
-                num, den = 0, 1
-                for q, p in by_den.items():
-                    num, den = num * q + p * den, den * q
-                value.append((num, den * x._den))
-            out[n] = tuple(value)
-        return out
+                    image = letters[mono] = phi_monomial(target, mono)
+                nums = [a * b for a, b in zip(nums, image._nums)]
+                den *= image._den
+            n = len(word)
+            by_len[n] = _sum(by_len[n], (nums, den)) if n in by_len else (nums, den)
+        return by_len
 
     return sums
 
@@ -285,39 +276,38 @@ def _operator_stage(target: NijenhuisTarget, operator: DiagonalOperator):
     """φ̃'s second stage, for a diagonal ``operator`` d on the target's K^d.
 
     The returned function folds the letter stage's sums S_n of an element
-    into φ̃ of it, Σ_n d^(n-1)·S_n, one (numerator, positive denominator)
-    pair per coordinate.  It keeps the powers d^k it has needed, as pairs.
+    into φ̃ of it, Σ_n d^(n-1)·S_n, as (integer numerators, positive
+    denominator), not necessarily in lowest terms.  It keeps the powers d^k
+    it has needed.
     """
     if not isinstance(operator, DiagonalOperator) or operator.diagonal.dim != target.dim:
         raise TypeError(
             f"phi_extend needs a diagonal operator on K^{target.dim}, got {operator!r}"
         )
-    diagonal = _pairs(operator.diagonal)
-    powers = [((1, 1),) * target.dim]  # powers[k] = d^k
-    zero_vector = ((0, 1),) * target.dim
+    powers = [VectorAlgebraElement.unit(target.dim)]  # powers[k] = d^k
 
-    def fold(sums: dict) -> Tuple[Tuple[int, int], ...]:
+    def fold(sums: dict):
         value = None
-        for n, column in sums.items():
+        for n, (nums, den) in sums.items():
             while len(powers) < n:
-                powers.append(
-                    tuple([(p * q, r * s) for (p, r), (q, s) in zip(powers[-1], diagonal)])
-                )
-            term = [(p * dp, q * dq) for (p, q), (dp, dq) in zip(column, powers[n - 1])]
-            value = term if value is None else [
-                (p * s + r * q, q * s) for (p, q), (r, s) in zip(value, term)
-            ]
-        return zero_vector if value is None else tuple(value)
+                powers.append(powers[-1] * operator.diagonal)
+            power = powers[n - 1]
+            term = [a * b for a, b in zip(nums, power._nums)], den * power._den
+            value = term if value is None else _sum(value, term)
+        return value or ([0] * target.dim, 1)
 
     return fold
 
 
-def _pairs(v: VectorAlgebraElement) -> Tuple[Tuple[int, int], ...]:
-    return tuple([(c.numerator, c.denominator) for c in v.coords])
-
-
-def _vector(pairs: Tuple[Tuple[int, int], ...]) -> VectorAlgebraElement:
-    return VectorAlgebraElement._trusted(tuple([Fraction(p, q) for p, q in pairs]))
+def _sum(u, v):
+    """u + v for (integer numerators, positive denominator) vectors, over
+    the lcm of the two denominators."""
+    (p, q), (r, s) = u, v
+    if q == s:
+        return [a + b for a, b in zip(p, r)], q
+    m = lcm(q, s)
+    i, j = m // q, m // s
+    return [a * i + b * j for a, b in zip(p, r)], m
 
 
 def factorization_check(w: Word) -> TensorElement:
@@ -349,51 +339,50 @@ def _universal_check(target, pairs, checks) -> list:
     """The universal checks of one image map on ``pairs``.
 
     ``target`` stands for the image map and dimension that every checked
-    operator shares, and ``checks`` holds one (product, [(operator, relation),
-    …]) entry per product, ``relation`` being the operator's defect on two
-    vectors.  The result is one defect list per operator, in the order of
-    ``checks``; a defect list has one (multiplicative, intertwining) pair per
-    input pair, ``None`` for a check that holds.  Every operator must first
-    pass its sanity check.
+    operator shares, and ``checks`` holds (product, operator, relation)
+    triples, ``relation`` being the operator's defect on two vectors.  The
+    result is one defect list per triple, in order; a defect list has one
+    (multiplicative, intertwining) pair per input pair, ``None`` for a check
+    that holds.  Every operator must first pass its sanity check.
 
     φ̃ runs in its two stages.  One ``_letter_stage``, made here and dropped
-    on return, serves every operator: it runs once per element of each pair,
-    on x, y and B⁺ₑx, and on product(x, y) once per product.  Each operator's
-    ``_operator_stage`` then folds those sums with its own diagonal, which is
-    exact because every operator is diagonal on the commutative K^d.
-    φ̃(product(x, y)) is compared with φ̃(x)·φ̃(y), and φ̃(B⁺ₑx) with d·φ̃(x),
-    by integer cross-multiplication (``_is_product``), and only a failing
-    check builds its Fraction defect, from the same integers."""
-    stages = []
-    for product, operators in checks:
-        folds = []
-        for operator, relation in operators:
-            _operator_sanity(operator, relation)
-            fold = _operator_stage(target, operator)
-            folds.append((operator, fold, _pairs(operator.diagonal)))
-        stages.append((product, folds))
+    on return, serves every check: it runs once per element of each pair,
+    on x, y and B⁺ₑx, and on product(x, y) once per distinct product.  Each
+    operator's ``_operator_stage`` then folds those sums with its own
+    diagonal, which is exact because every operator is diagonal on the
+    commutative K^d.  φ̃(product(x, y)) is compared with φ̃(x)·φ̃(y), and
+    φ̃(B⁺ₑx) with d·φ̃(x), in integers by ``_product_defect``."""
+    folds = []
+    for product, operator, relation in checks:
+        _operator_sanity(operator, relation)
+        diagonal = operator.diagonal
+        folds.append(
+            (product, _operator_stage(target, operator), (diagonal._nums, diagonal._den))
+        )
     letters = _letter_stage(target)
-    results = [[] for _, operators in stages for _ in operators]
+    results = [[] for _ in folds]
     for x, y in pairs:
         sx, sy, sbx = letters(x), letters(y), letters(b_plus(x))
-        out = iter(results)
-        for product, operators in stages:
-            sxy = letters(product(x, y))
-            for operator, fold, diagonal in operators:
-                phix, phiy, phixy, phibx = fold(sx), fold(sy), fold(sxy), fold(sbx)
-                mult = twine = None
-                if not _is_product(phixy, phix, phiy):
-                    mult = _vector(phixy) - _vector(phix) * _vector(phiy)
-                if not _is_product(phibx, diagonal, phix):
-                    twine = _vector(phibx) - operator(_vector(phix))
-                next(out).append((mult, twine))
+        by_product = {}  # product -> the letter sums of product(x, y)
+        for (product, fold, diagonal), defects in zip(folds, results):
+            sxy = by_product.get(product)
+            if sxy is None:
+                sxy = by_product[product] = letters(product(x, y))
+            phix = fold(sx)
+            mult = _product_defect(fold(sxy), phix, fold(sy))
+            defects.append((mult, _product_defect(fold(sbx), diagonal, phix)))
     return results
 
 
-def _is_product(w, u, v) -> bool:
-    """Whether w = u·v coordinatewise, for vectors of (numerator, positive
-    denominator) pairs: p/q = (p₁/q₁)(p₂/q₂) iff p·q₁·q₂ = p₁·p₂·q."""
-    return all(p * q1 * q2 == p1 * p2 * q for (p, q), (p1, q1), (p2, q2) in zip(w, u, v))
+def _product_defect(w, u, v):
+    """w − u·v coordinatewise for (integer numerators, positive denominator)
+    vectors: ``None`` where it is zero, else the defect vector.  The check
+    runs on integers, p/q = (p₁/q₁)(p₂/q₂) iff p·q₁·q₂ = p₁·p₂·q, so only a
+    failing check builds a vector."""
+    (p, q), (p1, q1), (p2, q2) = w, u, v
+    k = q1 * q2
+    nums = tuple([a * k - b * c * q for a, b, c in zip(p, p1, p2)])
+    return VectorAlgebraElement._reduced(nums, q * k) if any(nums) else None
 
 
 def _sharing_images(targets) -> list:
@@ -424,8 +413,8 @@ def universal_property_check(targets, pairs) -> list:
     for target in targets:
         operator = make_n_tau(target)
         relation = lambda x, y, operator=operator: nijenhuis_defect(operator, vec_mul, x, y)
-        checks.append((operator, relation))
-    defects = _universal_check(targets[0], pairs, [(aug_mod_quasi_shuffle, checks)])
+        checks.append((aug_mod_quasi_shuffle, operator, relation))
+    defects = _universal_check(targets[0], pairs, checks)
     return defects if many else defects[0]
 
 
@@ -441,17 +430,14 @@ def rb_universal_check(lams, targets, pairs) -> list:
     many = not one_weight or not isinstance(targets, NijenhuisTarget)
     lams = [Fraction(exact(lam)) for lam in ((lams,) if one_weight else lams)]
     targets = _sharing_images(targets)
+    products = [lambda x, y, lam=lam: aug_quasi_shuffle(x, y, lam) for lam in lams]
     checks = []
-    for lam in lams:
-        operators = []
-        for target in targets:
+    for target in targets:
+        for lam, product in zip(lams, products):
             operator = target.scaled_projection(lam)
             relation = lambda x, y, operator=operator, lam=lam: rota_baxter_defect(
                 operator, vec_mul, lam, x, y
             )
-            operators.append((operator, relation))
-        product = lambda x, y, lam=lam: aug_quasi_shuffle(x, y, lam)
-        checks.append((product, operators))
-    by_lam = _universal_check(targets[0], pairs, checks)
-    defects = [by_lam[j * len(targets) + i] for i in range(len(targets)) for j in range(len(lams))]
+            checks.append((product, operator, relation))
+    defects = _universal_check(targets[0], pairs, checks)
     return defects if many else defects[0]

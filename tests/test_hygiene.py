@@ -115,25 +115,29 @@ def definitions(tree):
 
 
 def reads(tree, classes):
-    """(name, line, owner) of each name and attribute that ``tree`` reads.
-    The owner is the class an attribute is read through, as ``Class.name``
-    for a class in ``classes`` or as ``self.name`` / ``cls.name`` inside a
-    class, and None otherwise."""
+    """(name, line, owner, bare) of each name and attribute that ``tree``
+    reads.  A bare name's owner is the class whose body reads it directly,
+    as ``__rmul__ = _scale`` does, and None anywhere else, a method's body
+    included.  An attribute's owner is the class it is read through, as
+    ``Class.name`` for a class in ``classes`` or as ``self.name`` /
+    ``cls.name`` inside a class, and None otherwise."""
     found = []
 
-    def visit(node, inside):
+    def visit(node, inside, body):
         if isinstance(node, ast.ClassDef):
-            inside = node.name
+            inside = body = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = None
         if isinstance(node, ast.Name):
-            found.append((node.id, node.lineno, None))
+            found.append((node.id, node.lineno, body, True))
         elif isinstance(node, ast.Attribute):
             base = node.value.id if isinstance(node.value, ast.Name) else None
             owner = inside if base in ("self", "cls") else base if base in classes else None
-            found.append((node.attr, node.lineno, owner))
+            found.append((node.attr, node.lineno, owner, False))
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, inside, body)
 
-    visit(tree, None)
+    visit(tree, None, None)
     return found
 
 
@@ -159,9 +163,11 @@ def uncalled(sources, bench=None):
     """Qualified names of the definitions in ``sources`` (module name -> source)
     that no name or attribute outside their own definition reads, in any of
     the modules, and that the benchmark's code (``bench``, module name ->
-    source) does not reach either.  A method whose name another class's
-    method shares is called only by a read through its own class, or by its
-    qualified name in ``SPANS`` / ``COUNTED``."""
+    source) does not reach either.  A bare name calls a method only in its
+    own class's body, so a local variable of the same name calls nothing.  A
+    method whose name another class's method shares is called only by a read
+    through its own class, or by its qualified name in ``SPANS`` /
+    ``COUNTED``."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     methods = {}  # method name -> the classes that define it
     for tree in trees.values():
@@ -170,10 +176,10 @@ def uncalled(sources, bench=None):
                 owner, name = qualname.split(".")
                 methods.setdefault(name, set()).add(owner)
     classes = {owner for owners in methods.values() for owner in owners}
-    readers = {}  # name -> (module, line, owner) of every read
+    readers = {}  # name -> (module, line, owner, bare) of every read
     for module, tree in trees.items():
-        for name, line, owner in reads(tree, classes):
-            readers.setdefault(name, []).append((module, line, owner))
+        for name, *read in reads(tree, classes):
+            readers.setdefault(name, []).append((module, *read))
     bench_qualnames, bench_attributes = bench_references(bench or {})
     found = []
     for module, tree in trees.items():
@@ -182,8 +188,9 @@ def uncalled(sources, bench=None):
             shared = len(methods.get(name, ())) > 1 and owner
             own = range(node.lineno, node.end_lineno + 1)
             called = any(
-                (where != module or line not in own) and (not shared or via == owner)
-                for where, line, via in readers.get(name, ())
+                (where != module or line not in own)
+                and (via == owner if bare and owner else not shared or via == owner)
+                for where, line, via, bare in readers.get(name, ())
             )
             reached = qualname in bench_qualnames or (not shared and name in bench_attributes)
             if not called and not reached:
@@ -206,12 +213,17 @@ def test_dead_definition_is_detected():
             "    def run(self):\n        return used()\n"
             "    def loop(self):\n        return self.loop()\n"
             "    def __len__(self):\n        return 0\n"
+            "    def zero(self):\n        zero = 0\n        return zero\n"
+            "    def _scale(self, c):\n        return c\n"
+            "    __mul__ = __rmul__ = _scale\n"
         ),
-        "b.py": "from a import Box\n\ndef traced():\n    return Box\n",
+        # a local variable named like a method calls nothing; the alias in
+        # Box's body calls Box._scale
+        "b.py": "from a import Box\n\ndef traced():\n    zero = Box\n    return zero\n",
     }
     bench = {"tracing.py": 'SPANS = {"a": ("traced", "Box.run")}\n'}
-    assert uncalled(sources, bench) == ["Box.loop", "dead"]
-    assert uncalled(sources) == ["Box.loop", "Box.run", "dead", "traced"]
+    assert uncalled(sources, bench) == ["Box.loop", "Box.zero", "dead"]
+    assert uncalled(sources) == ["Box.loop", "Box.run", "Box.zero", "dead", "traced"]
 
 
 def test_benchmark_text_calls_nothing():

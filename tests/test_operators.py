@@ -260,6 +260,17 @@ def test_operator_scalars_refuse_floats(ab):
         assert rb_universal_check(lam, target, pairs) == [(None, None)]
 
 
+def test_target_mask_entries_are_coordinate_indices():
+    images = _target({0}, 0).images
+    for mask in ({4}, {-1}, {0, 7}):
+        with pytest.raises(ValueError, match="projection mask out of range"):
+            NijenhuisTarget(4, frozenset(mask), 0, images)
+    # a non-integer entry would select no coordinate: the zero projection
+    for mask in ({0.5}, {0, 1.0}, {"1"}):
+        with pytest.raises(TypeError):
+            NijenhuisTarget(4, frozenset(mask), 0, images)
+
+
 def test_universal_check_refuses_an_operator_that_fails_its_relation(ab, monkeypatch):
     # 2 is neither 0 nor λ = 1, so this diagonal operator is not a weight-1
     # Rota-Baxter operator, and the sanity check must refuse it before any pair

@@ -1,6 +1,6 @@
-"""Differential tests of the closed-form φ̃, its integer core (one
-(numerator, denominator) pair per coordinate), and the diagonal target
-operators.
+"""Differential tests of the closed-form φ̃, its integer core (integer
+numerators over one positive denominator, from the letter and operator
+stages), and the diagonal target operators.
 
 The reference is the letter-by-letter Horner evaluation
 φ(a₁)·N(φ(a₂)·N(…·N(φ(aₙ))…)) with the operators written as their defining
@@ -28,7 +28,7 @@ from nijalg import (
     universal_property_check,
 )
 from nijalg import operators
-from nijalg.operators import _phi_core
+from nijalg.operators import _letter_stage, _operator_stage
 from nijalg.suites import MASKS, RB_LAMBDAS, TAUS
 
 GENERATORS = ("a", "b", "c")
@@ -171,11 +171,18 @@ def test_phi_extend_rejects_operators_without_a_diagonal():
         phi_extend(target, x, make_n_tau(other))
 
 
+def _integer_core(target, operator):
+    """φ̃ in exact integers: the two stages, composed as ``phi_extend``
+    composes them, keeping their memos across calls."""
+    fold, letters = _operator_stage(target, operator), _letter_stage(target)
+    return lambda x: fold(letters(x))
+
+
 def _core_value(phi, x):
     """The integer core's value as a vector, after checking its form."""
-    pairs = phi(x)
-    assert all(type(p) is int and type(q) is int and q > 0 for p, q in pairs)
-    return VectorAlgebraElement(Fraction(p, q) for p, q in pairs)
+    nums, den = phi(x)
+    assert all(type(n) is int for n in nums) and type(den) is int and den > 0
+    return VectorAlgebraElement(Fraction(n, den) for n in nums)
 
 
 def _core_cases(mask, tau, lam):
@@ -209,7 +216,7 @@ def test_integer_core_matches_horner(mask, tau, lam):
     assert any(c.denominator > 1 for x in xs for _, c in x.iterterms())
     for make_op, ref in _core_cases(mask, tau, lam):
         op = make_op(target)
-        phi = _phi_core(target, op)
+        phi = _integer_core(target, op)
         for x in xs:
             want = ref_phi_extend(target, x, ref)
             assert _core_value(phi, x) == want
@@ -220,7 +227,7 @@ def test_integer_core_matches_horner(mask, tau, lam):
 def test_integer_core_errors():
     rng = random.Random(9)
     target = NijenhuisTarget(dim=4, mask=frozenset({0}), tau=1, images=_images(rng, 4))
-    phi = _phi_core(target, make_n_tau(target))
+    phi = _integer_core(target, make_n_tau(target))
     a = Monomial({"a": 1})
     with pytest.raises(EmptyWordTermError):
         phi(TensorElement([((a,), 1), ((), 2)]))
@@ -240,7 +247,7 @@ def test_each_target_gets_its_own_values(monkeypatch):
     assert first.images != second.images
     xs = _elements(rng, 10)
     ref = ref_n_tau(mask, tau)
-    phis = [(t, _phi_core(t, make_n_tau(t))) for t in (first, second, first)]
+    phis = [(t, _integer_core(t, make_n_tau(t))) for t in (first, second, first)]
     for target, phi in phis:
         for x in xs:
             assert _core_value(phi, x) == ref_phi_extend(target, x, ref)
@@ -302,6 +309,15 @@ def test_vector_arithmetic_matches_coercing_constructor():
                 want = VectorAlgebraElement(coords)
                 assert got == want and hash(got) == hash(want) and str(got) == str(want)
                 assert all(type(c) is Fraction for c in got.coords)
+
+
+def test_vector_power_refuses_a_non_integer_exponent():
+    # a float exponent would give float coordinates, (2.0, 0.5) here
+    u = VectorAlgebraElement([4, Fraction(1, 4)])
+    for exp in (0.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            u ** exp
+    assert u ** 2 == VectorAlgebraElement([16, Fraction(1, 16)])
 
 
 @pytest.mark.parametrize(

@@ -87,11 +87,9 @@ def ref_phi_extend(target, x, operator=None):
                 den *= q
             if num:
                 by_den[den] = by_den.get(den, 0) + num
-    return VectorAlgebraElement._trusted(
-        tuple(
-            sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
-            for by_den in sums
-        )
+    return VectorAlgebraElement(
+        sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
+        for by_den in sums
     )
 
 
@@ -333,6 +331,29 @@ def test_the_letter_stage_runs_once_per_element(masks, taus, monkeypatch):
     checked, _ = suites.rb_universal_sweep(6, 3, samples)
     assert checked == 2 * 2 * len(RB_LAMBDAS) * samples
     assert count[0] == (3 + len(RB_LAMBDAS)) * samples and len(stages) == 2
+
+
+@pytest.mark.parametrize("sweep", [suites.universal_sweep, suites.rb_universal_sweep])
+def test_a_passing_sweep_builds_no_fraction_per_sample(sweep, monkeypatch):
+    # φ̃ runs on integer numerators over one denominator, letter images
+    # included, so the Fractions a sweep builds (its images and targets) do
+    # not grow with its samples
+    original = Fraction.__new__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    counts = []
+    for samples in (1, 32):
+        built.clear()
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        checked, failures = sweep(6, 5, samples)
+        monkeypatch.undo()
+        assert checked > 0 and failures == []
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def _module_state(module):
