@@ -242,9 +242,10 @@ class _Parser:
             self.advance()
             if self.tok.kind != "NUM":
                 self.error("expected denominator", {"int"})
+            literal = self.tok
             den = self.parse_int()
             if den == 0:
-                self.error("zero denominator")
+                self.error("zero denominator", at=literal)
             return Fraction(num, den)
         return Fraction(num)
 
@@ -325,9 +326,10 @@ class _Parser:
             self.advance()
             if self.tok.kind != "NUM":
                 self.error("expected an exponent", {"int"})
+            literal = self.tok
             exp = self.parse_int()
             if exp < 1:
-                self.error("exponents must be positive")
+                self.error("exponents must be positive", at=literal)
         return name, exp
 
 

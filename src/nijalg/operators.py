@@ -89,10 +89,14 @@ class VectorAlgebraElement:
         return zip(self._nums, other._nums)
 
     def __add__(self, other: "VectorAlgebraElement") -> "VectorAlgebraElement":
+        if not isinstance(other, VectorAlgebraElement):
+            return NotImplemented
         p, q = self._den, other._den
         return self._reduced(tuple([a * q + b * p for a, b in self._zip(other)]), p * q)
 
     def __sub__(self, other: "VectorAlgebraElement") -> "VectorAlgebraElement":
+        if not isinstance(other, VectorAlgebraElement):
+            return NotImplemented
         p, q = self._den, other._den
         return self._reduced(tuple([a * q - b * p for a, b in self._zip(other)]), p * q)
 
@@ -248,25 +252,33 @@ def _letter_stage(target: NijenhuisTarget):
     The returned function maps an augmented element x = Σ c_w·w to a dict
     from each word length n of x to the sum Σ_{|w|=n} c_w·φ(a₁)⋯φ(aₙ), as
     (integer numerators, positive denominator), not necessarily in lowest
-    terms.  It keeps a memo of φ(letter), which lives as long as the caller
-    keeps the function.
+    terms.  It keeps a memo of φ(letter) and one of φ(a₁)⋯φ(aₙ) per word,
+    which live as long as the caller keeps the function.
     """
     letters = {}  # letter -> φ(letter)
+    words = {}  # word -> φ(a₁)⋯φ(aₙ) as (integer numerators, positive denominator)
 
     def sums(x: TensorElement) -> dict:
         by_len = {}  # n -> the sum over x's words of length n
         for word, numerator in x._terms.items():
-            if not word:
-                raise EmptyWordTermError("phi_extend is defined on the augmented module only")
-            nums, den = (numerator,) * target.dim, x._den
-            for mono in word:
-                image = letters.get(mono)
-                if image is None:
-                    image = letters[mono] = phi_monomial(target, mono)
-                nums = [a * b for a, b in zip(nums, image._nums)]
-                den *= image._den
+            value = words.get(word)
+            if value is None:
+                if not word:
+                    raise EmptyWordTermError("phi_extend is defined on the augmented module only")
+                nums, den = (1,) * target.dim, 1
+                for mono in word:
+                    image = letters.get(mono)
+                    if image is None:
+                        image = letters[mono] = phi_monomial(target, mono)
+                    nums = [a * b for a, b in zip(nums, image._nums)]
+                    den *= image._den
+                value = words[word] = nums, den
+            nums, den = value
+            if numerator != 1:
+                nums = [numerator * a for a in nums]
+            term = nums, den * x._den
             n = len(word)
-            by_len[n] = _sum(by_len[n], (nums, den)) if n in by_len else (nums, den)
+            by_len[n] = _sum(by_len[n], term) if n in by_len else term
         return by_len
 
     return sums
@@ -345,33 +357,79 @@ def _universal_check(target, pairs, checks) -> list:
     (multiplicative, intertwining) pair per input pair, ``None`` for a check
     that holds.  Every operator must first pass its sanity check.
 
-    φ̃ runs in its two stages.  One ``_letter_stage``, made here and dropped
-    on return, serves every check: it runs once per element of each pair,
-    on x, y and B⁺ₑx, and on product(x, y) once per distinct product.  Each
-    operator's ``_operator_stage`` then folds those sums with its own
-    diagonal, which is exact because every operator is diagonal on the
-    commutative K^d.  φ̃(product(x, y)) is compared with φ̃(x)·φ̃(y), and
-    φ̃(B⁺ₑx) with d·φ̃(x), in integers by ``_product_defect``."""
-    folds = []
+    Every operator is diagonal on the commutative K^d, so coordinate i of a
+    check depends only on its product, i and the entry dᵢ.  Before the pair
+    loop, each diagonal becomes (i, p, q) points, dᵢ = p/q in lowest terms,
+    numbered once across all checks.  One ``_letter_stage``, made here and
+    dropped on return, runs once per element of each pair: on x, y and
+    B⁺ₑx, and on product(x, y) once per distinct product.  ``_at_points``
+    then evaluates φ̃ᵢ of x, y and B⁺ₑx once per point, and φ̃ᵢ(product(x,
+    y)) once per point of that product's checks.  At each point φ̃ᵢ(B⁺ₑx) is
+    compared with dᵢ·φ̃ᵢ(x), a verdict that every product shares, and
+    φ̃ᵢ(product(x, y)) with φ̃ᵢ(x)·φ̃ᵢ(y), in integers.  A check holds when
+    all its points do; only a failing check runs its ``_operator_stage``
+    and ``_product_defect`` for its defect vectors."""
+    numbers = {}  # each distinct point (i, p, q) -> its number, in order
+    products = {}  # product -> the bits of its checks' points
+    plan = []  # per check: (its product, its points' bits, its fold, d)
     for product, operator, relation in checks:
         _operator_sanity(operator, relation)
-        diagonal = operator.diagonal
-        folds.append(
-            (product, _operator_stage(target, operator), (diagonal._nums, diagonal._den))
-        )
+        fold = _operator_stage(target, operator)
+        nums, den = operator.diagonal._nums, operator.diagonal._den
+        bits = 0
+        for i, num in enumerate(nums):
+            common = gcd(num, den)
+            bits |= 1 << numbers.setdefault((i, num // common, den // common), len(numbers))
+        products[product] = products.get(product, 0) | bits
+        plan.append((product, bits, fold, (nums, den)))
+    points = list(numbers)
+    own = []  # per distinct product: it, the numbers of its points, the points
+    for product, bits in products.items():
+        numbered = [k for k in range(len(points)) if bits >> k & 1]
+        own.append((product, numbered, [points[k] for k in numbered]))
     letters = _letter_stage(target)
-    results = [[] for _ in folds]
+    results = [[] for _ in plan]
     for x, y in pairs:
         sx, sy, sbx = letters(x), letters(y), letters(b_plus(x))
-        by_product = {}  # product -> the letter sums of product(x, y)
-        for (product, fold, diagonal), defects in zip(folds, results):
-            sxy = by_product.get(product)
-            if sxy is None:
-                sxy = by_product[product] = letters(product(x, y))
-            phix = fold(sx)
-            mult = _product_defect(fold(sxy), phix, fold(sy))
-            defects.append((mult, _product_defect(fold(sbx), diagonal, phix)))
+        vx, vy, vbx = _at_points(sx, points), _at_points(sy, points), _at_points(sbx, points)
+        twine = 0  # the bits of the points where φ̃ᵢ(B⁺ₑx) ≠ dᵢ·φ̃ᵢ(x)
+        for k, (_, p, q) in enumerate(points):
+            (a, b), (c, e) = vbx[k], vx[k]
+            if a * q * e != p * c * b:
+                twine |= 1 << k
+        sums, failing = {}, {}  # product -> its letter sums, its failing bits
+        for product, numbered, its_points in own:
+            sxy = sums[product] = letters(product(x, y))
+            mult = twine
+            for k, (a, b) in zip(numbered, _at_points(sxy, its_points)):
+                (c, e), (f, g) = vx[k], vy[k]
+                if a * e * g != c * f * b:
+                    mult |= 1 << k
+            failing[product] = mult
+        for (product, bits, fold, diagonal), defects in zip(plan, results):
+            if failing[product] & bits:
+                phix = fold(sx)
+                mult = _product_defect(fold(sums[product]), phix, fold(sy))
+                defects.append((mult, _product_defect(fold(sbx), diagonal, phix)))
+            else:
+                defects.append((None, None))
     return results
+
+
+def _at_points(sums: dict, points) -> list:
+    """φ̃ᵢ of an element at each (i, p, q) of ``points``, for an operator
+    whose diagonal entry dᵢ is p/q, q > 0, from the element's letter-stage
+    ``sums``: φ̃ᵢ = Σ_n dᵢ^(n-1)·S_n[i], one (integer numerator, positive
+    denominator) pair per point, not necessarily in lowest terms."""
+    terms = [(n - 1, nums, den) for n, (nums, den) in sums.items()]
+    values = []
+    for i, p, q in points:
+        num, den = 0, 1
+        for k, nums, d in terms:
+            a, b = nums[i] * p ** k, d * q ** k
+            num, den = num * b + a * den, den * b
+        values.append((num, den))
+    return values
 
 
 def _product_defect(w, u, v):
@@ -425,19 +483,19 @@ def rb_universal_check(lams, targets, pairs) -> list:
     ``lams`` is one weight, or a list or tuple of them, and ``targets`` one
     target or a sequence sharing one image map.  If either is a sequence,
     the result is one defect list per (target, λ), targets outer, and the
-    letter stage of x ⊡ y at each weight serves every target."""
+    letter stage of x ⊡ y at each distinct weight serves every target."""
     one_weight = not isinstance(lams, (list, tuple))
     many = not one_weight or not isinstance(targets, NijenhuisTarget)
     lams = [Fraction(exact(lam)) for lam in ((lams,) if one_weight else lams)]
     targets = _sharing_images(targets)
-    products = [lambda x, y, lam=lam: aug_quasi_shuffle(x, y, lam) for lam in lams]
+    products = {lam: lambda x, y, lam=lam: aug_quasi_shuffle(x, y, lam) for lam in lams}
     checks = []
     for target in targets:
-        for lam, product in zip(lams, products):
+        for lam in lams:
             operator = target.scaled_projection(lam)
             relation = lambda x, y, operator=operator, lam=lam: rota_baxter_defect(
                 operator, vec_mul, lam, x, y
             )
-            checks.append((product, operator, relation))
+            checks.append((products[lam], operator, relation))
     defects = _universal_check(targets[0], pairs, checks)
     return defects if many else defects[0]

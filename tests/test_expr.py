@@ -75,6 +75,20 @@ def test_parse_errors():
         parse_expr("a^0")
 
 
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("3/0 a", "1:3", "zero denominator"),
+        ("a^0 + b", "1:3", "exponents must be positive"),
+        ("[a b^0]", "1:6", "exponents must be positive"),
+    ],
+)
+def test_a_bad_literal_is_reported_at_its_own_token(text, where, message):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text)
+    assert str(err.value) == f"{where}: {message}"
+
+
 def test_eval_examples(ab):
     a, b = ab
     assert str(eval_expr(parse_expr("a * b"), 1)) == "-[a b] + a.b + b.a"

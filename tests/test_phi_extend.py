@@ -338,3 +338,18 @@ def test_vector_arithmetic_refuses_mismatched_dimensions(combine):
                 combine(left, right)
     u = VectorAlgebraElement([1, 2, 3])
     assert combine(u, u) == VectorAlgebraElement([combine(a, a) for a in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), None, (1, 2, 3)])
+def test_vector_sums_refuse_a_non_vector_operand(other):
+    # a scalar scales a vector, but is not added to one: both sides of + and
+    # - raise TypeError, not an AttributeError from inside the sum
+    u = VectorAlgebraElement([1, 2, 3])
+    for combine in (
+        lambda: u + other,
+        lambda: other + u,
+        lambda: u - other,
+        lambda: other - u,
+    ):
+        with pytest.raises(TypeError):
+            combine()

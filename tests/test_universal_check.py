@@ -14,6 +14,12 @@ The sweeps check every target of a sample against one shared letter stage
 of φ̃; their failure records are compared with the per-target reference
 over the same sample, the letter stage's evaluations are counted, and no
 state of it may outlive a sweep.
+
+Every target is diagonal, so a check is decided at its (coordinate,
+diagonal entry) points, which targets share.  Drawn families whose entries
+repeat are compared with the reference record by record, under mutants
+that hold at some entries and fail at others, and the points at which each
+element is evaluated are counted.
 """
 
 import copy
@@ -21,9 +27,11 @@ import gc
 import json
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nijalg import (
     EmptyWordTermError,
@@ -97,7 +105,7 @@ def ref_pairs(v):
     return tuple([(c.numerator, c.denominator) for c in v.coords])
 
 
-def ref_universal_check(target, pairs, product, operator, label, relation):
+def ref_universal_check(target, pairs, product, operator, label, relation, bplus=b_plus):
     _operator_sanity(operator, relation)
     records = []
     for x, y in pairs:
@@ -105,7 +113,7 @@ def ref_universal_check(target, pairs, product, operator, label, relation):
         phix = ref_phi_extend(target, x, operator)
         phiy = ref_phi_extend(target, y, operator)
         mult = ref_phi_extend(target, product(x, y), operator) - phix * phiy
-        twine = ref_phi_extend(target, b_plus(x), operator) - operator(phix)
+        twine = ref_phi_extend(target, bplus(x), operator) - operator(phix)
         for check, defect in (("multiplicative", mult), ("intertwine", twine)):
             records.append(
                 {"inputs": inputs, "check": check, "defect": str(defect), "pass": not defect}
@@ -113,7 +121,7 @@ def ref_universal_check(target, pairs, product, operator, label, relation):
     return records
 
 
-def ref_nijenhuis_records(target, pairs, product):
+def ref_nijenhuis_records(target, pairs, product, bplus=b_plus):
     operator = make_n_tau(target)
     return ref_universal_check(
         target,
@@ -122,10 +130,11 @@ def ref_nijenhuis_records(target, pairs, product):
         operator,
         f"tau={target.tau}",
         lambda x, y: nijenhuis_defect(operator, vec_mul, x, y),
+        bplus,
     )
 
 
-def ref_rota_baxter_records(lam, target, pairs, product):
+def ref_rota_baxter_records(lam, target, pairs, product, bplus=b_plus):
     operator = target.scaled_projection(lam)
     return ref_universal_check(
         target,
@@ -134,6 +143,7 @@ def ref_rota_baxter_records(lam, target, pairs, product):
         operator,
         f"lambda={lam}",
         lambda x, y: rota_baxter_defect(operator, vec_mul, lam, x, y),
+        bplus,
     )
 
 
@@ -414,3 +424,146 @@ def test_targets_checked_together_share_one_image_map():
             rb_universal_check(1, targets, pairs)
     with pytest.raises(ValueError, match="no target"):
         universal_property_check([], pairs)
+
+
+def _counting_points(mp, calls):
+    """Rebind ``operators._at_points`` so that each call records the points
+    it evaluates, each as (coordinate, diagonal entry)."""
+    original = operators._at_points
+
+    def at_points(sums, points):
+        calls.append([(i, Fraction(p, q)) for i, p, q in points])
+        return original(sums, points)
+
+    mp.setattr(operators, "_at_points", at_points)
+
+
+def _points(operator):
+    """The (coordinate, entry) points of a diagonal operator."""
+    return frozenset(enumerate(operator.diagonal.coords))
+
+
+def _evaluations(calls):
+    """The evaluations, one multiset entry per call; no call repeats a point."""
+    for points in calls:
+        assert len(set(points)) == len(points)
+    return Counter(frozenset(points) for points in calls)
+
+
+def plus_b_plus_terms(product):
+    """product + B⁺ₑ(product + B⁺ₑ(product)): φ̃ᵢ of it is
+    (1 + dᵢ + dᵢ²)·φ̃ᵢ(product), so the mutant holds only where dᵢ is 0 or
+    −1 (at dᵢ = 0 only length-1 words count, and B⁺ₑ makes none).  Its
+    B⁺ₑ counterpart, B⁺ₑx + B⁺ₑB⁺ₑx, holds only where dᵢ is 0."""
+    return lambda *args: (lambda z: z + b_plus(z + b_plus(z)))(product(*args))
+
+
+# name -> (⊠, ⊡, B⁺ₑ) as the checks see them: the real ones, and mutants
+# that fail at some diagonal entries and hold at others
+ENTRY_MUTANTS = {
+    "real": (aug_mod_quasi_shuffle, aug_quasi_shuffle, b_plus),
+    "product plus B+ terms": (
+        plus_b_plus_terms(aug_mod_quasi_shuffle),
+        plus_b_plus_terms(aug_quasi_shuffle),
+        b_plus,
+    ),
+    "B+ plus B+B+": (
+        aug_mod_quasi_shuffle,
+        aug_quasi_shuffle,
+        lambda x: b_plus(x) + b_plus(b_plus(x)),
+    ),
+}
+# N_τ has entries 1 on the mask and −τ off it, λ·R has λ on the mask and 0
+# off it, so the entries repeat across coordinates and targets
+ENTRY_MASKS = (frozenset(), frozenset({0}), frozenset({1, 3}), frozenset(range(4)))
+ENTRY_TAUS = (Fraction(0), Fraction(1), Fraction(-2), Fraction(5, 3))
+ENTRY_LAMBDAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    name=st.sampled_from(sorted(ENTRY_MUTANTS)),
+    seed=st.integers(0, 2**16),
+    family=st.lists(
+        st.tuples(st.sampled_from(ENTRY_MASKS), st.sampled_from(ENTRY_TAUS)),
+        min_size=1,
+        max_size=5,
+    ),
+    lams=st.lists(st.sampled_from(ENTRY_LAMBDAS), min_size=1, max_size=4),
+)
+# targets whose entries all lie where a mutant holds, beside targets with
+# one entry where it fails: per-point verdicts and fallbacks both run
+@example(
+    name="product plus B+ terms",
+    seed=4,
+    family=[(frozenset(), 0), (frozenset(), 1), (frozenset({1, 3}), 1), (frozenset(), 0)],
+    lams=[0, -1, 1, 0],
+)
+@example(
+    name="B+ plus B+B+",
+    seed=4,
+    family=[(frozenset(), 0), (frozenset({0}), 0), (frozenset({1, 3}), 1), (frozenset(), 0)],
+    lams=[0, 2, 0],
+)
+def test_targets_sharing_diagonal_entries_match_the_fraction_reference(
+    name, seed, family, lams
+):
+    # duplicate targets and weights included: every record is the
+    # per-target reference's, and each point is evaluated once per pair
+    amq, aqs, bplus = ENTRY_MUTANTS[name]
+    rng = random.Random(seed)
+    images, pairs = random_images(rng), _pairs(rng)
+    targets = [NijenhuisTarget(4, mask, tau, images) for mask, tau in family]
+    calls, folded = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "aug_mod_quasi_shuffle", amq)
+        mp.setattr(operators, "aug_quasi_shuffle", aqs)
+        mp.setattr(operators, "b_plus", bplus)
+        _counting_points(mp, calls)
+        product_defect = operators._product_defect
+        mp.setattr(
+            operators,
+            "_product_defect",
+            lambda *args: folded.append(args) or product_defect(*args),
+        )
+        nijenhuis = universal_property_check(targets, pairs)
+        nijenhuis_calls = calls[:]
+        calls.clear()
+        rota_baxter = rb_universal_check(lams, targets, pairs)
+    # only a failing check, one with a defect, runs the folds and defects
+    assert len(folded) == 2 * sum(
+        pair != (None, None) for defects in nijenhuis + rota_baxter for pair in defects
+    )
+    for target, defects in zip(targets, nijenhuis, strict=True):
+        reference = ref_nijenhuis_records(target, pairs, amq, bplus)
+        _agree(target, pairs, f"tau={target.tau}", defects, reference)
+    params = [(target, lam) for target in targets for lam in lams]
+    for (target, lam), defects in zip(params, rota_baxter, strict=True):
+        reference = ref_rota_baxter_records(lam, target, pairs, aqs, bplus)
+        _agree(target, pairs, f"lambda={lam}", defects, reference)
+    # per pair: x, y and B+x once at each distinct (coordinate, entry), and
+    # product(x, y) once at each of its product's
+    shared = frozenset().union(*[_points(make_n_tau(t)) for t in targets])
+    assert _evaluations(nijenhuis_calls) == Counter({shared: 4 * len(pairs)})
+    by_lam = {
+        lam: frozenset().union(*[_points(t.scaled_projection(lam)) for t in targets])
+        for lam in lams
+    }
+    shared = frozenset().union(*by_lam.values())
+    want = Counter({shared: 3 * len(pairs)})
+    for points in by_lam.values():
+        want[points] += len(pairs)
+    assert _evaluations(calls) == want
+
+
+def test_the_sweeps_evaluate_each_point_once(monkeypatch):
+    # the 16 N_τ targets have 20 distinct (coordinate, entry) points, and
+    # the 6 λ·R targets 12, of which the three products use 4, 6 and 6
+    calls = []
+    _counting_points(monkeypatch, calls)
+    samples = 5
+    suites.universal_sweep(6, 2, samples)
+    assert sorted(map(len, calls)) == [20] * 4 * samples
+    calls.clear()
+    suites.rb_universal_sweep(6, 2, samples)
+    assert sorted(map(len, calls)) == sorted([12] * 3 * samples + [4, 6, 6] * samples)
