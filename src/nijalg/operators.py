@@ -400,12 +400,12 @@ def _universal_check(target, pairs, checks) -> list:
         sums, failing = {}, {}  # product -> its letter sums, its failing bits
         for product, numbered, its_points in own:
             sxy = sums[product] = letters(product(x, y))
-            mult = twine
+            bad = twine
             for k, (a, b) in zip(numbered, _at_points(sxy, its_points)):
                 (c, e), (f, g) = vx[k], vy[k]
                 if a * e * g != c * f * b:
-                    mult |= 1 << k
-            failing[product] = mult
+                    bad |= 1 << k
+            failing[product] = bad
         for (product, bits, fold, diagonal), defects in zip(plan, results):
             if failing[product] & bits:
                 phix = fold(sx)
