@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 import weakref
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
@@ -176,3 +177,33 @@ def accumulate(acc: dict, items: Iterable) -> dict:
             continue
         acc[key] = coeff
     return acc
+
+
+class Record(tuple):
+    """An immutable tuple of named ``_fields``, equal only to records of its type."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields):
+        return tuple.__new__(cls, fields)
+
+    def __getnewargs__(self):  # copy and unpickling call the constructor
+        return tuple(self)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__  # the inverse of __eq__, where tuple's compares items alone
+    __hash__ = tuple.__hash__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+
+def record_class(name: str, *fields: str) -> type:
+    """A slotted ``Record`` subclass, in the caller's module, with these fields."""
+    namespace = {field: property(operator.itemgetter(i)) for i, field in enumerate(fields)}
+    module = sys._getframe(1).f_globals["__name__"]
+    namespace.update(__slots__=(), _fields=fields, __module__=module)
+    return type(name, (Record,), namespace)

@@ -20,19 +20,20 @@ token stream that lexes only as far as the parser reads: input the parser
 rejects, say past MAX_NESTING, is read only up to that point.  A token
 holds its offset, and an error turns the offset into a line and column.
 
-An operator node's tag is the operator as written: one of ``BINOPS`` for a
-``BinOp``, 'B+' or 'B-' for a ``UnaryOp``.  The parser stores the token's
-text, the printer writes the tag, and the evaluator looks the tag up.
+The AST nodes are slotted, immutable ``base.Record`` tuples of their fields,
+compared and hashed by type and fields.  An operator node's tag is the
+operator as written: one of ``BINOPS`` for a ``BinOp``, 'B+' or 'B-' for a
+``UnaryOp``.  The parser stores the token's text, the printer writes the
+tag, and the evaluator looks the tag up.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .base import MONO_UNIT, Monomial, exact
+from .base import MONO_UNIT, Monomial, exact, record_class
 from .dendriform import DendriformContext
 from .errors import EmptyWordTermError, ExprSyntaxError, ReservedSymbolError
 from .products import (
@@ -48,42 +49,12 @@ from .tensor import TensorElement, Word, b_minus, b_plus, word_str
 BINOPS = ("*", "sh", "#", "@", "%", "<", ">", "&")
 
 
-@dataclass(frozen=True)
-class WordLit:
-    word: Word
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Scale:
-    coeff: Fraction
-    child: "Node"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    tag: str
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class UnaryOp:
-    tag: str
-    child: "Node"
-
-
+WordLit = record_class("WordLit", "word")
+Add = record_class("Add", "left", "right")
+Sub = record_class("Sub", "left", "right")
+Scale = record_class("Scale", "coeff", "child")
+BinOp = record_class("BinOp", "tag", "left", "right")
+UnaryOp = record_class("UnaryOp", "tag", "child")
 Node = Union[WordLit, Add, Sub, Scale, BinOp, UnaryOp]
 
 

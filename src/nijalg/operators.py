@@ -10,13 +10,12 @@ the Nijenhuis operator N_τ = R - τ(1 - R).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 from typing import Callable, Iterable, Mapping, Tuple
 
-from .base import Monomial, check_generator, exact
+from .base import Monomial, check_generator, exact, record_class
 from .errors import EmptyWordTermError, UnmappedGeneratorError
 from .products import aug_mod_quasi_shuffle, aug_quasi_shuffle
 from .tensor import TensorElement, Word, b_plus, fold_letters
@@ -144,30 +143,28 @@ def vec_mul(x: VectorAlgebraElement, y: VectorAlgebraElement) -> VectorAlgebraEl
     return x * y
 
 
-@dataclass(frozen=True)
-class NijenhuisTarget:
+class NijenhuisTarget(record_class("NijenhuisTarget", "dim", "mask", "tau", "images")):
     """A concrete commutative target algebra K^dim for universal-property tests.
 
     ``mask`` selects the coordinates kept by the projection R (0-based); R is
     an idempotent Rota-Baxter operator of weight 1, so N_τ = R - τ(1-R) is an
     associative Nijenhuis operator.  ``images`` maps generator names to their
     values under the homomorphism φ, which extends multiplicatively to
-    monomials with φ(e) the unit vector.
+    monomials with φ(e) the unit vector.  A target keeps checked copies of both.
     """
 
-    dim: int
-    mask: frozenset
-    tau: Fraction
-    images: Mapping[str, VectorAlgebraElement]
+    __slots__ = ()
+    __hash__ = None  # images is a dict
 
-    def __post_init__(self):
-        if not all(0 <= index(i) < self.dim for i in self.mask):
+    def __new__(cls, dim: int, mask: frozenset, tau: Fraction, images: Mapping):
+        if not all(0 <= index(i) < dim for i in mask):
             raise ValueError("projection mask out of range")
-        for name, vec in self.images.items():
+        images = dict(images)
+        for name, vec in images.items():
             check_generator(name)
-            if vec.dim != self.dim:
+            if vec.dim != dim:
                 raise ValueError(f"image of {name!r} has wrong dimension")
-        object.__setattr__(self, "tau", Fraction(exact(self.tau)))
+        return super().__new__(cls, dim, frozenset(mask), Fraction(exact(tau)), images)
 
     def masked_diagonal(self, on, off) -> VectorAlgebraElement:
         """The vector that is ``on`` at the mask's coordinates, ``off`` elsewhere."""

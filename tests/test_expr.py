@@ -1,5 +1,6 @@
 """Expression grammar: parser, printer round-trip, and evaluation."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -176,6 +177,25 @@ def test_printer_parser_round_trip():
     for _ in range(1000):
         ast = random_ast(rng, 4)
         assert parse_expr(to_text(ast)) == ast
+
+
+def test_nodes_are_immutable_values_of_their_type(ab):
+    # the round-trip asserts compare ASTs with ==, so == must see node types
+    a, b = ab
+    x, y = WordLit((a,)), WordLit((b,))
+    assert Add(x, y) != Sub(x, y) and not Add(x, y) == Sub(x, y)
+    assert x != ((a,),) and ((a,),) != x
+    same = Add(WordLit((a,)), WordLit((b,)))
+    assert same == Add(x, y) and hash(same) == hash(Add(x, y)) and Add(y, x) != same
+    node = BinOp("*", Scale(Fraction(2), x), UnaryOp("B+", y))
+    assert repr(node) == (
+        "BinOp(tag='*', left=Scale(coeff=Fraction(2, 1), child=WordLit(word=(Monomial(a),))), "
+        "right=UnaryOp(tag='B+', child=WordLit(word=(Monomial(b),))))"
+    )
+    assert pickle.loads(pickle.dumps(node)) == node
+    for field in ("tag", "left", "right"):
+        with pytest.raises(AttributeError):
+            setattr(node, field, x)
 
 
 def _same_binop_chain(x, y):

@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses
-or a module outside the standard library, every definition has a caller
-outside the tests, and the README names every check suite and infix
-product.
+or a module outside the standard library, importing the package loads no
+code-generation module, every definition has a caller outside the tests,
+and the README names every check suite and infix product.
 
 No linter is part of the toolchain, so this parses each module with ``ast``
 instead.  ``__init__.py`` is skipped: its imports are the package's exports.
@@ -10,6 +10,7 @@ An import line marked ``# noqa: F401`` is kept on purpose and is skipped too.
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -91,6 +92,18 @@ def test_non_stdlib_import_is_detected():
         "def f():\n    import attr\n"
     )
     assert non_stdlib_imports(source) == [(2, "numpy"), (5, "sympy.core"), (7, "attr")]
+
+
+def test_import_loads_no_code_generation_modules():
+    # every CLI run starts a fresh interpreter; dataclasses builds each class
+    # by exec and loads the other four, which nijalg does not use.  -S leaves
+    # out site, whose imports differ between hosts.
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import nijalg, nijalg.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 
 # the definitions only tests call, each kept for a reason

@@ -271,6 +271,27 @@ def test_target_mask_entries_are_coordinate_indices():
             NijenhuisTarget(4, frozenset(mask), 0, images)
 
 
+def test_target_keeps_checked_copies_of_its_inputs(ab):
+    a, _ = ab
+    images, mask = {"a": VectorAlgebraElement([1, 2, 3, 4])}, {0, 1}
+    target = NijenhuisTarget(4, mask, 1, images)
+    # the caller's containers change after the checks; the target must not
+    images["a"] = VectorAlgebraElement([1, 2])
+    mask.add(7)
+    assert target.images == {"a": VectorAlgebraElement([1, 2, 3, 4])} and target.mask == {0, 1}
+    assert universal_property_check(target, [(te(a), te(a, a))]) == [(None, None)]
+
+
+def test_target_is_an_unhashable_immutable_value():
+    target = _target({0}, 1)
+    assert target == NijenhuisTarget(4, frozenset({0}), Fraction(1), dict(target.images))
+    assert target != _target({0}, 2)
+    with pytest.raises(AttributeError):
+        target.tau = Fraction(2)
+    with pytest.raises(TypeError, match="unhashable type: 'NijenhuisTarget'"):
+        hash(target)
+
+
 def test_universal_check_refuses_an_operator_that_fails_its_relation(ab, monkeypatch):
     # 2 is neither 0 nor λ = 1, so this diagonal operator is not a weight-1
     # Rota-Baxter operator, and the sanity check must refuse it before any pair
