@@ -8,8 +8,10 @@ products are kept in memos, dicts keyed by (word, word, λ) that never change
 results; λ enters as an ``int`` when it is integral, however it was given
 (1, Fraction(1), "2/2"), and otherwise as the int pair (p, q) of λ = p/q in
 lowest terms (Fraction(2, 3), "4/6"), so no ``Fraction`` is hashed.  The
-elements hold integer numerators over a shared denominator, and the merge
-term is scaled by p/q in ints: every product runs on ints.  Three one-step
+elements hold integer numerators over a shared denominator, and every
+product runs on ints: each term of u ∘ v carries at most min(|u|, |v|)
+merges (Hoffman), so the product is integral over q^min(|u|, |v|), and
+each grid cell is summed in one pass over that denominator.  Three one-step
 terms of aU ∘ bV are memoized the same way and read through
 ``_term_product``: ``head`` [ab](U ∘ V) beside each recursion ∘, read by
 ⊡, the dendriform • and ⊠, and ``_qsh.lead`` a(U * bV), read by ≺ and,
@@ -83,6 +85,13 @@ def _rows(memo: _Memo, merge_prefix: Word, w1: Word, w2: Word, lam) -> TensorEle
     two lists, from 1 ∘ v = v and u ∘ 1 = u; a stored pair reads each other
     cell from ``memo`` if it is there and stores the cells it computes, and a
     longer pair touches no dict and runs its rows along the shorter word.
+
+    At λ = p/q a cell is integral over D = q^min(m - i, n - j), its most
+    merges, and so are its three neighbours.  Its terms are summed in one
+    dict from their numerators, each scaled to D: a· the cell below, b· the
+    cell to its right, and -p·merge_prefix[ab]· the cell diagonally below,
+    whose denominator divides D/q.  The dict is wrapped once, reduced to
+    lowest terms when D > 1; at an integral λ, D = 1 and no gcd is taken.
     """
     if not w1 or not w2:
         return TensorElement._trusted({w1 or w2: 1})
@@ -94,19 +103,28 @@ def _rows(memo: _Memo, merge_prefix: Word, w1: Word, w2: Word, lam) -> TensorEle
             return known
     elif m < n:
         w1, w2, m, n = w2, w1, n, m  # both recursions commute
+    p, q = lam if type(lam) is tuple else (lam, 1)
     below = [TensorElement._trusted({w2[j:]: 1}) for j in range(n + 1)]
     for i in range(m - 1, -1, -1):
         u = w1[i:]
-        a = u[0]
+        a = (u[0],)
         row = [None] * n + [TensorElement._trusted({u: 1})]
         for j in range(n - 1, -1, -1):
             out = memo.get((u, w2[j:], lam)) if stored else None
             if out is None:
-                b = w2[j]
-                out = below[j].prepend(a) + row[j + 1].prepend(b)
-                if lam:
-                    merged = below[j + 1].prepend(*merge_prefix, a * b)
-                    out = out - (merged._scaled(*lam) if type(lam) is tuple else lam * merged)
+                den = q ** min(m - i, n - j)
+                left, right = below[j], row[j + 1]
+                k = den // left._den
+                acc = {a + w: k * c for w, c in left._terms.items()}  # distinct words
+                b = (w2[j],)
+                k = den // right._den
+                accumulate(acc, [(b + w, k * c) for w, c in right._terms.items()])
+                if p:
+                    diag = below[j + 1]
+                    merged = (*merge_prefix, a[0] * b[0])
+                    k = -p * (den // (q * diag._den))
+                    accumulate(acc, [(merged + w, k * c) for w, c in diag._terms.items()])
+                out = TensorElement._trusted(acc) if den == 1 else TensorElement._reduced(acc, den)
                 if stored:
                     memo[u, w2[j:], lam] = out
             row[j] = out
@@ -134,6 +152,8 @@ _qsh.lead = _Memo(lambda w1, w2, lam: _rows(_qsh, (), w1[1:], w2, lam).prepend(w
 
 def _weight(lam):
     """λ as the memos key it: an ``int`` when integral, else its (p, q) pair of ints."""
+    if type(lam) is int:
+        return lam
     lam = exact(lam)
     return lam if type(lam) is int else (lam.numerator, lam.denominator)
 
@@ -180,9 +200,8 @@ def _bilinear(memo: _Memo, lam, x: TensorElement, y: TensorElement) -> TensorEle
 def _term_product(memo: _Memo, name: str, x: TensorElement, y: TensorElement, lam) -> TensorElement:
     """The bilinear extension to x ⊗ y of ``memo``, a memoized one-step term,
     at weight λ; ``name`` is the operation named when a factor is not augmented."""
-    for factor in (x, y):
-        if not factor.is_augmented():
-            raise EmptyWordTermError(f"{name} is defined on the augmented module only")
+    if () in x._terms or () in y._terms:
+        raise EmptyWordTermError(f"{name} is defined on the augmented module only")
     return _bilinear(memo, _weight(lam), x, y)
 
 

@@ -136,6 +136,8 @@ class TensorElement:
             return self._hash
 
     def __add__(self, other):
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         den = self._den
         if den == other._den:
             acc = accumulate(dict(self._terms), other._terms.items())
@@ -152,6 +154,8 @@ class TensorElement:
         return self._trusted({word: -n for word, n in self._terms.items()}, self._den)
 
     def __sub__(self, other):
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         if self._terms == other._terms and self._den == other._den:
             # the common outcome of an identity check
             return self._trusted({})

@@ -26,7 +26,7 @@ from nijalg import (
 from nijalg.expr import eval_expr, parse_expr
 from nijalg.oracle import mixed_shuffle, mod_quasi_shuffle_oracle
 from nijalg.products import MAX_STORED_LETTERS, _mqsh, _qsh, clear_caches
-from conftest import in_exact_form, product_memos, te, words_over
+from conftest import count_calls, in_exact_form, product_memos, te, words_over
 
 LAMBDAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))
 
@@ -440,3 +440,23 @@ def test_a_stored_unit_product_stands_for_no_other_pair(ab):
     product = quasi_shuffle(te(a), te(*v), 2)
     assert _qsh.cache_info().misses == before.misses + 1
     assert product == mixed_shuffle((a,), v, 2)
+
+
+@pytest.mark.parametrize("lam", [0, 1, -1, Fraction(2, 3)])
+@pytest.mark.parametrize("product", [quasi_shuffle, mod_quasi_shuffle])
+def test_grid_cells_are_built_without_element_arithmetic(ab, monkeypatch, product, lam):
+    # each cell's terms are summed in one pass from its three neighbours'
+    # numerators, never through a prepend, a sum or a scaling of elements
+    a, b = ab
+    u, v = (a, b, a), (b, MONO_UNIT, a * b)
+    expected = (mixed_shuffle if product is quasi_shuffle else mod_quasi_shuffle_oracle)(u, v, lam)
+    x, y = te(*u), te(*v)
+    calls = [
+        count_calls(monkeypatch, TensorElement, name)
+        for name in ("prepend", "__add__", "__sub__", "_scaled")
+    ]
+    clear_caches()
+    result = product(x, y, lam)
+    monkeypatch.undo()
+    assert calls == [[], [], [], []]
+    assert result == expected

@@ -311,3 +311,37 @@ def test_products_do_not_depend_on_what_the_memos_hold(u, v, lam, data):
         misses = sum(memo.cache_info().misses for memo in product_memos())
         assert operation(te(u), te(v)) == expected == oracle(u, v)
         assert sum(memo.cache_info().misses for memo in product_memos()) - misses <= 1
+
+
+# words with at least one unit letter e, whose merges [ab] can meet the
+# letters a and b themselves and cancel against them
+words_with_e = st.tuples(st.lists(letters, max_size=3), st.integers(0, 3)).map(
+    lambda drawn: tuple(drawn[0][: drawn[1]] + [MONO_UNIT] + drawn[0][drawn[1] :])
+)
+# λ = p/q with q > 1 and either sign of p: every grid cell has a denominator
+proper_fractions = st.tuples(
+    st.integers(-4, 4).filter(bool), st.integers(2, 5)
+).map(lambda pq: Fraction(*pq)).filter(lambda lam: lam.denominator > 1)
+
+
+@SETTINGS
+@given(words_with_e, words_with_e, proper_fractions)
+def test_every_stored_grid_cell_is_canonical_and_matches_the_oracle(u, v, lam):
+    # the cells inside each grid, not only its top result: every value the
+    # memos hold is in lowest terms and equals the oracle product of its key
+    oracles = {id(products._qsh): mixed_shuffle, id(products._mqsh): mod_quasi_shuffle_oracle}
+    products.clear_caches()
+    quasi_shuffle(te(u), te(v), lam)
+    mod_quasi_shuffle(te(u), te(v), lam)
+    cells = 0
+    for memo in product_memos():
+        oracle = oracles.get(id(memo))
+        if oracle is None:  # the ⊡, ⊠ and ≺ terms, which neither product reads
+            assert not memo
+            continue
+        for (w1, w2, weight), cell in memo.items():
+            assert weight == (lam.numerator, lam.denominator)
+            assert_canonical(cell)
+            assert cell == oracle(w1, w2, lam)
+            cells += 1
+    assert cells == 2 * len(u) * len(v)  # every nonempty suffix pair, once per product

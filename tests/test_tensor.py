@@ -176,3 +176,18 @@ def test_scaling_to_an_integer_stores_an_int(ab):
     assert dict(x.iterterms()) == {(a, b): 1, (b,): 2}
     assert all(type(c) is int for _, c in x.iterterms())
     assert -x == -1 * x and all(type(c) is int for _, c in (-x).iterterms())
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), VectorAlgebraElement([1, 2]), None])
+def test_tensor_sums_refuse_a_non_element_operand(ab, other):
+    # a scalar scales an element, but is not added to one: both sides of +
+    # and - raise TypeError, not an AttributeError from inside the sum
+    x = te(*ab)
+    for combine in (
+        lambda: x + other,
+        lambda: other + x,
+        lambda: x - other,
+        lambda: other - x,
+    ):
+        with pytest.raises(TypeError):
+            combine()
