@@ -29,7 +29,6 @@ from .operators import (
     rb_universal_check,
     rota_baxter_defect,
     universal_property_check,
-    vec_mul,
 )
 from .oracle import (
     LEFT,

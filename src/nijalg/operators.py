@@ -139,10 +139,6 @@ class VectorAlgebraElement:
     __repr__ = __str__
 
 
-def vec_mul(x: VectorAlgebraElement, y: VectorAlgebraElement) -> VectorAlgebraElement:
-    return x * y
-
-
 class NijenhuisTarget(record_class("NijenhuisTarget", "dim", "mask", "tau", "images")):
     """A concrete commutative target algebra K^dim for universal-property tests.
 
@@ -157,11 +153,16 @@ class NijenhuisTarget(record_class("NijenhuisTarget", "dim", "mask", "tau", "ima
     __hash__ = None  # images is a dict
 
     def __new__(cls, dim: int, mask: frozenset, tau: Fraction, images: Mapping):
+        dim = index(dim)  # an int, never a float or string
+        if dim < 0:
+            raise ValueError("negative dimension")
         if not all(0 <= index(i) < dim for i in mask):
             raise ValueError("projection mask out of range")
         images = dict(images)
         for name, vec in images.items():
             check_generator(name)
+            if not isinstance(vec, VectorAlgebraElement):
+                raise TypeError(f"image of {name!r} is not a VectorAlgebraElement")
             if vec.dim != dim:
                 raise ValueError(f"image of {name!r} has wrong dimension")
         return super().__new__(cls, dim, frozenset(mask), Fraction(exact(tau)), images)
@@ -233,14 +234,17 @@ def phi_extend(
     coordinate.  ``operator`` defaults to the target's N_τ; pass
     ``target.scaled_projection(λ)`` for the Rota-Baxter variant.
 
-    The value is computed in exact integers, in two stages: the letter
-    stage sums c_w·φ(a₁)⋯φ(aₙ) over the words w of each length n, and the
-    operator stage folds those sums with d^(n-1).
+    The value is computed in exact integers: the letter stage sums
+    c_w·φ(a₁)⋯φ(aₙ) over the words w of each length n, and ``_at_points``
+    folds those sums with dᵢ^(n-1) in each coordinate i.
     """
     if operator is None:
         operator = make_n_tau(target)
-    nums, den = _operator_stage(target, operator)(_letter_stage(target)(x))
-    return VectorAlgebraElement._reduced(tuple(nums), den)
+    if not isinstance(operator, DiagonalOperator) or operator.diagonal.dim != target.dim:
+        raise TypeError(
+            f"phi_extend needs a diagonal operator on K^{target.dim}, got {operator!r}"
+        )
+    return _vector(_at_points(_letter_stage(target)(x), _points(operator.diagonal)))
 
 
 def _letter_stage(target: NijenhuisTarget):
@@ -281,33 +285,6 @@ def _letter_stage(target: NijenhuisTarget):
     return sums
 
 
-def _operator_stage(target: NijenhuisTarget, operator: DiagonalOperator):
-    """φ̃'s second stage, for a diagonal ``operator`` d on the target's K^d.
-
-    The returned function folds the letter stage's sums S_n of an element
-    into φ̃ of it, Σ_n d^(n-1)·S_n, as (integer numerators, positive
-    denominator), not necessarily in lowest terms.  It keeps the powers d^k
-    it has needed.
-    """
-    if not isinstance(operator, DiagonalOperator) or operator.diagonal.dim != target.dim:
-        raise TypeError(
-            f"phi_extend needs a diagonal operator on K^{target.dim}, got {operator!r}"
-        )
-    powers = [VectorAlgebraElement.unit(target.dim)]  # powers[k] = d^k
-
-    def fold(sums: dict):
-        value = None
-        for n, (nums, den) in sums.items():
-            while len(powers) < n:
-                powers.append(powers[-1] * operator.diagonal)
-            power = powers[n - 1]
-            term = [a * b for a, b in zip(nums, power._nums)], den * power._den
-            value = term if value is None else _sum(value, term)
-        return value or ([0] * target.dim, 1)
-
-    return fold
-
-
 def _sum(u, v):
     """u + v for (integer numerators, positive denominator) vectors, over
     the lcm of the two denominators."""
@@ -330,84 +307,72 @@ def factorization_check(w: Word) -> TensorElement:
     )
 
 
-def _operator_sanity(operator: DiagonalOperator, relation: Callable) -> None:
-    """Refuse ``operator`` unless ``relation`` holds for it on the all-ones pair.
-
-    The operator is diagonal, d, and the product coordinatewise, so the
-    relation's defect at (x, y) is c(dᵢ)·xᵢ·yᵢ in coordinate i, with c = 0 for
-    Nijenhuis and c(d) = d(λ − d) for weight-λ Rota-Baxter: x = y = 1 decides
-    the relation exactly.  A non-diagonal operator would need every pair of
-    basis vectors.
-    """
-    ones = VectorAlgebraElement.unit(operator.diagonal.dim)
-    if relation(ones, ones):
-        raise ValueError(f"target operator {operator.name} fails its relation")
-
-
 def _universal_check(target, pairs, checks) -> list:
     """The universal checks of one image map on ``pairs``.
 
     ``target`` stands for the image map and dimension that every checked
-    operator shares, and ``checks`` holds (product, operator, relation)
-    triples, ``relation`` being the operator's defect on two vectors.  The
-    result is one defect list per triple, in order; a defect list has one
-    (multiplicative, intertwining) pair per input pair, ``None`` for a check
-    that holds.  Every operator must first pass its sanity check.
+    operator shares, and ``checks`` holds (product, operator, weight)
+    triples, ``weight`` being λ for a Rota-Baxter operator and ``None`` for
+    a Nijenhuis one.  The result is one defect list per triple, in order; a
+    defect list has one (multiplicative, intertwining) pair per input pair,
+    ``None`` for a check that holds.
 
-    Every operator is diagonal on the commutative K^d, so coordinate i of a
-    check depends only on its product, i and the entry dᵢ.  Before the pair
-    loop, each diagonal becomes (i, p, q) points, dᵢ = p/q in lowest terms,
-    numbered once across all checks.  One ``_letter_stage``, made here and
-    dropped on return, runs once per element of each pair: on x, y and
-    B⁺ₑx, and on product(x, y) once per distinct product.  ``_at_points``
-    then evaluates φ̃ᵢ of x, y and B⁺ₑx once per point, and φ̃ᵢ(product(x,
-    y)) once per point of that product's checks.  At each point φ̃ᵢ(B⁺ₑx) is
-    compared with dᵢ·φ̃ᵢ(x), a verdict that every product shares, and
-    φ̃ᵢ(product(x, y)) with φ̃ᵢ(x)·φ̃ᵢ(y), in integers.  A check holds when
-    all its points do; only a failing check runs its ``_operator_stage``
-    and ``_product_defect`` for its defect vectors."""
+    Every operator is diagonal on the commutative K^d, d, so coordinate i
+    of a check depends only on its product, i and the entry dᵢ.  Such an
+    operator is always Nijenhuis, and it is Rota-Baxter of weight λ exactly
+    when every dᵢ(λ − dᵢ) = 0; an operator that fails its relation is
+    refused before any pair.  Each diagonal then becomes (i, p, q) points,
+    dᵢ = p/q in lowest terms, numbered once across all checks.  One
+    ``_letter_stage``, made here and dropped on return, runs once per
+    element of each pair: on x, y and B⁺ₑx, and on product(x, y) once per
+    distinct product.  ``_at_points`` then evaluates φ̃ᵢ of x, y and B⁺ₑx
+    once per point, and φ̃ᵢ(product(x, y)) once per point of that product's
+    checks.  At each point φ̃ᵢ(B⁺ₑx) is compared with dᵢ·φ̃ᵢ(x), a verdict
+    that every product shares, and φ̃ᵢ(product(x, y)) with φ̃ᵢ(x)·φ̃ᵢ(y), in
+    integers.  A check holds when all its points do; only a failing check
+    builds its defect vectors, from the same values at its own points."""
     numbers = {}  # each distinct point (i, p, q) -> its number, in order
     products = {}  # product -> the bits of its checks' points
-    plan = []  # per check: (its product, its points' bits, its fold, d)
-    for product, operator, relation in checks:
-        _operator_sanity(operator, relation)
-        fold = _operator_stage(target, operator)
-        nums, den = operator.diagonal._nums, operator.diagonal._den
-        bits = 0
-        for i, num in enumerate(nums):
-            common = gcd(num, den)
-            bits |= 1 << numbers.setdefault((i, num // common, den // common), len(numbers))
+    plan = []  # per check: its product, its points' bits, their numbers by coordinate
+    for product, operator, lam in checks:
+        points = _points(operator.diagonal)
+        if lam is not None and any(
+            p * (lam.numerator * q - lam.denominator * p) for _, p, q in points
+        ):
+            raise ValueError(f"target operator {operator.name} fails its relation")
+        ks = [numbers.setdefault(point, len(numbers)) for point in points]
+        bits = sum(1 << k for k in ks)
         products[product] = products.get(product, 0) | bits
-        plan.append((product, bits, fold, (nums, den)))
+        plan.append((product, bits, ks))
     points = list(numbers)
-    own = []  # per distinct product: it, the numbers of its points, the points
+    own = {}  # per distinct product: the numbers of its points, the points
     for product, bits in products.items():
         numbered = [k for k in range(len(points)) if bits >> k & 1]
-        own.append((product, numbered, [points[k] for k in numbered]))
+        own[product] = numbered, [points[k] for k in numbered]
     letters = _letter_stage(target)
     results = [[] for _ in plan]
     for x, y in pairs:
-        sx, sy, sbx = letters(x), letters(y), letters(b_plus(x))
-        vx, vy, vbx = _at_points(sx, points), _at_points(sy, points), _at_points(sbx, points)
+        vx, vy = _at_points(letters(x), points), _at_points(letters(y), points)
+        vbx = _at_points(letters(b_plus(x)), points)
         twine = 0  # the bits of the points where φ̃ᵢ(B⁺ₑx) ≠ dᵢ·φ̃ᵢ(x)
         for k, (_, p, q) in enumerate(points):
             (a, b), (c, e) = vbx[k], vx[k]
             if a * q * e != p * c * b:
                 twine |= 1 << k
-        sums, failing = {}, {}  # product -> its letter sums, its failing bits
-        for product, numbered, its_points in own:
-            sxy = sums[product] = letters(product(x, y))
+        values, failing = {}, {}  # product -> its φ̃ᵢ(product(x, y)), its failing bits
+        for product, (numbered, its_points) in own.items():
+            vxy = values[product] = _at_points(letters(product(x, y)), its_points)
             bad = twine
-            for k, (a, b) in zip(numbered, _at_points(sxy, its_points)):
+            for k, (a, b) in zip(numbered, vxy):
                 (c, e), (f, g) = vx[k], vy[k]
                 if a * e * g != c * f * b:
                     bad |= 1 << k
             failing[product] = bad
-        for (product, bits, fold, diagonal), defects in zip(plan, results):
+        for (product, bits, ks), defects in zip(plan, results):
             if failing[product] & bits:
-                phix = fold(sx)
-                mult = _product_defect(fold(sums[product]), phix, fold(sy))
-                defects.append((mult, _product_defect(fold(sbx), diagonal, phix)))
+                vxy = dict(zip(own[product][0], values[product]))
+                mult = _defect([(vxy[k], vx[k], vy[k]) for k in ks])
+                defects.append((mult, _defect([(vbx[k], vx[k], points[k][1:]) for k in ks])))
             else:
                 defects.append((None, None))
     return results
@@ -429,15 +394,26 @@ def _at_points(sums: dict, points) -> list:
     return values
 
 
-def _product_defect(w, u, v):
-    """w − u·v coordinatewise for (integer numerators, positive denominator)
-    vectors: ``None`` where it is zero, else the defect vector.  The check
-    runs on integers, p/q = (p₁/q₁)(p₂/q₂) iff p·q₁·q₂ = p₁·p₂·q, so only a
-    failing check builds a vector."""
-    (p, q), (p1, q1), (p2, q2) = w, u, v
-    k = q1 * q2
-    nums = tuple([a * k - b * c * q for a, b, c in zip(p, p1, p2)])
-    return VectorAlgebraElement._reduced(nums, q * k) if any(nums) else None
+def _points(diagonal: VectorAlgebraElement) -> list:
+    """The (i, p, q) point of each coordinate i of ``diagonal``, its entry
+    dᵢ = p/q in lowest terms."""
+    den = diagonal._den
+    return [(i, p // gcd(p, den), den // gcd(p, den)) for i, p in enumerate(diagonal._nums)]
+
+
+def _vector(entries) -> VectorAlgebraElement:
+    """The vector whose coordinates are the (integer numerator, positive
+    denominator) pairs ``entries``."""
+    den = lcm(*[d for _, d in entries])
+    return VectorAlgebraElement._reduced(tuple([n * (den // d) for n, d in entries]), den)
+
+
+def _defect(triples):
+    """w − u·v coordinatewise, from one (w, u, v) triple of (integer
+    numerator, positive denominator) pairs per coordinate: ``None`` where it
+    is zero, else the defect vector."""
+    entries = [(a * e * g - c * f * b, b * e * g) for (a, b), (c, e), (f, g) in triples]
+    return _vector(entries) if any(n for n, _ in entries) else None
 
 
 def _sharing_images(targets) -> list:
@@ -464,11 +440,7 @@ def universal_property_check(targets, pairs) -> list:
     and each element's letter stage serves every target."""
     many = not isinstance(targets, NijenhuisTarget)
     targets = _sharing_images(targets)
-    checks = []
-    for target in targets:
-        operator = make_n_tau(target)
-        relation = lambda x, y, operator=operator: nijenhuis_defect(operator, vec_mul, x, y)
-        checks.append((aug_mod_quasi_shuffle, operator, relation))
+    checks = [(aug_mod_quasi_shuffle, make_n_tau(target), None) for target in targets]
     defects = _universal_check(targets[0], pairs, checks)
     return defects if many else defects[0]
 
@@ -486,13 +458,10 @@ def rb_universal_check(lams, targets, pairs) -> list:
     lams = [Fraction(exact(lam)) for lam in ((lams,) if one_weight else lams)]
     targets = _sharing_images(targets)
     products = {lam: lambda x, y, lam=lam: aug_quasi_shuffle(x, y, lam) for lam in lams}
-    checks = []
-    for target in targets:
-        for lam in lams:
-            operator = target.scaled_projection(lam)
-            relation = lambda x, y, operator=operator, lam=lam: rota_baxter_defect(
-                operator, vec_mul, lam, x, y
-            )
-            checks.append((products[lam], operator, relation))
+    checks = [
+        (products[lam], target.scaled_projection(lam), lam)
+        for target in targets
+        for lam in lams
+    ]
     defects = _universal_check(targets[0], pairs, checks)
     return defects if many else defects[0]

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from operator import mul as vec_mul
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nijalg import (
     EmptyWordTermError,
@@ -27,9 +29,9 @@ from nijalg import (
     rb_universal_check,
     rota_baxter_defect,
     universal_property_check,
-    vec_mul,
 )
-from nijalg.operators import DiagonalOperator, _operator_sanity
+from nijalg import operators
+from nijalg.operators import DiagonalOperator
 from conftest import te, words_over
 
 ZERO4 = VectorAlgebraElement([0] * 4)
@@ -269,6 +271,18 @@ def test_target_mask_entries_are_coordinate_indices():
     for mask in ({0.5}, {0, 1.0}, {"1"}):
         with pytest.raises(TypeError):
             NijenhuisTarget(4, frozenset(mask), 0, images)
+    # the dimension is an int ≥ 0, and every image a vector: a float or a
+    # string dimension would fail only inside a later check, at range()
+    for dim in (2.0, "4"):
+        with pytest.raises(TypeError):
+            NijenhuisTarget(dim, frozenset(), 1, {})
+    with pytest.raises(TypeError):
+        NijenhuisTarget(2.0, {0}, 1, {"a": VectorAlgebraElement([1, 2])})
+    with pytest.raises(ValueError, match="negative dimension"):
+        NijenhuisTarget(-1, frozenset(), 1, {})
+    with pytest.raises(TypeError, match="not a VectorAlgebraElement"):
+        NijenhuisTarget(4, {0}, 1, {"a": [1, 2, 3, 4]})
+    assert NijenhuisTarget(0, frozenset(), 1, {}).dim == 0
 
 
 def test_target_keeps_checked_copies_of_its_inputs(ab):
@@ -304,18 +318,63 @@ def test_universal_check_refuses_an_operator_that_fails_its_relation(ab, monkeyp
 
 
 @pytest.mark.parametrize("lam, bad", [(1, 2), (Fraction(2, 3), Fraction(1, 3))])
-def test_sanity_check_refuses_a_bad_entry_in_any_coordinate(lam, bad):
-    # a weight-λ Rota-Baxter diagonal has every entry in {0, λ}; the one
-    # all-ones pair must see a single entry outside that set, wherever it is
+def test_sanity_check_refuses_a_bad_entry_in_any_coordinate(lam, bad, ab, monkeypatch):
+    # a weight-λ Rota-Baxter diagonal has every entry in {0, λ}; the check
+    # must see a single entry outside that set, wherever it is
+    a, b = ab
+    target, pairs = _target({0, 1}, 0), [(te(a), te(b))]
     good = [lam, 0, lam, 0]
     for i in range(4):
         diagonal = good[:i] + [bad] + good[i + 1 :]
         operator = DiagonalOperator("bad", VectorAlgebraElement(diagonal))
-        relation = lambda x, y: rota_baxter_defect(operator, vec_mul, lam, x, y)
+        monkeypatch.setattr(NijenhuisTarget, "scaled_projection", lambda self, lam: operator)
         with pytest.raises(ValueError, match=r"target operator bad fails its relation"):
-            _operator_sanity(operator, relation)
+            rb_universal_check(lam, target, pairs)
     operator = DiagonalOperator("good", VectorAlgebraElement(good))
-    _operator_sanity(operator, lambda x, y: rota_baxter_defect(operator, vec_mul, lam, x, y))
+    monkeypatch.setattr(NijenhuisTarget, "scaled_projection", lambda self, lam: operator)
+    assert rb_universal_check(lam, target, pairs) == [(None, None)]
+
+
+ENTRIES = (0, 1, -1, 2, Fraction(2, 3), Fraction(1, 3), Fraction(-5, 3))
+
+
+def _refusal(check):
+    """The message of the ValueError that ``check()`` raises, or None."""
+    try:
+        check()
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(
+    lam=st.sampled_from((0, 1, -1, Fraction(2, 3))),
+    on=st.lists(st.booleans(), min_size=4, max_size=4),
+    drawn=st.dictionaries(st.integers(0, 3), st.sampled_from(ENTRIES), max_size=4),
+)
+@example(lam=Fraction(2, 3), on=[True, False, False, True], drawn={})
+@example(lam=-1, on=[True, False, True, False], drawn={3: 2})
+def test_closed_form_relation_check_matches_the_all_ones_check(lam, on, drawn):
+    # a diagonal d is refused exactly when the relation's defect on the
+    # all-ones pair, c(dᵢ) per coordinate, is nonzero: never as a Nijenhuis
+    # operator, and at weight λ wherever some dᵢ(λ − dᵢ) ≠ 0.  Entries are
+    # λ or 0 where ``on`` says so, unless ``drawn`` replaces them
+    diagonal = [drawn.get(i, lam if on[i] else 0) for i in range(4)]
+    operator = DiagonalOperator("drawn", VectorAlgebraElement(diagonal))
+    ones = VectorAlgebraElement.unit(4)
+    target = _target({0, 1}, 0)
+    pairs = [(TensorElement.from_word((gen("a"),)), TensorElement.from_word((gen("b"),)))]
+    fails = "target operator drawn fails its relation"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NijenhuisTarget, "scaled_projection", lambda self, lam: operator)
+        mp.setattr(operators, "make_n_tau", lambda target: operator)
+        for defect, check in (
+            (rota_baxter_defect(operator, vec_mul, lam, ones, ones), rb_universal_check),
+            (nijenhuis_defect(operator, vec_mul, ones, ones), universal_property_check),
+        ):
+            args = (lam, target, pairs) if check is rb_universal_check else (target, pairs)
+            assert _refusal(lambda: check(*args)) == (fails if defect else None)
 
 
 def test_mu_assoc_for_shift_operator(ab):

@@ -1,6 +1,6 @@
-"""Differential tests of the closed-form φ̃, its integer core (integer
-numerators over one positive denominator, from the letter and operator
-stages), and the diagonal target operators.
+"""Differential tests of the closed-form φ̃, its integer core (an integer
+numerator over a positive denominator per coordinate, from the letter stage
+and the per-point evaluator), and the diagonal target operators.
 
 The reference is the letter-by-letter Horner evaluation
 φ(a₁)·N(φ(a₂)·N(…·N(φ(aₙ))…)) with the operators written as their defining
@@ -28,7 +28,7 @@ from nijalg import (
     universal_property_check,
 )
 from nijalg import operators
-from nijalg.operators import _letter_stage, _operator_stage
+from nijalg.operators import DiagonalOperator, _at_points, _letter_stage
 from nijalg.suites import MASKS, RB_LAMBDAS, TAUS
 
 GENERATORS = ("a", "b", "c")
@@ -148,6 +148,19 @@ def test_phi_extend_matches_horner_in_other_dimensions(dim):
             )
 
 
+def test_phi_extend_matches_horner_on_any_diagonal():
+    # a diagonal whose entries have coprime denominators: each coordinate's
+    # value has its own denominator, and the vector is over their lcm
+    rng = random.Random(17)
+    for _ in range(10):
+        entries = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 5, 7))) for _ in range(4)]
+        target = NijenhuisTarget(dim=4, mask=frozenset(), tau=0, images=_images(rng, 4))
+        operator = DiagonalOperator("drawn", VectorAlgebraElement(entries))
+        ref = lambda v: tuple(d * c for d, c in zip(entries, v))
+        for x in _elements(rng, 8):
+            assert phi_extend(target, x, operator) == ref_phi_extend(target, x, ref)
+
+
 def test_phi_extend_result_has_fraction_coordinates():
     rng = random.Random(4)
     mask = frozenset({1})
@@ -172,17 +185,20 @@ def test_phi_extend_rejects_operators_without_a_diagonal():
 
 
 def _integer_core(target, operator):
-    """φ̃ in exact integers: the two stages, composed as ``phi_extend``
-    composes them, keeping their memos across calls."""
-    fold, letters = _operator_stage(target, operator), _letter_stage(target)
-    return lambda x: fold(letters(x))
+    """φ̃ in exact integers: the letter stage and ``_at_points`` at the
+    (coordinate, numerator, denominator) point of each diagonal entry,
+    composed as ``phi_extend`` composes them, keeping the letter stage's
+    memos across calls."""
+    letters = _letter_stage(target)
+    points = [(i, d.numerator, d.denominator) for i, d in enumerate(operator.diagonal.coords)]
+    return lambda x: _at_points(letters(x), points)
 
 
 def _core_value(phi, x):
     """The integer core's value as a vector, after checking its form."""
-    nums, den = phi(x)
-    assert all(type(n) is int for n in nums) and type(den) is int and den > 0
-    return VectorAlgebraElement(Fraction(n, den) for n in nums)
+    values = phi(x)
+    assert all(type(n) is int and type(d) is int and d > 0 for n, d in values)
+    return VectorAlgebraElement(Fraction(n, d) for n, d in values)
 
 
 def _core_cases(mask, tau, lam):
