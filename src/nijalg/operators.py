@@ -317,7 +317,7 @@ def _universal_check(target, pairs, checks) -> list:
     defect list has one (multiplicative, intertwining) pair per input pair,
     ``None`` for a check that holds.
 
-    Every operator is diagonal on the commutative K^d, d, so coordinate i
+    Every operator is a diagonal d on the commutative K^d, so coordinate i
     of a check depends only on its product, i and the entry dᵢ.  Such an
     operator is always Nijenhuis, and it is Rota-Baxter of weight λ exactly
     when every dᵢ(λ − dᵢ) = 0; an operator that fails its relation is
