@@ -50,31 +50,36 @@ class DendriformContext:
         return self.prec(x, y) + self.succ(x, y) + self.bullet(x, y)
 
 
-def dialgebra_defects(ctx: DendriformContext, x, y, z):
-    """The three dendriform dialgebra axiom defects (for the λ = 0 split)."""
+def dialgebra_defects(ctx, x, y, z):
+    """The three dendriform dialgebra axiom defects (for the λ = 0 split).
+
+    ``ctx`` needs only ``prec`` and ``succ``; each of x ≺ y, x ≻ y, y ≺ z
+    and y ≻ z is computed once."""
     p, s = ctx.prec, ctx.succ
-
-    def both(u, v):
-        return p(u, v) + s(u, v)
-
+    p_xy, s_xy, p_yz, s_yz = p(x, y), s(x, y), p(y, z), s(y, z)
     return (
-        p(p(x, y), z) - p(x, both(y, z)),
-        p(s(x, y), z) - s(x, p(y, z)),
-        s(x, s(y, z)) - s(both(x, y), z),
+        p(p_xy, z) - p(x, p_yz + s_yz),
+        p(s_xy, z) - s(x, p_yz),
+        s(x, s_yz) - s(p_xy + s_xy, z),
     )
 
 
-def trialgebra_defects(ctx: DendriformContext, x, y, z):
-    """The seven tridendriform axiom defects with ⋆ = ≺ + ≻ + •."""
-    p, s, b, star = ctx.prec, ctx.succ, ctx.bullet, ctx.star
+def trialgebra_defects(ctx, x, y, z):
+    """The seven tridendriform axiom defects with ⋆ = ≺ + ≻ + •.
+
+    ``ctx`` needs only ``prec``, ``succ`` and ``bullet``; each of ≺, ≻ and •
+    of (x, y) and of (y, z) is computed once, and ⋆ is their sum."""
+    p, s, b = ctx.prec, ctx.succ, ctx.bullet
+    p_xy, s_xy, b_xy = p(x, y), s(x, y), b(x, y)
+    p_yz, s_yz, b_yz = p(y, z), s(y, z), b(y, z)
     return (
-        p(p(x, y), z) - p(x, star(y, z)),
-        p(s(x, y), z) - s(x, p(y, z)),
-        s(x, s(y, z)) - s(star(x, y), z),
-        b(s(x, y), z) - s(x, b(y, z)),
-        b(p(x, y), z) - b(x, s(y, z)),
-        p(b(x, y), z) - b(x, p(y, z)),
-        b(b(x, y), z) - b(x, b(y, z)),
+        p(p_xy, z) - p(x, p_yz + s_yz + b_yz),
+        p(s_xy, z) - s(x, p_yz),
+        s(x, s_yz) - s(p_xy + s_xy + b_xy, z),
+        b(s_xy, z) - s(x, b_yz),
+        b(p_xy, z) - b(x, s_yz),
+        p(b_xy, z) - b(x, p_yz),
+        b(b_xy, z) - b(x, b_yz),
     )
 
 

@@ -6,6 +6,13 @@ letter with its factor of origin, then for every subset of the LEFT→RIGHT
 adjacencies merge the paired letters with a factor of -λ per merge.
 Summing over all subsets (the empty one contributes the unmerged word)
 reproduces the quasi-shuffle exactly.
+
+An interleaving of an m-letter and an n-letter word is one choice of the m
+positions, out of m + n, that the left factor's letters fill in order; the
+right factor's letters fill the rest.  ``itertools.combinations`` yields
+these choices in lexicographic order, which puts the left factor's letter
+first wherever either factor could supply the next one.  No step recurses,
+so the depth does not grow with the words.
 """
 
 from __future__ import annotations
@@ -24,21 +31,18 @@ LabeledWord = Tuple[LabeledLetter, ...]
 
 
 def enumerate_shuffles(x_word: Word, z_word: Word) -> List[LabeledWord]:
-    """All C(m+n, m) order-preserving interleavings, deterministically ordered
-    (left-factor letter explored first at every branch)."""
-
-    def rec(i: int, j: int):
-        if i == len(x_word) and j == len(z_word):
-            yield ()
-            return
-        if i < len(x_word):
-            for rest in rec(i + 1, j):
-                yield ((x_word[i], LEFT),) + rest
-        if j < len(z_word):
-            for rest in rec(i, j + 1):
-                yield ((z_word[j], RIGHT),) + rest
-
-    return list(rec(0, 0))
+    """All C(m+n, m) order-preserving interleavings, one per choice of the
+    left factor's positions, in lexicographic order of those choices."""
+    lefts = [(a, LEFT) for a in x_word]
+    rights = [(b, RIGHT) for b in z_word]
+    out = []
+    for positions in itertools.combinations(range(len(lefts) + len(rights)), len(lefts)):
+        # in increasing order, each insertion lands on its final position
+        labeled = rights.copy()
+        for k, letter in zip(positions, lefts):
+            labeled.insert(k, letter)
+        out.append(tuple(labeled))
+    return out
 
 
 def admissible_pairs(labeled: LabeledWord) -> Tuple[int, ...]:

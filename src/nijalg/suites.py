@@ -9,6 +9,14 @@ and _failure(text, defect)``, so its inputs are named only when it fails.
 ``_failure`` builds every record, and ``_tally`` counts every check and keeps
 the failures; the report holds both.  All comparisons are exact.
 
+A triple sweep (``_assoc_sweep``, both dendriform suites and
+``suite_torsion_cocycle``) memoizes its element operations with
+``functools.cache``, keyed by the values of their arguments: elements hash
+and compare on their canonical form, so a hit is the value a recomputation
+would give, and the (x, y) products that many triples share, (x * y) * z
+and (y * x) * z among them, are each computed once.  A memo serves one λ of
+one sweep; it is a local of the generator and is freed when its tally ends.
+
 Each suite is registered once, in the ordered table ``_SUITES``, with its
 sweep and the weights it fixes; ``SUITES``, ``run_suite`` and the CLI's
 suite list all read that table, so a new suite is one entry.
@@ -19,6 +27,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
+from types import SimpleNamespace
 from typing import Iterable, List, Tuple
 
 from .base import exact, gen
@@ -114,17 +124,28 @@ def _tally(results) -> Tuple[int, list]:
 # ---- individual sweeps ----
 
 
+def _at(product, lam):
+    """``product`` at weight ``lam``, memoized by the values of its two
+    factors: one memo for one λ of one sweep."""
+    return cache(lambda x, y: product(x, y, lam))
+
+
+def _dendriform_memo(ctx: DendriformContext) -> SimpleNamespace:
+    """``ctx``'s ≺, ≻ and •, each memoized by the values of its two factors:
+    one memo for one λ of one sweep.  A miss calls ``ctx``'s bound method."""
+    return SimpleNamespace(prec=cache(ctx.prec), succ=cache(ctx.succ), bullet=cache(ctx.bullet))
+
+
 def _assoc_sweep(product, max_len, lambdas, min_len):
     e = _elements(max_len, min_len)
     for lam in lambdas:
+        mul = _at(product, lam)
         for x, y in word_pairs(max_len, min_len):
-            defect = product(e[x], e[y], lam) - product(e[y], e[x], lam)
+            defect = mul(e[x], e[y]) - mul(e[y], e[x])
             yield defect and _failure(f"comm lambda={lam} {_inputs(x, y)}", defect)
         for x, y, z in word_triples(max_len, min_len):
             ex, ey, ez = e[x], e[y], e[z]
-            defect = product(product(ex, ey, lam), ez, lam) - product(
-                ex, product(ey, ez, lam), lam
-            )
+            defect = mul(mul(ex, ey), ez) - mul(ex, mul(ey, ez))
             yield defect and _failure(f"assoc lambda={lam} {_inputs(x, y, z)}", defect)
 
 
@@ -166,8 +187,9 @@ def suite_dendriform_di(max_len, lambdas, seed):
     for x, y in word_pairs(max_len, 1):
         defect = ctx.star(e[x], e[y]) - quasi_shuffle(e[x], e[y], 0)
         yield defect and _failure(f"split {_inputs(x, y)}", defect)
+    ops = _dendriform_memo(ctx)
     for x, y, z in word_triples(max_len, 1):
-        for i, defect in enumerate(dialgebra_defects(ctx, e[x], e[y], e[z]), 1):
+        for i, defect in enumerate(dialgebra_defects(ops, e[x], e[y], e[z]), 1):
             yield defect and _failure(f"axiom{i} {_inputs(x, y, z)}", defect)
 
 
@@ -181,8 +203,9 @@ def suite_dendriform_tri(max_len, lambdas, seed):
             yield defect and _failure(f"split lambda={lam} {_inputs(x, y)}", defect)
             defect = ctx.bullet(ex, ey) - (-lam) * aug_quasi_shuffle(ex, ey, lam)
             yield defect and _failure(f"convention lambda={lam} {_inputs(x, y)}", defect)
+        ops = _dendriform_memo(ctx)
         for x, y, z in word_triples(max_len, 1):
-            for i, defect in enumerate(trialgebra_defects(ctx, e[x], e[y], e[z]), 1):
+            for i, defect in enumerate(trialgebra_defects(ops, e[x], e[y], e[z]), 1):
                 yield defect and _failure(f"axiom{i} lambda={lam} {_inputs(x, y, z)}", defect)
 
 
@@ -196,8 +219,8 @@ def suite_omega(max_len, lambdas, seed):
 
 def suite_torsion_cocycle(max_len, lambdas, seed):
     mul = aug_mod_quasi_shuffle
-    torsion = lambda u, v: nijenhuis_torsion(u, v, b_plus, mul)
-    mu = lambda u, v: mu_product(u, v, b_plus, mul)
+    torsion = cache(lambda u, v: nijenhuis_torsion(u, v, b_plus, mul))
+    mu = cache(lambda u, v: mu_product(u, v, b_plus, mul))
     e = _elements(max_len, 1)
     for x, y in word_pairs(max_len, 1):
         defect = torsion(e[x], e[y])

@@ -1,5 +1,7 @@
 """Non-recursive mixed-shuffle oracle against the recursive products."""
 
+import inspect
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -32,6 +34,54 @@ def test_enumerate_shuffles_examples():
     }
     assert enumerate_shuffles((a,), ()) == [((a, LEFT),)]
     assert len(enumerate_shuffles((a, b), (c, gen("d")))) == 6
+
+
+def recursive_shuffles(x_word, z_word):
+    """The recursive enumeration the position one replaced: the left
+    factor's next letter is explored first at every branch."""
+
+    def rec(i, j):
+        if i == len(x_word) and j == len(z_word):
+            yield ()
+            return
+        if i < len(x_word):
+            for rest in rec(i + 1, j):
+                yield ((x_word[i], LEFT),) + rest
+        if j < len(z_word):
+            for rest in rec(i, j + 1):
+                yield ((z_word[j], RIGHT),) + rest
+
+    return list(rec(0, 0))
+
+
+def test_shuffles_come_in_the_recursive_order():
+    # twelve distinct letters, so every interleaving is a distinct tuple
+    x_letters = tuple(gen(g) for g in "abcdfg")
+    z_letters = tuple(gen(g) for g in "hijklm")
+    for m in range(7):
+        for n in range(7):
+            x, z = x_letters[:m], z_letters[:n]
+            assert enumerate_shuffles(x, z) == recursive_shuffles(x, z), (m, n)
+
+
+def test_the_oracle_does_not_recurse(ab):
+    # under a limit 60 frames above the current depth the recursive
+    # enumeration fails at about 60 letters; the oracle's depth does not
+    # grow with the words.  A 250-letter word against one letter keeps the
+    # quasi-shuffle reference, whose grid holds O(m³) letters, fast.
+    a, b = ab
+    lam = Fraction(2, 3)
+    long = (a,) * 250
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        mixed = mixed_shuffle(long, (b,), lam)
+        mod = mod_quasi_shuffle_oracle((b,), long, lam)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert mixed == quasi_shuffle(te(*long), te(b), lam)
+    assert mod == mod_quasi_shuffle(te(b), te(*long), lam)
+    assert len(mixed.terms()) == 2 * 250 + 1
 
 
 def test_shuffle_counts():

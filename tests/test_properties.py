@@ -21,10 +21,12 @@ from nijalg import (
     aug_quasi_shuffle,
     b_minus,
     b_plus,
+    dialgebra_defects,
     mixed_shuffle,
     mod_quasi_shuffle,
     mod_quasi_shuffle_oracle,
     quasi_shuffle,
+    trialgebra_defects,
 )
 from nijalg import products
 from conftest import in_exact_form, product_memos
@@ -76,6 +78,68 @@ def test_dendriform_operations_match_their_head_forms(x, y, lam):
     assert ctx.bullet(x, y) == -ctx.lam * aug_quasi_shuffle(x, y, lam)
     # the quasi-shuffle commutes, so its split mirrors: x ≻ y = y ≺ x
     assert ctx.succ(x, y) == ctx.prec(y, x)
+
+
+# The axiom defects as written before the shared subterms were computed once,
+# copied verbatim: each reads its operations from ``ctx`` and ⋆ from ``ctx.star``.
+
+
+def literal_dialgebra_defects(ctx: DendriformContext, x, y, z):
+    """The three dendriform dialgebra axiom defects (for the λ = 0 split)."""
+    p, s = ctx.prec, ctx.succ
+
+    def both(u, v):
+        return p(u, v) + s(u, v)
+
+    return (
+        p(p(x, y), z) - p(x, both(y, z)),
+        p(s(x, y), z) - s(x, p(y, z)),
+        s(x, s(y, z)) - s(both(x, y), z),
+    )
+
+
+def literal_trialgebra_defects(ctx: DendriformContext, x, y, z):
+    """The seven tridendriform axiom defects with ⋆ = ≺ + ≻ + •."""
+    p, s, b, star = ctx.prec, ctx.succ, ctx.bullet, ctx.star
+    return (
+        p(p(x, y), z) - p(x, star(y, z)),
+        p(s(x, y), z) - s(x, p(y, z)),
+        s(x, s(y, z)) - s(star(x, y), z),
+        b(s(x, y), z) - s(x, b(y, z)),
+        b(p(x, y), z) - b(x, s(y, z)),
+        p(b(x, y), z) - b(x, p(y, z)),
+        b(b(x, y), z) - b(x, b(y, z)),
+    )
+
+
+class SuccIsPrec(DendriformContext):
+    """A mutant split whose ≻ is ≺: most axioms fail, and ⋆ changes too."""
+
+    succ = DendriformContext.prec
+
+
+short_words = st.lists(letters, min_size=1, max_size=2).map(tuple)
+multi_term = (
+    st.lists(st.tuples(short_words, coeffs), min_size=2, max_size=3)
+    .map(TensorElement)
+    .filter(lambda x: len(x.terms()) > 1)
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    multi_term,
+    multi_term,
+    multi_term,
+    st.sampled_from([0, 1, -1, Fraction(2, 3)]),
+    st.sampled_from([DendriformContext, SuccIsPrec]),
+)
+def test_axiom_defects_match_the_literal_axioms(x, y, z, lam, split):
+    # the defect functions compute each operation of (x, y) and of (y, z)
+    # once and sum ⋆ from them; the literal axioms recompute every one
+    ctx = split(lam)
+    assert trialgebra_defects(ctx, x, y, z) == literal_trialgebra_defects(ctx, x, y, z)
+    assert dialgebra_defects(ctx, x, y, z) == literal_dialgebra_defects(ctx, x, y, z)
 
 
 def _naive_sum(terms):

@@ -14,12 +14,27 @@ from nijalg import (
     aug_mod_quasi_shuffle,
     aug_quasi_shuffle,
     b_plus,
+    gen,
+    hochschild_coboundary,
+    mod_quasi_shuffle,
+    mu_product,
+    nijenhuis_torsion,
     operators,
     rb_universal_check,
     suites,
     universal_property_check,
 )
-from nijalg.suites import SUITES, run_suite, word_pairs, word_triples, words_up_to
+from nijalg.suites import (
+    SUITES,
+    _elements,
+    _failure,
+    _inputs,
+    _tally,
+    run_suite,
+    word_pairs,
+    word_triples,
+    words_up_to,
+)
 from nijalg.tensor import word_str
 from conftest import count_calls
 
@@ -175,3 +190,71 @@ def test_convention_check_sees_a_bullet_of_the_wrong_sign(monkeypatch):
         }
         for x, y in word_pairs(3, 1)
     ]
+
+
+# The two triple sweeps as they were before each kept a memo of its element
+# operations, copied verbatim: every product is recomputed.
+
+
+def unmemoized_assoc_sweep(product, max_len, lambdas, min_len):
+    e = _elements(max_len, min_len)
+    for lam in lambdas:
+        for x, y in word_pairs(max_len, min_len):
+            defect = product(e[x], e[y], lam) - product(e[y], e[x], lam)
+            yield defect and _failure(f"comm lambda={lam} {_inputs(x, y)}", defect)
+        for x, y, z in word_triples(max_len, min_len):
+            ex, ey, ez = e[x], e[y], e[z]
+            defect = product(product(ex, ey, lam), ez, lam) - product(
+                ex, product(ey, ez, lam), lam
+            )
+            yield defect and _failure(f"assoc lambda={lam} {_inputs(x, y, z)}", defect)
+
+
+def unmemoized_suite_torsion_cocycle(max_len, lambdas, seed):
+    mul = aug_mod_quasi_shuffle
+    torsion = lambda u, v: nijenhuis_torsion(u, v, b_plus, mul)
+    mu = lambda u, v: mu_product(u, v, b_plus, mul)
+    e = _elements(max_len, 1)
+    for x, y in word_pairs(max_len, 1):
+        defect = torsion(e[x], e[y])
+        yield defect and _failure(f"torsion {_inputs(x, y)}", defect)
+    for x, y, z in word_triples(max_len, 1):
+        ex, ey, ez = e[x], e[y], e[z]
+        defect = mu(mu(ex, ey), ez) - mu(ex, mu(ey, ez))
+        yield defect and _failure(f"mu-assoc {_inputs(x, y, z)}", defect)
+        defect = hochschild_coboundary(torsion, mul, ex, ey, ez)
+        yield defect and _failure(f"cocycle {_inputs(x, y, z)}", defect)
+
+
+def failing_kinds(failures):
+    return {record["inputs"].split()[0] for record in failures}
+
+
+LAMBDAS = (Fraction(0), 1, -1, Fraction(2, 3))
+
+
+@pytest.mark.parametrize(
+    "product, lambdas, min_len, kinds",
+    [
+        # ≺ neither commutes nor associates, at any λ
+        (lambda x, y, lam: DendriformContext(lam).prec(x, y), LAMBDAS, 1, {"comm", "assoc"}),
+        # ⊛ commutes, and associates only at λ = 1
+        (mod_quasi_shuffle, (2,), 0, {"assoc"}),
+    ],
+    ids=["prec", "mod-at-2"],
+)
+def test_the_assoc_memo_never_changes_a_tally(product, lambdas, min_len, kinds):
+    tally = _tally(suites._assoc_sweep(product, 4, lambdas, min_len))
+    assert tally == _tally(unmemoized_assoc_sweep(product, 4, lambdas, min_len))
+    assert failing_kinds(tally[1]) == kinds
+
+
+def test_the_torsion_memos_never_change_a_tally(monkeypatch):
+    # prepending the generator a, not e, is not a Nijenhuis operator for ⊠:
+    # every kind of check fails somewhere
+    a = gen("a")
+    monkeypatch.setattr(suites, "b_plus", lambda x: x.prepend(a))
+    monkeypatch.setitem(globals(), "b_plus", lambda x: x.prepend(a))
+    tally = _tally(suites.suite_torsion_cocycle(4, (1,), 0))
+    assert tally == _tally(unmemoized_suite_torsion_cocycle(4, (1,), 0))
+    assert failing_kinds(tally[1]) == {"torsion", "mu-assoc", "cocycle"}
