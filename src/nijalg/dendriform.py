@@ -10,21 +10,19 @@ elements by the origin of the leading letter:
 so the three sum exactly to the quasi-shuffle product.  At λ = 0 • vanishes
 and (≺, ≻) is the weight-0 dendriform dialgebra split of the shuffle.
 
-The B⁺ₑ forms are the definitions and the tests' references.  On two words
-the code reads the quasi-shuffle's memos of one-step terms, through
-``products._term_product``: ≺ reads ``lead`` a(U * bV), ≻ reads it with its
-factors swapped, since the quasi-shuffle commutes (x ≻ y = y ≺ x), and • is
-−λ·⊡, which reads ``head`` [ab](U * V) through the same reader.
+The code computes the B⁺ₑ forms, through ⊡ and so through its head memo.
+Since * commutes, X ≻ Z is computed as Z ⊡ B⁺ₑ(X) = Z ≺ X, and reads the
+memo entry that Z ≺ X writes.
 """
 
 from __future__ import annotations
 
 from .base import exact
-from .products import _qsh, _term_product
+from .products import aug_quasi_shuffle
 # unused here, but nijbench's tracing test checks that its wrappers reach
 # this binding
 from .products import quasi_shuffle  # noqa: F401
-from .tensor import TensorElement, Word, fold_letters
+from .tensor import TensorElement, Word, b_plus, fold_letters, require_augmented
 
 
 class DendriformContext:
@@ -34,16 +32,20 @@ class DendriformContext:
         self.lam = exact(lam)
 
     def prec(self, x: TensorElement, y: TensorElement) -> TensorElement:
-        """x ≺ y: the quasi-shuffle terms led by the first factor's head."""
-        return _term_product(_qsh.lead, "prec", x, y, self.lam)
+        """x ≺ y = x ⊡ B⁺ₑ(y): the quasi-shuffle terms led by the first factor's head."""
+        require_augmented("prec", x, y)
+        return aug_quasi_shuffle(x, b_plus(y), self.lam)
 
     def succ(self, x: TensorElement, y: TensorElement) -> TensorElement:
-        """x ≻ y = y ≺ x: the quasi-shuffle terms led by the second factor's head."""
-        return _term_product(_qsh.lead, "succ", y, x, self.lam)
+        """x ≻ y = y ⊡ B⁺ₑ(x) = y ≺ x, since * commutes: the quasi-shuffle
+        terms led by the second factor's head."""
+        require_augmented("succ", x, y)
+        return aug_quasi_shuffle(y, b_plus(x), self.lam)
 
     def bullet(self, x: TensorElement, y: TensorElement) -> TensorElement:
         """x • y = −λ·(x ⊡ y): the quasi-shuffle terms that merge both heads."""
-        return -self.lam * _term_product(_qsh.head, "bullet", x, y, self.lam)
+        require_augmented("bullet", x, y)
+        return -self.lam * aug_quasi_shuffle(x, y, self.lam)
 
     def star(self, x: TensorElement, y: TensorElement) -> TensorElement:
         """≺ + ≻ + •, which equals the quasi-shuffle product."""

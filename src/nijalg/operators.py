@@ -16,9 +16,9 @@ from operator import index
 from typing import Callable, Iterable, Mapping, Tuple
 
 from .base import Monomial, check_generator, exact, record_class
-from .errors import EmptyWordTermError, UnmappedGeneratorError
+from .errors import UnmappedGeneratorError
 from .products import aug_mod_quasi_shuffle, aug_quasi_shuffle
-from .tensor import TensorElement, Word, b_plus, fold_letters
+from .tensor import TensorElement, Word, b_plus, fold_letters, require_augmented
 
 
 class DiagonalOperator:
@@ -260,12 +260,11 @@ def _letter_stage(target: NijenhuisTarget):
     words = {}  # word -> φ(a₁)⋯φ(aₙ) as (integer numerators, positive denominator)
 
     def sums(x: TensorElement) -> dict:
+        require_augmented("phi_extend", x)
         by_len = {}  # n -> the sum over x's words of length n
         for word, numerator in x._terms.items():
             value = words.get(word)
             if value is None:
-                if not word:
-                    raise EmptyWordTermError("phi_extend is defined on the augmented module only")
                 nums, den = (1,) * target.dim, 1
                 for mono in word:
                     image = letters.get(mono)
@@ -417,10 +416,9 @@ def _defect(triples):
 
 
 def _sharing_images(targets) -> list:
-    """``targets``, one target or a sequence of them, as a nonempty list;
-    refused unless all share one dimension and image map, and so one letter
-    stage."""
-    targets = [targets] if isinstance(targets, NijenhuisTarget) else list(targets)
+    """``targets`` as a nonempty list; refused unless all share one dimension
+    and image map, and so one letter stage."""
+    targets = list(targets)
     if not targets:
         raise ValueError("no target to check")
     first = targets[0]
@@ -431,31 +429,27 @@ def _sharing_images(targets) -> list:
 
 
 def universal_property_check(targets, pairs) -> list:
-    """Check multiplicativity and operator intertwining of φ̃ for ⊠ and B⁺ₑ:
-    one (multiplicative, intertwining) pair per input pair, ``None`` for a
-    check that holds, else its nonzero defect vector.
+    """Check multiplicativity and operator intertwining of φ̃ for ⊠ and B⁺ₑ
+    on every target of ``targets``, a sequence that shares one image map.
 
-    ``targets`` is one target, or a sequence of targets that share one image
-    map; for a sequence the result is one such list per target, in order,
-    and each element's letter stage serves every target."""
-    many = not isinstance(targets, NijenhuisTarget)
+    The result is one list per target, in order, holding one (multiplicative,
+    intertwining) pair per input pair, ``None`` for a check that holds, else
+    its nonzero defect vector; each element's letter stage serves every
+    target."""
     targets = _sharing_images(targets)
     checks = [(aug_mod_quasi_shuffle, make_n_tau(target), None) for target in targets]
-    defects = _universal_check(targets[0], pairs, checks)
-    return defects if many else defects[0]
+    return _universal_check(targets[0], pairs, checks)
 
 
 def rb_universal_check(lams, targets, pairs) -> list:
     """Rota-Baxter analog: ⊡ at weight λ against the operator λ·projection,
     with the same defect pairs as ``universal_property_check``.
 
-    ``lams`` is one weight, or a list or tuple of them, and ``targets`` one
-    target or a sequence sharing one image map.  If either is a sequence,
-    the result is one defect list per (target, λ), targets outer, and the
-    letter stage of x ⊡ y at each distinct weight serves every target."""
-    one_weight = not isinstance(lams, (list, tuple))
-    many = not one_weight or not isinstance(targets, NijenhuisTarget)
-    lams = [Fraction(exact(lam)) for lam in ((lams,) if one_weight else lams)]
+    ``lams`` is a sequence of weights and ``targets`` a sequence sharing one
+    image map.  The result is one defect list per (target, λ), targets
+    outer, and the letter stage of x ⊡ y at each distinct weight serves
+    every target."""
+    lams = [Fraction(exact(lam)) for lam in lams]
     targets = _sharing_images(targets)
     products = {lam: lambda x, y, lam=lam: aug_quasi_shuffle(x, y, lam) for lam in lams}
     checks = [
@@ -463,5 +457,4 @@ def rb_universal_check(lams, targets, pairs) -> list:
         for target in targets
         for lam in lams
     ]
-    defects = _universal_check(targets[0], pairs, checks)
-    return defects if many else defects[0]
+    return _universal_check(targets[0], pairs, checks)

@@ -11,12 +11,10 @@ lowest terms (Fraction(2, 3), "4/6"), so no ``Fraction`` is hashed.  The
 elements hold integer numerators over a shared denominator, and every
 product runs on ints: each term of u ∘ v carries at most min(|u|, |v|)
 merges (Hoffman), so the product is integral over q^min(|u|, |v|), and
-each grid cell is summed in one pass over that denominator.  Three one-step
-terms of aU ∘ bV are memoized the same way and read through
-``_term_product``: ``head`` [ab](U ∘ V) beside each recursion ∘, read by
-⊡, the dendriform • and ⊠, and ``_qsh.lead`` a(U * bV), read by ≺ and,
-with its factors swapped, by ≻, since * commutes.
-``clear_caches`` empties these five memos, the two recursions included.
+each grid cell is summed in one pass over that denominator.  Beside each
+recursion ∘ a head memo keeps its one-step term [ab](U ∘ V) the same way:
+``_qsh_head`` is ⊡, which the dendriform ≺, ≻ and • read as their B⁺ₑ
+forms, and ``_mqsh_head`` is ⊠.  ``clear_caches`` empties these four memos.
 
 One loop, ``_rows``, computes every word product without recursing, over
 the grid of suffix pairs, shortest row first, in two lists that start from
@@ -42,8 +40,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 from .base import MONO_UNIT, accumulate, exact
-from .errors import EmptyWordTermError
-from .tensor import TensorElement, Word
+from .tensor import TensorElement, Word, require_augmented
 
 # Most letters (m + n) of a pair a memo stores; an m-letter grid holds O(m³) letters
 MAX_STORED_LETTERS = 100
@@ -54,7 +51,7 @@ class _Memo(dict):
     the pair has at most MAX_STORED_LETTERS letters.  ``lookups`` counts ``_bilinear``'s reads."""
 
     # slots: attributes of a dict subclass's instance __dict__ are slow to update
-    __slots__ = ("compute", "lookups", "misses", "__dict__")
+    __slots__ = ("compute", "lookups", "misses")
 
     def __init__(self, compute: Callable):
         self.compute = compute
@@ -98,7 +95,7 @@ def _rows(memo: _Memo, merge_prefix: Word, w1: Word, w2: Word, lam) -> TensorEle
     m, n = len(w1), len(w2)
     stored = m + n <= MAX_STORED_LETTERS
     if stored:
-        known = memo.get((w1, w2, lam))  # ``head`` and ``lead`` pass stored pairs too
+        known = memo.get((w1, w2, lam))  # the head memos pass stored pairs too
         if known is not None:
             return known
     elif m < n:
@@ -132,22 +129,19 @@ def _rows(memo: _Memo, merge_prefix: Word, w1: Word, w2: Word, lam) -> TensorEle
     return below[0]
 
 
-def _word_recursion(merge_prefix: Word) -> _Memo:
-    """The memo of one word recursion; its ``head`` memoizes [ab](U ∘ V) for ⊡, • and ⊠."""
+def _word_recursion(merge_prefix: Word) -> tuple:
+    """The memo of one word recursion ∘ and its head memo of [ab](U ∘ V)."""
     rec = _Memo(None)
     rec.compute = partial(_rows, rec, merge_prefix)
-    rec.head = _Memo(
+    head = _Memo(
         lambda w1, w2, lam: _rows(rec, merge_prefix, w1[1:], w2[1:], lam).prepend(w1[0] * w2[0])
     )
-    return rec
+    return rec, head
 
 
-_qsh = _word_recursion(())
+_qsh, _qsh_head = _word_recursion(())
 # merged letters are shifted behind a fresh unit letter, preserving length
-_mqsh = _word_recursion((MONO_UNIT,))
-# a(U * bV), the terms of aU * bV led by the first word's head: ≺ reads it,
-# and ≻ reads it with its factors swapped, since * commutes
-_qsh.lead = _Memo(lambda w1, w2, lam: _rows(_qsh, (), w1[1:], w2, lam).prepend(w1[0]))
+_mqsh, _mqsh_head = _word_recursion((MONO_UNIT,))
 
 
 def _weight(lam):
@@ -197,14 +191,6 @@ def _bilinear(memo: _Memo, lam, x: TensorElement, y: TensorElement) -> TensorEle
     return TensorElement._trusted(acc) if den == 1 else TensorElement._reduced(acc, den)
 
 
-def _term_product(memo: _Memo, name: str, x: TensorElement, y: TensorElement, lam) -> TensorElement:
-    """The bilinear extension to x ⊗ y of ``memo``, a memoized one-step term,
-    at weight λ; ``name`` is the operation named when a factor is not augmented."""
-    if () in x._terms or () in y._terms:
-        raise EmptyWordTermError(f"{name} is defined on the augmented module only")
-    return _bilinear(memo, _weight(lam), x, y)
-
-
 def quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
     """Hoffman's quasi-shuffle product; associative and commutative for any λ."""
     return _bilinear(_qsh, _weight(lam), x, y)
@@ -217,7 +203,8 @@ def shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
 
 def aug_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
     """The product aU ⊡ bV = [ab](U*V) on the augmented module; unit is e."""
-    return _term_product(_qsh.head, "aug_quasi_shuffle", x, y, lam)
+    require_augmented("aug_quasi_shuffle", x, y)
+    return _bilinear(_qsh_head, _weight(lam), x, y)
 
 
 def mod_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
@@ -231,7 +218,8 @@ def aug_mod_quasi_shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
 
     Every term of an (m-word ⊠ n-word) has length m + n - 1.
     """
-    return _term_product(_mqsh.head, "aug_mod_quasi_shuffle", x, y, 1)
+    require_augmented("aug_mod_quasi_shuffle", x, y)
+    return _bilinear(_mqsh_head, 1, x, y)
 
 
 def mu_product(x, y, operator: Callable, mul: Callable):
@@ -245,5 +233,5 @@ def nijenhuis_torsion(x, y, operator: Callable, mul: Callable):
 
 
 def clear_caches() -> None:
-    for memo in (_qsh, _qsh.lead, _qsh.head, _mqsh, _mqsh.head):
+    for memo in (_qsh, _qsh_head, _mqsh, _mqsh_head):
         memo.cache_clear()

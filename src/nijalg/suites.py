@@ -14,8 +14,9 @@ A triple sweep (``_assoc_sweep``, both dendriform suites and
 ``functools.cache``, keyed by the values of their arguments: elements hash
 and compare on their canonical form, so a hit is the value a recomputation
 would give, and the (x, y) products that many triples share, (x * y) * z
-and (y * x) * z among them, are each computed once.  A memo serves one λ of
-one sweep; it is a local of the generator and is freed when its tally ends.
+and (y * x) * z among them, are each computed once.  The dendriform suites'
+pair checks read the same memo.  A memo serves one λ of one sweep; it is a
+local of the generator and is freed when its tally ends.
 
 Each suite is registered once, in the ordered table ``_SUITES``, with its
 sweep and the weights it fixes; ``SUITES``, ``run_suite`` and the CLI's
@@ -181,13 +182,17 @@ def suite_factorization(max_len, lambdas, seed):
         yield defect and _failure(f"w={word_str(w)}", defect)
 
 
+def _split_defect(ops, x, y, lam):
+    """x ≺ y + x ≻ y + x • y − x * y, from the memoized operations ``ops``."""
+    return ops.prec(x, y) + ops.succ(x, y) + ops.bullet(x, y) - quasi_shuffle(x, y, lam)
+
+
 def suite_dendriform_di(max_len, lambdas, seed):
-    ctx = DendriformContext(0)
+    ops = _dendriform_memo(DendriformContext(0))
     e = _elements(max_len, 1)
     for x, y in word_pairs(max_len, 1):
-        defect = ctx.star(e[x], e[y]) - quasi_shuffle(e[x], e[y], 0)
+        defect = _split_defect(ops, e[x], e[y], 0)
         yield defect and _failure(f"split {_inputs(x, y)}", defect)
-    ops = _dendriform_memo(ctx)
     for x, y, z in word_triples(max_len, 1):
         for i, defect in enumerate(dialgebra_defects(ops, e[x], e[y], e[z]), 1):
             yield defect and _failure(f"axiom{i} {_inputs(x, y, z)}", defect)
@@ -196,14 +201,13 @@ def suite_dendriform_di(max_len, lambdas, seed):
 def suite_dendriform_tri(max_len, lambdas, seed):
     e = _elements(max_len, 1)
     for lam in lambdas:
-        ctx = DendriformContext(lam)
+        ops = _dendriform_memo(DendriformContext(lam))
         for x, y in word_pairs(max_len, 1):
             ex, ey = e[x], e[y]
-            defect = ctx.star(ex, ey) - quasi_shuffle(ex, ey, lam)
+            defect = _split_defect(ops, ex, ey, lam)
             yield defect and _failure(f"split lambda={lam} {_inputs(x, y)}", defect)
-            defect = ctx.bullet(ex, ey) - (-lam) * aug_quasi_shuffle(ex, ey, lam)
+            defect = ops.bullet(ex, ey) - (-lam) * aug_quasi_shuffle(ex, ey, lam)
             yield defect and _failure(f"convention lambda={lam} {_inputs(x, y)}", defect)
-        ops = _dendriform_memo(ctx)
         for x, y, z in word_triples(max_len, 1):
             for i, defect in enumerate(trialgebra_defects(ops, e[x], e[y], e[z]), 1):
                 yield defect and _failure(f"axiom{i} lambda={lam} {_inputs(x, y, z)}", defect)

@@ -111,9 +111,6 @@ class TensorElement:
             return self._terms.items()
         return [(word, exact(Fraction(n, den))) for word, n in self._terms.items()]
 
-    def is_augmented(self) -> bool:
-        return EMPTY_WORD not in self._terms
-
     def prepend(self, *letters: Monomial) -> "TensorElement":
         """Write ``letters`` in front of every word."""
         return self._trusted({letters + w: n for w, n in self._terms.items()}, self._den)
@@ -198,14 +195,18 @@ def b_plus(x: TensorElement) -> TensorElement:
     return x.prepend(MONO_UNIT)
 
 
-def b_minus(x: TensorElement) -> TensorElement:
-    """Drop the first letter of every word.
+def require_augmented(name: str, *elements: TensorElement) -> None:
+    """Refuse elements outside the augmented module: an empty-word term is a
+    caller bug, not a value, and raises ``EmptyWordTermError`` naming the
+    operation ``name``."""
+    for x in elements:
+        if EMPTY_WORD in x._terms:
+            raise EmptyWordTermError(f"{name} is defined on the augmented module only")
 
-    Defined on the augmented module only: an empty-word term is a caller
-    bug, not a value, and raises ``EmptyWordTermError``.
-    """
-    if not x.is_augmented():
-        raise EmptyWordTermError("b_minus is defined on the augmented module only")
+
+def b_minus(x: TensorElement) -> TensorElement:
+    """Drop the first letter of every word; defined on the augmented module only."""
+    require_augmented("b_minus", x)
     terms = accumulate({}, ((w[1:], n) for w, n in x._terms.items()))
     return TensorElement._reduced(terms, x._den)
 

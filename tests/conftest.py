@@ -32,17 +32,13 @@ def in_exact_form(coeff) -> bool:
 
 
 def product_memos():
-    """Every ``products._Memo`` instance reachable from ``nijalg.products``:
-    its module globals and the attributes set on them (the recursions' term
-    memos)."""
+    """Every ``products._Memo`` instance among the module globals of
+    ``nijalg.products``."""
     found = []
     for value in vars(products).values():
-        for candidate in (value, *getattr(value, "__dict__", {}).values()):
-            # by identity: memos are dicts, and equal ones (empty ones) are distinct
-            if isinstance(candidate, products._Memo) and not any(
-                candidate is memo for memo in found
-            ):
-                found.append(candidate)
+        # by identity: memos are dicts, and equal ones (empty ones) are distinct
+        if isinstance(value, products._Memo) and not any(value is memo for memo in found):
+            found.append(value)
     return found
 
 

@@ -58,25 +58,33 @@ def test_succ_examples(ab, lam):
         assert ctx.succ(te(*x), te(*y)) == ctx.prec(te(*y), te(*x))
 
 
-def _b_plus_forms(ctx, x, y):
-    """x ⊡ B⁺(y), B⁺(x) ⊡ y and −λ·(x ⊡ y): the definitions of ≺, ≻ and •."""
-    lam = ctx.lam
-    return (
-        aug_quasi_shuffle(x, b_plus(y), lam),
-        aug_quasi_shuffle(b_plus(x), y, lam),
-        -lam * aug_quasi_shuffle(x, y, lam),
-    )
+def _lead_forms(lam, x, y):
+    """x₁(B⁻(x) * y), y₁(x * B⁻(y)) and −λ·[x₁y₁](B⁻(x) * B⁻(y)), each summed
+    over the terms of x and y: ≺, ≻ and • split by the leading letter, built
+    from the quasi-shuffle of the tails and ``prepend``."""
+    prec = succ = bullet = ZERO
+    for u, c in x.iterterms():
+        prec += c * quasi_shuffle(te(*u[1:]), y, lam).prepend(u[0])
+        for v, d in y.iterterms():
+            merged = quasi_shuffle(te(*u[1:]), te(*v[1:]), lam).prepend(u[0] * v[0])
+            bullet += -lam * c * d * merged
+    for v, d in y.iterterms():
+        succ += d * quasi_shuffle(x, te(*v[1:]), lam).prepend(v[0])
+    return prec, succ, bullet
 
 
 def test_head_forms_agree(ab):
-    # the operations read the recursion's head-letter terms; the B⁺ forms
-    # define them
-    for lam in (Fraction(0), Fraction(1), Fraction(-1)):
+    # multi-term elements against the lead forms, which share no code with
+    # the B⁺ forms that ≺, ≻ and • are computed as
+    words = words_over(ab, 3, 1)
+    elements = [te(*u) - Fraction(3, 2) * te(*v) for u, v in zip(words, words[1:])]
+    elements += [te(*w) for w in words[:6]]
+    for lam in (0, 1, -1, Fraction(2, 3)):
         ctx = DendriformContext(lam)
-        for x, y in _aug_pairs(ab, 5):
-            ex, ey = te(*x), te(*y)
-            operations = (ctx.prec(ex, ey), ctx.succ(ex, ey), ctx.bullet(ex, ey))
-            assert operations == _b_plus_forms(ctx, ex, ey)
+        for x in elements:
+            for y in elements:
+                operations = (ctx.prec(x, y), ctx.succ(x, y), ctx.bullet(x, y))
+                assert operations == _lead_forms(lam, x, y)
 
 
 def test_head_forms_of_long_words_do_not_recurse(ab):
@@ -166,9 +174,11 @@ def test_omega_identities(ab):
 
 
 def test_augmentation_guard(ab):
+    # each operation refuses an empty-word term in either factor under its
+    # own name, before B⁺ₑ could turn the empty word into e
     a, _ = ab
     ctx = DendriformContext(1)
-    with pytest.raises(EmptyWordTermError):
-        ctx.prec(te() + te(a), te(a))
-    with pytest.raises(EmptyWordTermError):
-        ctx.bullet(te(a), te())
+    for name in ("prec", "succ", "bullet"):
+        for x, y in ((te() + te(a), te(a)), (te(a), te())):
+            with pytest.raises(EmptyWordTermError, match=f"^{name} is defined on the augmented"):
+                getattr(ctx, name)(x, y)

@@ -220,7 +220,7 @@ def test_universal_property_small(ab):
     a, b = ab
     target = _target({0, 1}, Fraction(3, 2))
     pairs = [(te(a), te(b)), (te(a, b), te(b)), (te(a, b), te(b, a))]
-    assert universal_property_check(target, pairs) == [(None, None)] * len(pairs)
+    assert universal_property_check([target], pairs)[0] == [(None, None)] * len(pairs)
     # unit law: X ⊠ e maps to φ̃(X)
     op = make_n_tau(target)
     x = te(a, b, a)
@@ -234,7 +234,7 @@ def test_rb_universal_small(ab):
     pairs = [(te(a), te(b)), (te(a, b), te(b, a)), (te(b, b), te(a))]
     for lam in (Fraction(0), Fraction(1), Fraction(2, 3)):
         target = _target({0, 1}, 0)
-        assert rb_universal_check(lam, target, pairs) == [(None, None)] * len(pairs)
+        assert rb_universal_check([lam], [target], pairs)[0] == [(None, None)] * len(pairs)
     # λ = 1 with the full mask makes the operator the identity
     target = _target(range(4), 0)
     op = target.scaled_projection(1)
@@ -250,7 +250,7 @@ def test_operator_scalars_refuse_floats(ab):
         lambda: VectorAlgebraElement.unit(4) * 0.5,
         lambda: NijenhuisTarget(4, frozenset(), 0.5, target.images),
         lambda: target.scaled_projection(0.5),
-        lambda: rb_universal_check(0.5, target, pairs),
+        lambda: rb_universal_check([0.5], [target], pairs),
         lambda: rota_baxter_defect(b_plus, aug_quasi_shuffle, 0.5, te(a), te(b)),
     ):
         with pytest.raises(TypeError, match="float"):
@@ -259,7 +259,7 @@ def test_operator_scalars_refuse_floats(ab):
         assert target.scaled_projection(lam).diagonal == target.scaled_projection(
             Fraction(lam)
         ).diagonal
-        assert rb_universal_check(lam, target, pairs) == [(None, None)]
+        assert rb_universal_check([lam], [target], pairs)[0] == [(None, None)]
 
 
 def test_target_mask_entries_are_coordinate_indices():
@@ -293,7 +293,7 @@ def test_target_keeps_checked_copies_of_its_inputs(ab):
     images["a"] = VectorAlgebraElement([1, 2])
     mask.add(7)
     assert target.images == {"a": VectorAlgebraElement([1, 2, 3, 4])} and target.mask == {0, 1}
-    assert universal_property_check(target, [(te(a), te(a, a))]) == [(None, None)]
+    assert universal_property_check([target], [(te(a), te(a, a))])[0] == [(None, None)]
 
 
 def test_target_is_an_unhashable_immutable_value():
@@ -314,7 +314,7 @@ def test_universal_check_refuses_an_operator_that_fails_its_relation(ab, monkeyp
     monkeypatch.setattr(NijenhuisTarget, "scaled_projection", lambda self, lam: bad)
     target = _target({0, 1}, 0)
     with pytest.raises(ValueError, match=r"target operator bad fails its relation"):
-        rb_universal_check(1, target, [(te(a), te(b))])
+        rb_universal_check([1], [target], [(te(a), te(b))])
 
 
 @pytest.mark.parametrize("lam, bad", [(1, 2), (Fraction(2, 3), Fraction(1, 3))])
@@ -329,10 +329,10 @@ def test_sanity_check_refuses_a_bad_entry_in_any_coordinate(lam, bad, ab, monkey
         operator = DiagonalOperator("bad", VectorAlgebraElement(diagonal))
         monkeypatch.setattr(NijenhuisTarget, "scaled_projection", lambda self, lam: operator)
         with pytest.raises(ValueError, match=r"target operator bad fails its relation"):
-            rb_universal_check(lam, target, pairs)
+            rb_universal_check([lam], [target], pairs)
     operator = DiagonalOperator("good", VectorAlgebraElement(good))
     monkeypatch.setattr(NijenhuisTarget, "scaled_projection", lambda self, lam: operator)
-    assert rb_universal_check(lam, target, pairs) == [(None, None)]
+    assert rb_universal_check([lam], [target], pairs)[0] == [(None, None)]
 
 
 ENTRIES = (0, 1, -1, 2, Fraction(2, 3), Fraction(1, 3), Fraction(-5, 3))
@@ -370,10 +370,10 @@ def test_closed_form_relation_check_matches_the_all_ones_check(lam, on, drawn):
         mp.setattr(NijenhuisTarget, "scaled_projection", lambda self, lam: operator)
         mp.setattr(operators, "make_n_tau", lambda target: operator)
         defect = rota_baxter_defect(operator, vec_mul, lam, ones, ones)
-        got = _refusal(lambda: rb_universal_check(lam, target, pairs))
+        got = _refusal(lambda: rb_universal_check([lam], [target], pairs))
         assert got == (fails if defect else None)
         defect = nijenhuis_defect(operator, vec_mul, ones, ones)
-        got = _refusal(lambda: universal_property_check(target, pairs))
+        got = _refusal(lambda: universal_property_check([target], pairs))
         assert got == (fails if defect else None)
 
 

@@ -275,7 +275,7 @@ def test_each_target_gets_its_own_values(monkeypatch):
     )
     pairs = list(zip(xs, reversed(xs)))
     for target in (first, second):
-        defects = [mult for mult, _ in universal_property_check(target, pairs)]
+        defects = [mult for mult, _ in universal_property_check([target], pairs)[0]]
         assert defects == [
             ref_phi_extend(target, x, ref) * ref_phi_extend(target, y, ref) or None
             for x, y in pairs

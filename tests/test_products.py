@@ -25,7 +25,7 @@ from nijalg import (
 )
 from nijalg.expr import eval_expr, parse_expr
 from nijalg.oracle import mixed_shuffle, mod_quasi_shuffle_oracle
-from nijalg.products import MAX_STORED_LETTERS, _mqsh, _qsh, clear_caches
+from nijalg.products import MAX_STORED_LETTERS, _mqsh, _qsh, _qsh_head, clear_caches
 from conftest import count_calls, in_exact_form, product_memos, te, words_over
 
 LAMBDAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))
@@ -252,9 +252,10 @@ def test_memoized_terms_match_their_definitions(ab, lam):
 
 def test_clear_caches_empties_every_memo(ab):
     # the memos are discovered, not listed, so one that no operation fills
-    # or that clear_caches misses fails here
+    # or that clear_caches misses fails here: the two word recursions and
+    # the head memo beside each
     memos = product_memos()
-    assert len(memos) == 5
+    assert len(memos) == 4
     assert any(memo is _qsh for memo in memos) and any(memo is _mqsh for memo in memos)
     a, b = ab
     x, y = te(a, b), te(b, a, a)
@@ -266,6 +267,25 @@ def test_clear_caches_empties_every_memo(ab):
     clear_caches()
     cleared = {"hits": 0, "misses": 0, "currsize": 0}
     assert [vars(memo.cache_info()) for memo in memos] == [cleared] * len(memos)
+
+
+def test_memos_hold_no_instance_dict():
+    # every attribute of a memo is a slot, so no memo can hang on another
+    assert not any(hasattr(memo, "__dict__") for memo in product_memos())
+
+
+@pytest.mark.parametrize("lam", [0, 1, Fraction(2, 3)])
+def test_succ_reads_the_entry_that_prec_wrote(ab, lam):
+    # x ≻ y = y ⊡ B⁺ₑ(x) = y ≺ x: one head-memo entry serves both
+    a, b = ab
+    x, y = te(a, b), te(b, a, a)
+    ctx = DendriformContext(lam)
+    clear_caches()
+    prec = ctx.prec(y, x)
+    misses = [memo.cache_info().misses for memo in product_memos()]
+    assert ctx.succ(x, y) is prec
+    assert [memo.cache_info().misses for memo in product_memos()] == misses
+    assert _qsh_head.cache_info().hits == 1
 
 
 def test_bilinear_weights_that_multiply_to_an_integer_store_ints(ab):

@@ -70,8 +70,8 @@ def test_augmented_products_are_head_merged_oracle_products(u, v, lam):
 @SETTINGS
 @given(augmented, augmented, weights)
 def test_dendriform_operations_match_their_head_forms(x, y, lam):
-    # the operations read the recursion's head-letter terms; the B⁺ forms
-    # define them
+    # the B⁺ forms define the operations; ≻ is computed as y ⊡ B⁺(x), so
+    # its defining form B⁺(x) ⊡ y checks it
     ctx = DendriformContext(lam)
     assert ctx.prec(x, y) == aug_quasi_shuffle(x, b_plus(y), lam)
     assert ctx.succ(x, y) == aug_quasi_shuffle(b_plus(x), y, lam)
@@ -299,7 +299,7 @@ def _four_products(u, v, lam):
 
 
 def _splits(u, v, lam):
-    """≺ and ≻ of two words, which read the memoized terms ⊡ and ⊠ do not."""
+    """≺ and ≻ of two words, which read ⊡'s head memo at pairs ⊡ itself does not."""
     ctx = DendriformContext(lam)
     return [ctx.prec(te(u), te(v)), ctx.succ(te(u), te(v))]
 
@@ -356,8 +356,9 @@ def _six_operations(lam):
 @given(nonempty_words, nonempty_words, st.sampled_from([0, 1, -1, Fraction(2, 3)]), st.data())
 def test_products_do_not_depend_on_what_the_memos_hold(u, v, lam, data):
     # earlier products leave any mix of cells in the memos: unit pairs,
-    # prefix and suffix pairs, and the ⊡, ⊠ and ≺ terms, which pass their
-    # pairs to the row loop without a top-level read
+    # prefix and suffix pairs, and the ⊡ and ⊠ head terms, which ≺ and ≻
+    # read too and which pass their pairs to the row loop without a
+    # top-level read
     operations = _six_operations(lam)
     products.clear_caches()
     cold = [operation(te(u), te(v)) for operation, _ in operations]
@@ -400,7 +401,7 @@ def test_every_stored_grid_cell_is_canonical_and_matches_the_oracle(u, v, lam):
     cells = 0
     for memo in product_memos():
         oracle = oracles.get(id(memo))
-        if oracle is None:  # the ⊡, ⊠ and ≺ terms, which neither product reads
+        if oracle is None:  # the ⊡ and ⊠ head terms, which neither product reads
             assert not memo
             continue
         for (w1, w2, weight), cell in memo.items():

@@ -155,8 +155,8 @@ def test_universal_records_keep_their_order_and_keys(monkeypatch):
     # the full mask keeps every coordinate of φ̃ nonzero for these images
     target = NijenhuisTarget(4, frozenset(range(4)), Fraction(1), images)
     for label, defects in (
-        ("tau=1; mask=[0, 1, 2, 3]", universal_property_check(target, pairs)),
-        ("lambda=2/3; mask=[0, 1, 2, 3]", rb_universal_check(Fraction(2, 3), target, pairs)),
+        ("tau=1; mask=[0, 1, 2, 3]", universal_property_check([target], pairs)[0]),
+        ("lambda=2/3; mask=[0, 1, 2, 3]", rb_universal_check([Fraction(2, 3)], [target], pairs)[0]),
     ):
         results = list(suites._universal_results(pairs, defects, label))
         assert len(results) == 2 * len(pairs) and all(results)

@@ -234,7 +234,7 @@ def test_records_match_the_fraction_reference(name, monkeypatch):
                 target,
                 pairs,
                 f"tau={target.tau}",
-                universal_property_check(target, pairs),
+                universal_property_check([target], pairs)[0],
                 ref_nijenhuis_records(target, pairs, amq),
             )
         target = NijenhuisTarget(4, mask, Fraction(0), images)
@@ -243,7 +243,7 @@ def test_records_match_the_fraction_reference(name, monkeypatch):
                 target,
                 pairs,
                 f"lambda={lam}",
-                rb_universal_check(lam, target, pairs),
+                rb_universal_check([lam], [target], pairs)[0],
                 ref_rota_baxter_records(lam, target, pairs, aqs),
             )
     # the mutants reach the failure path; the real products never do
@@ -408,10 +408,10 @@ def test_targets_checked_together_share_one_image_map():
     same = NijenhuisTarget(4, frozenset({0, 1}), Fraction(5, 3), dict(images))
     targets = [first, same]
     assert universal_property_check(targets, pairs) == [
-        universal_property_check(t, pairs) for t in targets
+        universal_property_check([t], pairs)[0] for t in targets
     ]
     assert rb_universal_check(RB_LAMBDAS, targets, pairs) == [
-        rb_universal_check(lam, t, pairs) for t in targets for lam in RB_LAMBDAS
+        rb_universal_check([lam], [t], pairs)[0] for t in targets for lam in RB_LAMBDAS
     ]
     # a different image map, or dimension, is refused before any check
     mixed = NijenhuisTarget(4, frozenset({0}), Fraction(1), other)
@@ -423,7 +423,7 @@ def test_targets_checked_together_share_one_image_map():
         with pytest.raises(ValueError, match="share one image map"):
             rb_universal_check(RB_LAMBDAS, targets, pairs)
         with pytest.raises(ValueError, match="share one image map"):
-            rb_universal_check(1, targets, pairs)
+            rb_universal_check([1], targets, pairs)
     with pytest.raises(ValueError, match="no target"):
         universal_property_check([], pairs)
 
