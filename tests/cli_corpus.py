@@ -65,6 +65,17 @@ def _eval_argvs():
         for lam in EVAL_LAMBDAS:
             for fmt in ("text", "json"):
                 yield ["eval", text, "--lambda", lam, "--format", fmt]
+    # options before the expression, joined by "=", repeated or abbreviated
+    yield from (
+        ["eval", "--format", "json", "a.b"],
+        ["eval", "a", "--lambda=2/3"],
+        ["eval", "a", "--format=json", "--lambda", "-1/2"],
+        ["eval", "a", "--lambda", "1", "--lambda", "2"],
+        ["eval", "a * b", "--lambda", "1", "--lambda", "2"],
+        ["eval", "a", "--lam", "2"],
+        ["eval", "a * b", "--lam", "2"],
+        ["eval", "a", "--form", "json"],
+    )
 
 
 def _exit2_argvs():
@@ -113,6 +124,10 @@ def _exit2_argvs():
         ["eval", f"[a^{'9' * limit} a^{'9' * limit}]", "--format", "json"],
         ["check", "assoc-qsh", "--lambda", "1e5000", "--max-len", "2"],
         ["check", "assoc-mqs", "--lambda", "1e3000", "--max-len", "3"],
+        ["eval", ""],
+        ["eval", "-a"],
+        ["eval", "a", "--format="],
+        ["eval", "a", "--lambda="],
     )
 
 
