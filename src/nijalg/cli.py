@@ -3,7 +3,14 @@
 Exit codes: 0 pass, 1 check failure, 2 usage or parse error, or a result
 with an integer of more digits than Python prints.  Output is
 deterministic; ANSI color is used only on a terminal and can be disabled
-with NIJ_COLOR=0.
+with NIJ_COLOR=0.  A reader that closes stdout early gets no traceback:
+the exit code is the one the command decided.
+
+A well-formed ``eval`` (one expression and each of ``--lambda`` and
+``--format`` at most once, spelled out in full, with a valid value) is read
+by ``_plain_eval`` without argparse, whose parse takes about as long as a
+small evaluation.  Every other argv, ``check``, help and every refusal
+still goes through argparse, so its messages stay argparse's.
 """
 
 from __future__ import annotations
@@ -129,10 +136,49 @@ def _parse_max_len(text: str) -> int:
     return value
 
 
+def _plain_eval(argv: list):
+    """The Namespace argparse builds for ``argv`` when ``argv`` is ``eval``,
+    one expression that does not start with ``-``, and each of ``--lambda V``
+    and ``--format V`` (or ``--opt=V``) at most once, spelled out in full,
+    with a V that starts with ``-`` only after ``=``, a format of text or
+    json and a λ that ``_parse_lambda`` reads; None for every other argv,
+    which argparse then parses (or refuses) as it always has."""
+    if argv[:1] != ["eval"]:
+        return None
+    expr, values = None, {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if expr is not None:
+                return None
+            expr = token
+            continue
+        option, joined, value = token.partition("=")
+        if option not in ("--lambda", "--format") or option in values:
+            return None
+        if not joined:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        values[option] = value
+    fmt = values.get("--format", "text")
+    if expr is None or fmt not in ("text", "json"):
+        return None
+    lam = Fraction(1)
+    if "--lambda" in values:
+        try:
+            lam = _parse_lambda(values["--lambda"])
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+    return argparse.Namespace(command="eval", expr=expr, lam=lam, format=fmt)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: argparse parsers hold no state
-    between parse_args calls, and building one costs more than a small eval."""
+    between parse_args calls, and building one costs more than a small eval.
+    A well-formed ``eval`` never builds it (``_plain_eval``); ``check``, help
+    and every malformed argv do."""
     parser = argparse.ArgumentParser(
         prog="nijalg",
         description="Exact quasi-shuffle algebra calculator and identity checker.",
@@ -162,51 +208,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple:
+    """(exit code, stdout text)."""
     try:
         element = eval_expr(parse_expr(args.expr), args.lam)
     except (ExprSyntaxError, ReservedSymbolError, EmptyWordTermError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 2, ""
     if args.format == "json":
-        print(json.dumps(element_to_json(element, args.lam)))
-    else:
-        print(element)
-    return 0
+        return 0, json.dumps(element_to_json(element, args.lam)) + "\n"
+    return 0, f"{element}\n"
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
+    """(exit code, stdout text)."""
     lams = args.lams if args.lams else [Fraction(1)]
     try:
         report = run_suite(args.suite, args.max_len, lams, args.seed)
     except UnknownSuiteError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 2, ""
     failures = report["failures"]
+    code = 1 if failures else 0
     if args.format == "json":
-        print(json.dumps(report))
-    else:
-        for record in failures:
-            extra = f" [{record['check']}]" if "check" in record else ""
-            print(f"FAIL{extra} {record['inputs']}: defect = {record['defect']}")
-        print(
-            f"{report['suite']}: {report['checked']} checks, "
-            f"{len(failures)} failures -> {_verdict(not failures)}"
-        )
-    return 1 if failures else 0
+        return code, json.dumps(report) + "\n"
+    lines = []
+    for record in failures:
+        extra = f" [{record['check']}]" if "check" in record else ""
+        lines.append(f"FAIL{extra} {record['inputs']}: defect = {record['defect']}\n")
+    lines.append(
+        f"{report['suite']}: {report['checked']} checks, "
+        f"{len(failures)} failures -> {_verdict(not failures)}\n"
+    )
+    return code, "".join(lines)
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    argv = _join_negative_lambdas(sys.argv[1:] if argv is None else list(argv))
+def _run(argv: list) -> tuple:
+    """(exit code, stdout text) of the command ``argv`` names; argparse
+    writes its own help and refusals."""
+    args = _plain_eval(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return (exc.code if isinstance(exc.code, int) else 2), ""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        return _cmd_check(args)
+        return (_cmd_eval if args.command == "eval" else _cmd_check)(args)
     except ValueError as err:
         # a result integer too long to print: str() refuses it before
         # anything reaches stdout; any other ValueError is a bug
@@ -217,7 +264,19 @@ def main(argv=None) -> int:
             " too long to print",
             file=sys.stderr,
         )
-        return 2
+        return 2, ""
+
+
+def main(argv=None) -> int:
+    code, out = _run(_join_negative_lambdas(sys.argv[1:] if argv is None else list(argv)))
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes to the null
+        # device, so the flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

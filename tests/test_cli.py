@@ -1,5 +1,7 @@
 """CLI behavior: output formats, determinism, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nijalg
 from nijalg import cli
@@ -396,3 +400,90 @@ def test_other_value_errors_are_not_turned_into_exit_2(monkeypatch):
     monkeypatch.setattr(cli, "_cmd_eval", broken)
     with pytest.raises(ValueError, match="a bug"):
         main(["eval", "a"])
+
+
+def test_a_closed_stdout_gives_no_traceback():
+    # the report (about 470 KB) is far larger than a pipe holds, so the
+    # child is still writing when the reader closes its end
+    env = {**os.environ, "PYTHONPATH": str(Path(nijalg.__file__).parent.parent)}
+    argv = [sys.executable, "-m", "nijalg", "check", "assoc-mqs", "--lambda", "2/3", "--max-len", "6"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert first.startswith(b"FAIL assoc lambda=2/3 ")
+    assert (code, err) == (1, b"")
+
+
+# tokens at the edges of the shape _plain_eval reads: abbreviations, "=",
+# repeats, "--", help, values that start with "-" or hold a space
+ARGV_TOKENS = (
+    "a", "a * b", "a.b", "", "-a", " -x", "a b", "--", "-h", "--help",
+    "--lambda", "--lambda=", "--lambda=2/3", "--lambda=-1/2", "--lambda=--format", "--lam",
+    "--format", "--format=", "--format=json", "--form", "json", "text", "xml",
+    "2", "2/3", "-1/2", "1/0", "x",
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=1500)
+@given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
+def test_the_plain_eval_reading_matches_argparse(tokens):
+    argv = cli._join_negative_lambdas(["eval", *tokens])
+    fast = cli._plain_eval(argv)
+    if fast is not None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                slow = cli.build_parser().parse_args(argv)
+            except SystemExit:
+                slow = None
+        assert slow is not None, (argv, err.getvalue())
+        assert vars(fast) == vars(slow)
+
+
+def test_plain_eval_reads_only_its_narrow_shape():
+    for argv in (
+        ["eval", "a"],
+        ["eval", "--format", "json", "a.b"],
+        ["eval", "a", "--lambda=2/3"],
+        ["eval", "a", "--format=json", "--lambda=-1/2"],
+        ["eval", ""],
+    ):
+        assert cli._plain_eval(argv) is not None, argv
+    for argv in (
+        ["eval"],
+        ["eval", "a", "b"],
+        ["eval", "a", "--lam", "2"],
+        ["eval", "a", "--form", "json"],
+        ["eval", "a", "--lambda", "1", "--lambda", "2"],
+        ["eval", "a", "--format", "xml"],
+        ["eval", "a", "--lambda", "1/0"],
+        ["eval", "a", "--lambda"],
+        ["eval", "-a"],
+        ["eval", "--", "a"],
+        ["eval", "a", "-h"],
+        ["check", "assoc-qsh"],
+    ):
+        assert cli._plain_eval(argv) is None, argv
+
+
+def test_a_well_formed_eval_does_not_build_the_parser(capsys):
+    cli.build_parser.cache_clear()
+    code, out, err = run(capsys, "eval", "a * b", "--lambda", "-1/2", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "lambda": "-1/2",
+        "terms": [
+            {"coeff": "1/2", "word": [[["a", 1], ["b", 1]]]},
+            {"coeff": "1", "word": [[["a", 1]], [["b", 1]]]},
+            {"coeff": "1", "word": [[["b", 1]], [["a", 1]]]},
+        ],
+    }
+    assert cli.build_parser.cache_info().misses == 0
+    # an abbreviation is argparse's to read
+    assert run(capsys, "eval", "a", "--lam", "2") == (0, "a\n", "")
+    assert cli.build_parser.cache_info().misses == 1
