@@ -3,8 +3,8 @@
 Exit codes: 0 pass, 1 check failure, 2 usage or parse error, or a result
 with an integer of more digits than Python prints.  Output is
 deterministic; ANSI color is used only on a terminal and can be disabled
-with NIJ_COLOR=0.  A reader that closes stdout early gets no traceback:
-the exit code is the one the command decided.
+with NIJ_COLOR=0.  A reader that closes stdout or stderr early gets no
+traceback: the exit code is the one the command decided.
 
 A well-formed ``eval`` (one expression and each of ``--lambda`` and
 ``--format`` at most once, spelled out in full, with a valid value) is read
@@ -157,6 +157,7 @@ def _plain_eval(argv: list):
         if option not in ("--lambda", "--format") or option in values:
             return None
         if not joined:
+            # a missing value reads as "-" and is refused
             value = next(tokens, "-")
             if value.startswith("-"):
                 return None
@@ -166,6 +167,7 @@ def _plain_eval(argv: list):
         return None
     lam = Fraction(1)
     if "--lambda" in values:
+        # the errors caught are the ones argparse turns into a usage message
         try:
             lam = _parse_lambda(values["--lambda"])
         except (argparse.ArgumentTypeError, TypeError, ValueError):
@@ -208,12 +210,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message) -> None:
+    """Print ``error: message`` to stderr.  A closed stderr is ignored, as
+    argparse ignores it, so the exit code still says what went wrong."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except BrokenPipeError:
+        pass
+
+
 def _cmd_eval(args) -> tuple:
     """(exit code, stdout text)."""
     try:
         element = eval_expr(parse_expr(args.expr), args.lam)
     except (ExprSyntaxError, ReservedSymbolError, EmptyWordTermError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        _error(err)
         return 2, ""
     if args.format == "json":
         return 0, json.dumps(element_to_json(element, args.lam)) + "\n"
@@ -226,7 +237,7 @@ def _cmd_check(args) -> tuple:
     try:
         report = run_suite(args.suite, args.max_len, lams, args.seed)
     except UnknownSuiteError as err:
-        print(f"error: {err}", file=sys.stderr)
+        _error(err)
         return 2, ""
     failures = report["failures"]
     code = 1 if failures else 0
@@ -259,10 +270,9 @@ def _run(argv: list) -> tuple:
         # anything reaches stdout; any other ValueError is a bug
         if "integer string conversion" not in str(err):
             raise
-        print(
-            f"error: the result has an integer of more than {_digit_limit()} digits,"
-            " too long to print",
-            file=sys.stderr,
+        _error(
+            f"the result has an integer of more than {_digit_limit()} digits,"
+            " too long to print"
         )
         return 2, ""
 

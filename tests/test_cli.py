@@ -419,6 +419,20 @@ def test_a_closed_stdout_gives_no_traceback():
     assert (code, err) == (1, b"")
 
 
+def test_a_closed_stderr_keeps_the_exit_code():
+    env = {**os.environ, "PYTHONPATH": str(Path(nijalg.__file__).parent.parent)}
+    for argv, code in ((["eval", "a..b"], 2), (["eval", "a", "--bogus"], 2), (["eval", "a * b"], 0)):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "nijalg", *argv], stdout=write, stderr=write, timeout=30, env=env
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == code, argv
+
+
 # tokens at the edges of the shape _plain_eval reads: abbreviations, "=",
 # repeats, "--", help, values that start with "-" or hold a space
 ARGV_TOKENS = (
