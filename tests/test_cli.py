@@ -407,14 +407,11 @@ def test_a_closed_stdout_gives_no_traceback():
     # child is still writing when the reader closes its end
     env = {**os.environ, "PYTHONPATH": str(Path(nijalg.__file__).parent.parent)}
     argv = [sys.executable, "-m", "nijalg", "check", "assoc-mqs", "--lambda", "2/3", "--max-len", "6"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    try:
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
-    finally:
-        proc.kill()
     assert first.startswith(b"FAIL assoc lambda=2/3 ")
     assert (code, err) == (1, b"")
 
