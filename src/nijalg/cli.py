@@ -112,7 +112,8 @@ def _join_negative_lambdas(argv: list) -> list:
     """``argv`` with each ``--lambda V`` after the command, or an abbreviation
     such as ``--lam V``, joined into ``--lambda=V`` where V starts like a
     negative number (``-1/2``, ``-.5``), which argparse would otherwise read
-    as an option; nothing after ``--`` is touched."""
+    as an option; nothing after ``--`` is touched.  It serves argparse
+    only: ``_plain_eval`` reads such a V itself."""
     if argv[:1] not in (["eval"], ["check"]):
         return argv
     out = argv[:1]
@@ -137,12 +138,15 @@ def _parse_max_len(text: str) -> int:
 
 
 def _plain_eval(argv: list):
-    """The Namespace argparse builds for ``argv`` when ``argv`` is ``eval``,
-    one expression that does not start with ``-``, and each of ``--lambda V``
-    and ``--format V`` (or ``--opt=V``) at most once, spelled out in full,
-    with a V that starts with ``-`` only after ``=``, a format of text or
-    json and a λ that ``_parse_lambda`` reads; None for every other argv,
-    which argparse then parses (or refuses) as it always has."""
+    """The Namespace argparse builds for ``argv`` (after
+    ``_join_negative_lambdas``) when ``argv`` is ``eval``, one expression
+    that does not start with ``-``, and each of ``--lambda V`` and
+    ``--format V`` (or ``--opt=V``) at most once, spelled out in full, with
+    a format of text or json and a λ that ``_parse_lambda`` reads; None for
+    every other argv, which argparse then parses (or refuses) as it always
+    has.  Each V is judged by its own option's check alone, so a negative
+    λ such as ``--lambda -1/2`` needs no joining, and any other V that
+    starts with ``-`` fails that check."""
     if argv[:1] != ["eval"]:
         return None
     expr, values = None, {}
@@ -157,9 +161,8 @@ def _plain_eval(argv: list):
         if option not in ("--lambda", "--format") or option in values:
             return None
         if not joined:
-            # a missing value reads as "-" and is refused
-            value = next(tokens, "-")
-            if value.startswith("-"):
+            value = next(tokens, None)
+            if value is None:
                 return None
         values[option] = value
     fmt = values.get("--format", "text")
@@ -260,7 +263,7 @@ def _run(argv: list) -> tuple:
     args = _plain_eval(argv)
     if args is None:
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser().parse_args(_join_negative_lambdas(argv))
         except SystemExit as exc:
             return (exc.code if isinstance(exc.code, int) else 2), ""
     try:
@@ -278,7 +281,7 @@ def _run(argv: list) -> tuple:
 
 
 def main(argv=None) -> int:
-    code, out = _run(_join_negative_lambdas(sys.argv[1:] if argv is None else list(argv)))
+    code, out = _run(sys.argv[1:] if argv is None else list(argv))
     try:
         sys.stdout.write(out)
         sys.stdout.flush()

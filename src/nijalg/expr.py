@@ -263,10 +263,8 @@ class _Parser:
             while self.tok.kind == "IDENT":
                 pairs.append(self.parse_genexp())
             self.expect_sym("]")
-            mono = MONO_UNIT
-            for name, exp in pairs:
-                mono = mono * Monomial(((name, exp),))
-            return mono
+            # Monomial adds the exponents of a repeated generator
+            return Monomial(pairs)
         tok = self.tok
         if tok.kind != "IDENT":
             self.error(

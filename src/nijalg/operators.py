@@ -321,59 +321,50 @@ def _universal_check(target, pairs, checks) -> list:
     operator is always Nijenhuis, and it is Rota-Baxter of weight λ exactly
     when every dᵢ(λ − dᵢ) = 0; an operator that fails its relation is
     refused before any pair.  Each diagonal then becomes (i, p, q) points,
-    dᵢ = p/q in lowest terms, numbered once across all checks.  One
-    ``_letter_stage``, made here and dropped on return, runs once per
-    element of each pair: on x, y and B⁺ₑx, and on product(x, y) once per
-    distinct product.  ``_at_points`` then evaluates φ̃ᵢ of x, y and B⁺ₑx
-    once per point, and φ̃ᵢ(product(x, y)) once per point of that product's
-    checks.  At each point φ̃ᵢ(B⁺ₑx) is compared with dᵢ·φ̃ᵢ(x), a verdict
-    that every product shares, and φ̃ᵢ(product(x, y)) with φ̃ᵢ(x)·φ̃ᵢ(y), in
-    integers.  A check holds when all its points do; only a failing check
+    dᵢ = p/q in lowest terms, numbered once across all checks, and the
+    checks are grouped by their product, each group holding the points of
+    its checks.  One ``_letter_stage``, made here and dropped on return,
+    runs once per element of each pair: on x, y and B⁺ₑx, and on
+    product(x, y) once per group.  ``_at_points`` evaluates φ̃ᵢ of x, y and
+    B⁺ₑx once per point, and φ̃ᵢ(product(x, y)) once per point of its group.
+    At each point of a group, φ̃ᵢ(product(x, y)) is compared with
+    φ̃ᵢ(x)·φ̃ᵢ(y) and φ̃ᵢ(B⁺ₑx) with dᵢ·φ̃ᵢ(x), in integers, and a check
+    holds when none of its points fails either.  Only a failing check
     builds its defect vectors, from the same values at its own points."""
     numbers = {}  # each distinct point (i, p, q) -> its number, in order
-    products = {}  # product -> the bits of its checks' points
-    plan = []  # per check: its product, its points' bits, their numbers by coordinate
-    for product, operator, lam in checks:
+    groups = {}  # product -> its checks: (result index, points' bits, their numbers)
+    for index, (product, operator, lam) in enumerate(checks):
         points = _points(operator.diagonal)
         if lam is not None and any(
             p * (lam.numerator * q - lam.denominator * p) for _, p, q in points
         ):
             raise ValueError(f"target operator {operator.name} fails its relation")
         ks = [numbers.setdefault(point, len(numbers)) for point in points]
-        bits = sum(1 << k for k in ks)
-        products[product] = products.get(product, 0) | bits
-        plan.append((product, bits, ks))
+        groups.setdefault(product, []).append((index, sum(1 << k for k in ks), ks))
     points = list(numbers)
-    own = {}  # per distinct product: the numbers of its points, the points
-    for product, bits in products.items():
-        numbered = [k for k in range(len(points)) if bits >> k & 1]
-        own[product] = numbered, [points[k] for k in numbered]
+    plan = []  # per product: the numbers of its group's points, the points, its checks
+    for product, group in groups.items():
+        numbered = sorted({k for _, _, ks in group for k in ks})
+        plan.append((product, numbered, [points[k] for k in numbered], group))
     letters = _letter_stage(target)
-    results = [[] for _ in plan]
+    results = [[] for _ in checks]
     for x, y in pairs:
         vx, vy = _at_points(letters(x), points), _at_points(letters(y), points)
         vbx = _at_points(letters(b_plus(x)), points)
-        twine = 0  # the bits of the points where φ̃ᵢ(B⁺ₑx) ≠ dᵢ·φ̃ᵢ(x)
-        for k, (_, p, q) in enumerate(points):
-            (a, b), (c, e) = vbx[k], vx[k]
-            if a * q * e != p * c * b:
-                twine |= 1 << k
-        values, failing = {}, {}  # product -> its φ̃ᵢ(product(x, y)), its failing bits
-        for product, (numbered, its_points) in own.items():
-            vxy = values[product] = _at_points(letters(product(x, y)), its_points)
-            bad = twine
-            for k, (a, b) in zip(numbered, vxy):
-                (c, e), (f, g) = vx[k], vy[k]
-                if a * e * g != c * f * b:
+        for product, numbered, its_points, group in plan:
+            vxy = _at_points(letters(product(x, y)), its_points)
+            bad = 0  # the bits of the points that fail either check
+            for k, (_, p, q), (a, b) in zip(numbered, its_points, vxy):
+                (c, e), (f, g), (r, s) = vx[k], vy[k], vbx[k]
+                if a * e * g != c * f * b or r * q * e != p * c * s:
                     bad |= 1 << k
-            failing[product] = bad
-        for (product, bits, ks), defects in zip(plan, results):
-            if failing[product] & bits:
-                vxy = dict(zip(own[product][0], values[product]))
-                mult = _defect([(vxy[k], vx[k], vy[k]) for k in ks])
-                defects.append((mult, _defect([(vbx[k], vx[k], points[k][1:]) for k in ks])))
-            else:
-                defects.append((None, None))
+            for index, bits, ks in group:
+                defects = None, None
+                if bad & bits:
+                    at = dict(zip(numbered, vxy))
+                    mult = _defect([(at[k], vx[k], vy[k]) for k in ks])
+                    defects = mult, _defect([(vbx[k], vx[k], points[k][1:]) for k in ks])
+                results[index].append(defects)
     return results
 
 

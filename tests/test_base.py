@@ -36,6 +36,9 @@ def test_mono_mul_examples():
     assert a * b == Monomial({"a": 1, "b": 1})
     assert a * a == Monomial({"a": 2})
     assert (a * b) * c == a * (b * c)
+    # a monomial multiplies only a monomial
+    with pytest.raises(TypeError):
+        a * 2
 
 
 def test_mono_mul_commutative_associative_exhaustive():
@@ -103,6 +106,8 @@ def test_reserved_and_invalid_generator_names():
 def test_monomial_rejects_negative_exponent():
     with pytest.raises(ValueError):
         Monomial({"a": -1})
+    with pytest.raises(ValueError, match="negative monomial power"):
+        gen("a") ** -1
 
 
 def test_monomial_rejects_non_integer_exponents():

@@ -443,13 +443,14 @@ ARGV_TOKENS = (
 @settings(derandomize=True, deadline=None, database=None, max_examples=1500)
 @given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
 def test_the_plain_eval_reading_matches_argparse(tokens):
-    argv = cli._join_negative_lambdas(["eval", *tokens])
+    # each reads the argv it is given in _run: argparse after the join
+    argv = ["eval", *tokens]
     fast = cli._plain_eval(argv)
     if fast is not None:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                slow = cli.build_parser().parse_args(argv)
+                slow = cli.build_parser().parse_args(cli._join_negative_lambdas(argv))
             except SystemExit:
                 slow = None
         assert slow is not None, (argv, err.getvalue())
@@ -462,6 +463,7 @@ def test_plain_eval_reads_only_its_narrow_shape():
         ["eval", "--format", "json", "a.b"],
         ["eval", "a", "--lambda=2/3"],
         ["eval", "a", "--format=json", "--lambda=-1/2"],
+        ["eval", "a", "--lambda", "-1/2"],
         ["eval", ""],
     ):
         assert cli._plain_eval(argv) is not None, argv

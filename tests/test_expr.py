@@ -46,6 +46,7 @@ def test_parse_examples(ab):
     assert parse_expr("e.a.[a b]") == WordLit((MONO_UNIT, a, a * b))
     assert parse_expr("a^2.b") == WordLit((a * a, b))
     assert parse_expr("[a^2 b]") == WordLit((a * a * b,))
+    assert parse_expr("[b a b^2]") == WordLit((Monomial({"a": 1, "b": 3}),))
     assert parse_expr("2/3*a") == Scale(Fraction(2, 3), WordLit((a,)))
     assert parse_expr("2 a.b") == Scale(Fraction(2), WordLit((a, b)))
     assert parse_expr("a + b - c") == Sub(
@@ -193,6 +194,10 @@ def test_nodes_are_immutable_values_of_their_type(ab):
         "right=UnaryOp(tag='B+', child=WordLit(word=(Monomial(b),))))"
     )
     assert pickle.loads(pickle.dumps(node)) == node
+    # anything else is no node: it has neither text nor value
+    for convert in (to_text, eval_expr):
+        with pytest.raises(TypeError, match="not an AST node"):
+            convert(((a,),))
     for field in ("tag", "left", "right"):
         with pytest.raises(AttributeError):
             setattr(node, field, x)

@@ -282,6 +282,8 @@ def test_target_mask_entries_are_coordinate_indices():
         NijenhuisTarget(-1, frozenset(), 1, {})
     with pytest.raises(TypeError, match="not a VectorAlgebraElement"):
         NijenhuisTarget(4, {0}, 1, {"a": [1, 2, 3, 4]})
+    with pytest.raises(ValueError, match="image of 'a' has wrong dimension"):
+        NijenhuisTarget(4, {0}, 1, {"a": VectorAlgebraElement([1, 2, 3])})
     assert NijenhuisTarget(0, frozenset(), 1, {}).dim == 0
 
 

@@ -106,6 +106,7 @@ def test_canonical_text(ab):
     x = te(a, b) + te(b, a) - te(a * b)
     assert str(x) == "-[a b] + a.b + b.a"
     assert str(2 * te(a)) == "2·a"
+    assert repr(x) == "TensorElement(-[a b] + a.b + b.a)"
 
 
 def test_equality_and_hash(ab):
