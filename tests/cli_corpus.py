@@ -46,6 +46,9 @@ EXTRA = (
     "1 < a", "a < 1", "1 > a", "a > 1", "1 & a", "a & (b - b + 1)",
     "a # 1", "1 % a", "1 * a", "1 sh a.b", "1 @ a",
 )
+# JSON only: the zero element, the empty word, exponents and multi-generator
+# letters, and generator names with digits and underscores
+JSON_EXTRA = ("a - a", "1", "2 1", "[a^2 c] * b^3", "x_1 * x_10")
 
 
 def _check_argvs():
@@ -76,6 +79,9 @@ def _eval_argvs():
         ["eval", "a * b", "--lam", "2"],
         ["eval", "a", "--form", "json"],
     )
+    for text in JSON_EXTRA:
+        for lam in EVAL_LAMBDAS:
+            yield ["eval", text, "--lambda", lam, "--format", "json"]
 
 
 def _exit2_argvs():
