@@ -85,10 +85,6 @@ class Monomial:
     def exponents(self) -> Tuple[Tuple[str, int], ...]:
         return self._pairs
 
-    @property
-    def sort_key(self):
-        return self._key
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented

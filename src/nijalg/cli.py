@@ -4,7 +4,12 @@ Exit codes: 0 pass, 1 check failure, 2 usage or parse error, or a result
 with an integer of more digits than Python prints.  Output is
 deterministic; ANSI color is used only on a terminal and can be disabled
 with NIJ_COLOR=0.  A reader that closes stdout or stderr early gets no
-traceback: the exit code is the one the command decided.
+traceback: the exit code is the one the command decided.  A stdout whose
+encoding cannot hold the output's ``·`` is sent its UTF-8 bytes.
+
+``eval --format json`` writes ``{"lambda": …, "terms": …}`` round
+``TensorElement.json_terms``, the bytes ``json.dumps`` wrote for the same
+value (README, "CLI"); ``check --format json`` is ``json.dumps`` of the report.
 
 A well-formed ``eval`` (one expression and each of ``--lambda`` and
 ``--format`` at most once, spelled out in full, with a valid value) is read
@@ -31,23 +36,6 @@ from .errors import (
 )
 from .expr import eval_expr, parse_expr
 from .suites import SUITES, run_suite
-from .tensor import TensorElement
-
-
-def element_to_json(element: TensorElement, lam: Fraction) -> dict:
-    """JSON form: a word is a list of monomials, a monomial a sorted list of
-    [generator, exponent] pairs; the unit monomial is the empty list."""
-    return {
-        "lambda": str(lam),
-        "terms": [
-            {
-                "coeff": str(coeff),
-                # json.dumps prints the exponent tuples as lists
-                "word": [mono.exponents for mono in word],
-            }
-            for word, coeff in element.terms()
-        ],
-    }
 
 
 def _color_enabled() -> bool:
@@ -230,7 +218,7 @@ def _cmd_eval(args) -> tuple:
         _error(err)
         return 2, ""
     if args.format == "json":
-        return 0, json.dumps(element_to_json(element, args.lam)) + "\n"
+        return 0, f'{{"lambda": "{args.lam}", "terms": {element.json_terms()}}}\n'
     return 0, f"{element}\n"
 
 
@@ -283,7 +271,12 @@ def _run(argv: list) -> tuple:
 def main(argv=None) -> int:
     code, out = _run(sys.argv[1:] if argv is None else list(argv))
     try:
-        sys.stdout.write(out)
+        try:
+            sys.stdout.write(out)
+        except UnicodeEncodeError:
+            # a stdout that cannot encode "·" gets the UTF-8 bytes
+            sys.stdout.flush()
+            sys.stdout.buffer.write(out.encode())
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone: what is still buffered goes to the null

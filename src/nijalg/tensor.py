@@ -33,7 +33,7 @@ def make_word(letters: Iterable[Monomial]) -> Word:
 
 def word_sort_key(w: Word):
     """Canonical order: length first, then letterwise monomial order."""
-    return (len(w), tuple(m.sort_key for m in w))
+    return (len(w), tuple([m._key for m in w]))
 
 
 def word_str(w: Word) -> str:
@@ -185,6 +185,30 @@ class TensorElement:
             else:
                 parts.append(("+ " if coeff > 0 else "- ") + body)
         return " ".join(parts)
+
+    def json_terms(self) -> str:
+        """The term list as JSON text, byte for byte what ``json.dumps``
+        writes for ``[{"coeff": str(c), "word": [m.exponents for m in w]}
+        for w, c in self.terms()]``: canonical word order, each coefficient
+        in lowest terms, a word a list of letters and a letter a list of
+        [generator, exponent] pairs.  Generator names need no escaping."""
+        terms, den = self._terms, self._den
+        letters = {}  # monomial -> its JSON text, for this call only
+        parts = []
+        for word in sorted(terms, key=word_sort_key):
+            coeff = terms[word]
+            if den != 1:
+                g = gcd(coeff, den)
+                coeff = coeff // g if g == den else f"{coeff // g}/{den // g}"
+            texts = []
+            for mono in word:
+                text = letters.get(mono)
+                if text is None:
+                    pairs = ", ".join([f'["{name}", {exp}]' for name, exp in mono._pairs])
+                    text = letters[mono] = f"[{pairs}]"
+                texts.append(text)
+            parts.append(f'{{"coeff": "{coeff}", "word": [{", ".join(texts)}]}}')
+        return f"[{', '.join(parts)}]"
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"

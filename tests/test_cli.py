@@ -10,13 +10,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nijalg
-from nijalg import cli
+from nijalg import MONO_UNIT, Monomial, TensorElement, cli, quasi_shuffle
 from nijalg.cli import main
 from nijalg.suites import SUITES
 
@@ -115,6 +116,53 @@ def test_eval_is_byte_identical_across_runs(capsys):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second and first[0] == 0
+
+
+# The eval JSON form before TensorElement.json_terms wrote it, copied
+# verbatim as the reference for that writer and the envelope cli puts round it
+def element_to_json(element: TensorElement, lam: Fraction) -> dict:
+    """JSON form: a word is a list of monomials, a monomial a sorted list of
+    [generator, exponent] pairs; the unit monomial is the empty list."""
+    return {
+        "lambda": str(lam),
+        "terms": [
+            {
+                "coeff": str(coeff),
+                # json.dumps prints the exponent tuples as lists
+                "word": [mono.exponents for mono in word],
+            }
+            for word, coeff in element.terms()
+        ],
+    }
+
+
+json_letters = st.one_of(
+    st.just(MONO_UNIT),
+    st.dictionaries(st.sampled_from(("a", "x_1", "x_10")), st.integers(1, 12), min_size=1, max_size=3).map(
+        Monomial
+    ),
+)
+# few letters, so words repeat and their coefficients add up or cancel; the
+# empty word; coefficients negative, fractional, or integral beside fractions
+json_terms = st.tuples(
+    st.lists(json_letters, max_size=3).map(tuple),
+    st.one_of(st.integers(-12, 12), st.fractions(min_value=-3, max_value=3, max_denominator=12)),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    st.lists(json_terms, max_size=5).map(TensorElement),
+    st.lists(json_terms, max_size=2).map(TensorElement),
+    st.sampled_from(("0", "1", "-1/2", "2/3", "5/7")),
+)
+def test_eval_json_is_json_dumps_of_the_reference_form(x, y, lam):
+    for element in (x, quasi_shuffle(x, y, Fraction(lam))):
+        out = io.StringIO()
+        with mock.patch.object(cli, "eval_expr", return_value=element):
+            with contextlib.redirect_stdout(out):
+                assert main(["eval", "a", "--lambda", lam, "--format", "json"]) == 0
+        assert out.getvalue() == json.dumps(element_to_json(element, Fraction(lam))) + "\n"
 
 
 def test_eval_parse_error_exits_2(capsys):
@@ -379,6 +427,7 @@ TOO_LONG_TO_PRINT = [
     ("eval", "a*b", "--lambda", "1e5000"),
     ("eval", f"{NINES}*({NINES}*a)"),
     ("eval", f"{NINES}*({NINES}*a)", "--format", "json"),
+    ("eval", f"{NINES}/7*({NINES}*a)", "--format", "json"),
     ("eval", f"[a^{'9' * LIMIT} a^{'9' * LIMIT}]"),
     ("eval", f"[a^{'9' * LIMIT} a^{'9' * LIMIT}]", "--format", "json"),
     ("check", "assoc-qsh", "--lambda", "1e5000", "--max-len", "2"),
@@ -428,6 +477,21 @@ def test_a_closed_stderr_keeps_the_exit_code():
         finally:
             os.close(write)
         assert done.returncode == code, argv
+
+
+def test_a_stdout_that_cannot_encode_the_output_gets_its_utf8_bytes(capsys):
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(nijalg.__file__).parent.parent),
+        "PYTHONIOENCODING": "ascii",
+    }
+    for argv in (["eval", "2 a"], ["check", "assoc-mqs", "--lambda", "2", "--max-len", "3"]):
+        code, out, _ = run(capsys, *argv)
+        assert "·" in out
+        done = subprocess.run(
+            [sys.executable, "-m", "nijalg", *argv], capture_output=True, timeout=60, env=env
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), b""), argv
 
 
 # tokens at the edges of the shape _plain_eval reads: abbreviations, "=",
