@@ -191,7 +191,8 @@ class TensorElement:
         writes for ``[{"coeff": str(c), "word": [m.exponents for m in w]}
         for w, c in self.terms()]``: canonical word order, each coefficient
         in lowest terms, a word a list of letters and a letter a list of
-        [generator, exponent] pairs.  Generator names need no escaping."""
+        [generator, exponent] pairs.  Generator names match
+        ``[a-z][a-z0-9_]*``, so no text needs escaping."""
         terms, den = self._terms, self._den
         letters = {}  # monomial -> its JSON text, for this call only
         parts = []
