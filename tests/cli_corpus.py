@@ -134,6 +134,9 @@ def _exit2_argvs():
         ["eval", "-a"],
         ["eval", "a", "--format="],
         ["eval", "a", "--lambda="],
+        ["eval", "2/a"],
+        ["eval", "[]"],
+        ["eval", "a^b"],
     )
 
 
