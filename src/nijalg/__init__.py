@@ -54,7 +54,6 @@ from .tensor import (
     b_minus,
     b_plus,
     grade_lengths,
-    make_word,
     word_sort_key,
     word_str,
 )

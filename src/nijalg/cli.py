@@ -3,9 +3,10 @@
 Exit codes: 0 pass, 1 check failure, 2 usage or parse error, or a result
 with an integer of more digits than Python prints.  Output is
 deterministic; ANSI color is used only on a terminal and can be disabled
-with NIJ_COLOR=0.  A reader that closes stdout or stderr early gets no
-traceback: the exit code is the one the command decided.  A stdout whose
-encoding cannot hold the output's ``·`` is sent its UTF-8 bytes.
+with NIJ_COLOR=0.  A stdout or stderr that its reader closes early, or that
+was closed before start (``>&-``, ``2>&-``), gives no traceback: the exit
+code is the one the command decided.  A stdout whose encoding cannot hold
+the output's ``·`` is sent its UTF-8 bytes.
 
 ``eval --format json`` writes ``{"lambda": …, "terms": …}`` round
 ``TensorElement.json_terms``, the bytes ``json.dumps`` wrote for the same
@@ -21,7 +22,6 @@ still goes through argparse, so its messages stay argparse's.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import re
@@ -39,7 +39,8 @@ from .suites import SUITES, run_suite
 
 
 def _color_enabled() -> bool:
-    return sys.stdout.isatty() and os.environ.get("NIJ_COLOR") != "0"
+    # a stdout closed before start is None
+    return sys.stdout is not None and sys.stdout.isatty() and os.environ.get("NIJ_COLOR") != "0"
 
 
 def _verdict(ok: bool) -> str:
@@ -166,12 +167,10 @@ def _plain_eval(argv: list):
     return argparse.Namespace(command="eval", expr=expr, lam=lam, format=fmt)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: argparse parsers hold no state
-    between parse_args calls, and building one costs more than a small eval.
-    A well-formed ``eval`` never builds it (``_plain_eval``); ``check``, help
-    and every malformed argv do."""
+    """The argument parser.  A well-formed ``eval`` never builds it
+    (``_plain_eval``); ``check``, help and every malformed argv build it
+    once per run."""
     parser = argparse.ArgumentParser(
         prog="nijalg",
         description="Exact quasi-shuffle algebra calculator and identity checker.",
@@ -201,13 +200,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error(message) -> None:
-    """Print ``error: message`` to stderr.  A closed stderr is ignored, as
-    argparse ignores it, so the exit code still says what went wrong."""
+def _write(stream, text: str) -> None:
+    """Write ``text`` to ``stream`` (``sys.stdout`` or ``sys.stderr``) and
+    flush it, skipping a stream that cannot take it as argparse does: one
+    closed before start is None (AttributeError), and after an OSError, such
+    as a reader that has gone, what is still buffered goes to the null
+    device, so the flush at exit raises nothing either.  A stream that
+    cannot encode the text (``·``) gets its UTF-8 bytes."""
     try:
-        print(f"error: {message}", file=sys.stderr)
-    except BrokenPipeError:
+        try:
+            stream.write(text)
+        except UnicodeEncodeError:
+            stream.flush()
+            stream.buffer.write(text.encode())
+        stream.flush()
+    except AttributeError:
         pass
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _error(message) -> None:
+    """Write ``error: message`` to stderr, or nowhere when stderr cannot
+    take it (``_write``): the exit code still says what went wrong."""
+    _write(sys.stderr, f"error: {message}\n")
 
 
 def _cmd_eval(args) -> tuple:
@@ -270,18 +286,7 @@ def _run(argv: list) -> tuple:
 
 def main(argv=None) -> int:
     code, out = _run(sys.argv[1:] if argv is None else list(argv))
-    try:
-        try:
-            sys.stdout.write(out)
-        except UnicodeEncodeError:
-            # a stdout that cannot encode "·" gets the UTF-8 bytes
-            sys.stdout.flush()
-            sys.stdout.buffer.write(out.encode())
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has gone: what is still buffered goes to the null
-        # device, so the flush at exit raises nothing either
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    _write(sys.stdout, out)
     return code
 
 

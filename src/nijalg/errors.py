@@ -14,13 +14,13 @@ class ReservedSymbolError(ValueError):
 
 
 class ExprSyntaxError(ValueError):
-    """Parse error with a deterministic position and expected-token set."""
+    """Parse error at a deterministic position: the message reads
+    ``line:col: message``, and ``line`` and ``col`` are 1-based."""
 
-    def __init__(self, message, line, col, expected=()):
+    def __init__(self, message, line, col):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
-        self.expected = frozenset(expected)
 
 
 class UnknownSuiteError(ValueError):

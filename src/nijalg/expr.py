@@ -149,16 +149,16 @@ class _Parser:
             self.tok, self.ahead = self.ahead, None
         return tok
 
-    def error(self, message, expected=(), at=None):
+    def error(self, message, at=None):
         """Raise at the current token, or at the token ``at``."""
         pos = (self.tok if at is None else at).pos
-        raise ExprSyntaxError(message, *line_col(self.text, pos), expected)
+        raise ExprSyntaxError(message, *line_col(self.text, pos))
 
     def expect_sym(self, sym: str) -> Token:
         tok = self.tok
         if tok.kind == "SYM" and tok.text == sym:
             return self.advance()
-        self.error(f"expected {sym!r}, got {tok.text or 'end of input'!r}", {sym})
+        self.error(f"expected {sym!r}, got {tok.text or 'end of input'!r}")
 
     def at_sym(self, *syms) -> bool:
         tok = self.tok
@@ -212,7 +212,7 @@ class _Parser:
         if self.at_sym("/"):
             self.advance()
             if self.tok.kind != "NUM":
-                self.error("expected denominator", {"int"})
+                self.error("expected denominator")
             literal = self.tok
             den = self.parse_int()
             if den == 0:
@@ -234,10 +234,7 @@ class _Parser:
             return WordLit(())
         if tok.kind == "IDENT" or self.at_sym("["):
             return WordLit(self.parse_word())
-        self.error(
-            f"expected a word, '(' or 'B+'/'B-', got {tok.text or 'end of input'!r}",
-            {"word", "(", "B+", "B-"},
-        )
+        self.error(f"expected a word, '(' or 'B+'/'B-', got {tok.text or 'end of input'!r}")
 
     def parse_nested(self, opener: Token) -> Node:
         """The `sum ')'` after ``opener``'s '(', at most MAX_NESTING deep."""
@@ -267,9 +264,7 @@ class _Parser:
             return Monomial(pairs)
         tok = self.tok
         if tok.kind != "IDENT":
-            self.error(
-                f"expected a letter, got {tok.text or 'end of input'!r}", {"letter"}
-            )
+            self.error(f"expected a letter, got {tok.text or 'end of input'!r}")
         if tok.text == "e":
             self.advance()
             return MONO_UNIT
@@ -279,22 +274,20 @@ class _Parser:
     def parse_genexp(self) -> Tuple[str, int]:
         tok = self.tok
         if tok.kind != "IDENT":
-            self.error(
-                f"expected a generator, got {tok.text or 'end of input'!r}", {"ident"}
-            )
+            self.error(f"expected a generator, got {tok.text or 'end of input'!r}")
         if tok.text == "e":
             line, col = line_col(self.text, tok.pos)
             raise ReservedSymbolError(
                 f"{line}:{col}: 'e' is the unit and cannot name a generator"
             )
         if tok.text == "sh":
-            self.error("'sh' is a reserved word and cannot name a generator", {"ident"})
+            self.error("'sh' is a reserved word and cannot name a generator")
         name = self.advance().text
         exp = 1
         if self.at_sym("^"):
             self.advance()
             if self.tok.kind != "NUM":
-                self.error("expected an exponent", {"int"})
+                self.error("expected an exponent")
             literal = self.tok
             exp = self.parse_int()
             if exp < 1:

@@ -244,11 +244,10 @@ TAUS = (Fraction(0), Fraction(1), Fraction(-2), Fraction(5, 3))
 RB_LAMBDAS = (Fraction(0), Fraction(1), Fraction(2, 3))
 
 
-def random_images(rng: random.Random, dim: int = 4) -> dict:
+def random_images(rng: random.Random) -> dict:
+    """A random image in K^4 of each generator."""
     return {
-        g: VectorAlgebraElement(
-            Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)
-        )
+        g: VectorAlgebraElement(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4))
         for g in GENERATORS
     }
 

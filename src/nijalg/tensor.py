@@ -23,14 +23,6 @@ Word = Tuple[Monomial, ...]
 EMPTY_WORD: Word = ()
 
 
-def make_word(letters: Iterable[Monomial]) -> Word:
-    w = tuple(letters)
-    for letter in w:
-        if not isinstance(letter, Monomial):
-            raise TypeError(f"word letters must be Monomial, got {letter!r}")
-    return w
-
-
 def word_sort_key(w: Word):
     """Canonical order: length first, then letterwise monomial order."""
     return (len(w), tuple([m._key for m in w]))
@@ -98,7 +90,11 @@ class TensorElement:
 
     @classmethod
     def from_word(cls, word: Iterable[Monomial]) -> "TensorElement":
-        return cls._trusted({make_word(word): 1})
+        word = tuple(word)
+        for letter in word:
+            if not isinstance(letter, Monomial):
+                raise TypeError(f"word letters must be Monomial, got {letter!r}")
+        return cls._trusted({word: 1})
 
     def terms(self):
         """Term list in canonical word order."""

@@ -21,6 +21,8 @@ from nijalg import MONO_UNIT, Monomial, TensorElement, cli, quasi_shuffle
 from nijalg.cli import main
 from nijalg.suites import SUITES
 
+from conftest import count_calls
+
 LIMIT = sys.get_int_max_str_digits()
 
 # a command, outside quotes free of "#", then an optional "# comment"
@@ -463,6 +465,27 @@ def test_a_closed_stdout_gives_no_traceback():
         code = proc.wait(timeout=60)
     assert first.startswith(b"FAIL assoc lambda=2/3 ")
     assert (code, err) == (1, b"")
+    # a stdout closed before start, as by `>&-`
+    for argv, code in (
+        (["eval", "a*b"], 0),
+        (["check", "nijenhuis", "--max-len", "3"], 0),
+        (["eval", "a", "--format", "xml"], 2),
+    ):
+        done = run_with_closed(1, argv)
+        assert (done.returncode, b"Traceback" in done.stderr) == (code, False), argv
+        assert done.stderr.startswith(b"usage: ") == (code == 2), argv
+
+
+def run_with_closed(fd, argv):
+    """``python -m nijalg argv`` started with descriptor ``fd`` closed."""
+    env = {**os.environ, "PYTHONPATH": str(Path(nijalg.__file__).parent.parent)}
+    return subprocess.run(
+        [sys.executable, "-m", "nijalg", *argv],
+        capture_output=True,
+        timeout=60,
+        env=env,
+        preexec_fn=lambda: os.close(fd),
+    )
 
 
 def test_a_closed_stderr_keeps_the_exit_code():
@@ -477,6 +500,37 @@ def test_a_closed_stderr_keeps_the_exit_code():
         finally:
             os.close(write)
         assert done.returncode == code, argv
+    # a stderr closed before start, as by `2>&-`: its text reaches no stream
+    for argv, code, out in (
+        (["eval", "a..b"], 2, b""),
+        (["eval", "a * b"], 0, b"-[a b] + a.b + b.a\n"),
+    ):
+        done = run_with_closed(2, argv)
+        assert (done.returncode, done.stdout) == (code, out), argv
+
+
+class Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_the_verdict_is_coloured_on_a_terminal_unless_nij_color_is_0():
+    argvs = (
+        ["check", "nijenhuis", "--max-len", "3"],
+        ["check", "assoc-mqs", "--lambda", "2", "--max-len", "3"],
+    )
+    for color, (pass_, fail) in (
+        (None, ("\x1b[32mPASS\x1b[0m", "\x1b[31mFAIL\x1b[0m")),
+        ("0", ("PASS", "FAIL")),
+    ):
+        env = {key: value for key, value in os.environ.items() if key != "NIJ_COLOR"}
+        if color is not None:
+            env["NIJ_COLOR"] = color
+        for argv, code, verdict in zip(argvs, (0, 1), (pass_, fail)):
+            out = Terminal()
+            with mock.patch.dict(os.environ, env, clear=True), contextlib.redirect_stdout(out):
+                assert main(argv) == code
+            assert out.getvalue().endswith(f" -> {verdict}\n"), (argv, color)
 
 
 def test_a_stdout_that_cannot_encode_the_output_gets_its_utf8_bytes(capsys):
@@ -548,8 +602,8 @@ def test_plain_eval_reads_only_its_narrow_shape():
         assert cli._plain_eval(argv) is None, argv
 
 
-def test_a_well_formed_eval_does_not_build_the_parser(capsys):
-    cli.build_parser.cache_clear()
+def test_a_well_formed_eval_does_not_build_the_parser(capsys, monkeypatch):
+    builds = count_calls(monkeypatch, cli, "build_parser")
     code, out, err = run(capsys, "eval", "a * b", "--lambda", "-1/2", "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out) == {
@@ -560,7 +614,7 @@ def test_a_well_formed_eval_does_not_build_the_parser(capsys):
             {"coeff": "1", "word": [[["b", 1]], [["a", 1]]]},
         ],
     }
-    assert cli.build_parser.cache_info().misses == 0
+    assert builds == []
     # an abbreviation is argparse's to read
     assert run(capsys, "eval", "a", "--lam", "2") == (0, "a\n", "")
-    assert cli.build_parser.cache_info().misses == 1
+    assert len(builds) == 1

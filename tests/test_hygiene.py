@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses
 or a module outside the standard library, importing the package loads no
 code-generation module, every definition has a caller outside the tests,
-and the README names every check suite and infix product.
+every attribute the package assigns is read outside the tests, and the
+README names every check suite and infix product.
 
 No linter is part of the toolchain, so this parses each module with ``ast``
 instead.  ``__init__.py`` is skipped: its imports are the package's exports.
@@ -273,6 +274,94 @@ def test_shared_method_name_is_read_through_its_own_class():
     # qualified name in SPANS does
     assert uncalled(sources, {"tracing.py": "import a\na.thing.zero\n"}) == ["Bag.zero"]
     assert uncalled(sources, {"tracing.py": 'SPANS = {"a": ("Bag.zero",)}\n'}) == []
+
+
+# the attributes only tests read, each kept for a reason
+TEST_ONLY_ATTRIBUTES = {
+    "ExprSyntaxError.line": "the line of the error's position, which tests compare",
+    "ExprSyntaxError.col": "the column of the error's position, which tests compare",
+}
+
+
+def attribute_writes(tree, module):
+    """(qualified name, attribute) of each attribute ``tree`` assigns; the
+    qualifier is the class whose body holds the assignment, or ``module``."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            found.add((f"{owner}.{node.attr}", node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, module)
+    return found
+
+
+def attribute_reads(tree):
+    """The attribute names ``tree`` reads, an augmented assignment's target
+    included.  A read through a name the module imports reads a module's or
+    an imported object's attribute, not an object's state, and does not
+    count."""
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            found.add(node.target.attr)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if not (isinstance(node.value, ast.Name) and node.value.id in imported):
+                found.add(node.attr)
+    return found
+
+
+def write_only(sources, bench=None):
+    """Qualified names of the attributes that ``sources`` (module name ->
+    source) assign and that no module of ``sources`` or ``bench`` reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for text in (bench or {}).values():
+        read |= attribute_reads(ast.parse(text))
+    for tree in trees.values():
+        read |= attribute_reads(tree)
+    return sorted(
+        {
+            qualname
+            for module, tree in trees.items()
+            for qualname, attr in attribute_writes(tree, module.removesuffix(".py"))
+            if attr not in read
+        }
+    )
+
+
+def test_every_src_attribute_is_read():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    bench = {path.name: path.read_text() for path in sorted(BENCH.rglob("*.py"))}
+    assert write_only(sources, bench) == sorted(TEST_ONLY_ATTRIBUTES)
+
+
+def test_write_only_attribute_is_detected():
+    sources = {
+        "a.py": (
+            "import b\n\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self.size = self.kept = self.count = self.tag = self.lost = 0\n"
+            "    def grow(self):\n        self.count += 1\n        return self.size\n\n"
+            "def make():\n    box = Box()\n    box.extra = b.lost\n    return box\n"
+        ),
+        # the module b's attribute `lost` is not Box's
+        "b.py": "lost = 0\n",
+    }
+    bench = {"workloads.py": "def read(box):\n    return box.tag\n"}
+    assert write_only(sources, bench) == ["Box.kept", "Box.lost", "a.extra"]
+    assert write_only(sources) == ["Box.kept", "Box.lost", "Box.tag", "a.extra"]
 
 
 def test_readme_lists_every_suite():
