@@ -5,8 +5,9 @@ with an integer of more digits than Python prints.  Output is
 deterministic; ANSI color is used only on a terminal and can be disabled
 with NIJ_COLOR=0.  A stdout or stderr that its reader closes early, or that
 was closed before start (``>&-``, ``2>&-``), gives no traceback: the exit
-code is the one the command decided.  A stdout whose encoding cannot hold
-the output's ``·`` is sent its UTF-8 bytes.
+code is the one the command decided.  Any other failed write, such as a
+full disk, is raised.  A stdout whose encoding cannot hold the output's
+``·`` is sent its UTF-8 bytes.
 
 ``eval --format json`` writes ``{"lambda": …, "terms": …}`` round
 ``TensorElement.json_terms``, the bytes ``json.dumps`` wrote for the same
@@ -39,8 +40,7 @@ from .suites import SUITES, run_suite
 
 
 def _color_enabled() -> bool:
-    # a stdout closed before start is None
-    return sys.stdout is not None and sys.stdout.isatty() and os.environ.get("NIJ_COLOR") != "0"
+    return sys.stdout.isatty() and os.environ.get("NIJ_COLOR") != "0"
 
 
 def _verdict(ok: bool) -> str:
@@ -202,11 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write(stream, text: str) -> None:
     """Write ``text`` to ``stream`` (``sys.stdout`` or ``sys.stderr``) and
-    flush it, skipping a stream that cannot take it as argparse does: one
-    closed before start is None (AttributeError), and after an OSError, such
-    as a reader that has gone, what is still buffered goes to the null
-    device, so the flush at exit raises nothing either.  A stream that
-    cannot encode the text (``·``) gets its UTF-8 bytes."""
+    flush it.  A stream that cannot encode the text (``·``) gets its UTF-8
+    bytes.  When the reader has gone, what is still buffered goes to the
+    null device, so the flush at exit raises nothing either; any other
+    OSError, such as a full disk, is raised."""
     try:
         try:
             stream.write(text)
@@ -214,15 +213,13 @@ def _write(stream, text: str) -> None:
             stream.flush()
             stream.buffer.write(text.encode())
         stream.flush()
-    except AttributeError:
-        pass
-    except OSError:
+    except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _error(message) -> None:
-    """Write ``error: message`` to stderr, or nowhere when stderr cannot
-    take it (``_write``): the exit code still says what went wrong."""
+    """Write ``error: message`` to stderr, or nowhere when its reader has
+    gone (``_write``): the exit code still says what went wrong."""
     _write(sys.stderr, f"error: {message}\n")
 
 
@@ -285,6 +282,11 @@ def _run(argv: list) -> tuple:
 
 
 def main(argv=None) -> int:
+    # a descriptor closed before start (``>&-``, ``2>&-``) leaves its stream
+    # None; every writer, argparse included, then writes to the null device
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:
+            setattr(sys, name, open(os.devnull, "w", encoding="utf-8"))
     code, out = _run(sys.argv[1:] if argv is None else list(argv))
     _write(sys.stdout, out)
     return code

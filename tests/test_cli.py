@@ -1,6 +1,7 @@
 """CLI behavior: output formats, determinism, and exit codes."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -503,10 +504,33 @@ def test_a_closed_stderr_keeps_the_exit_code():
     # a stderr closed before start, as by `2>&-`: its text reaches no stream
     for argv, code, out in (
         (["eval", "a..b"], 2, b""),
+        (["eval", "a", "--bogus"], 2, b""),
         (["eval", "a * b"], 0, b"-[a b] + a.b + b.a\n"),
     ):
         done = run_with_closed(2, argv)
         assert (done.returncode, done.stdout) == (code, out), argv
+
+
+class FailingStream(io.StringIO):
+    def __init__(self, errno_):
+        super().__init__()
+        self.errno = errno_
+
+    def write(self, text):
+        raise OSError(self.errno, os.strerror(self.errno))
+
+
+def test_a_failed_write_other_than_a_broken_pipe_is_raised():
+    # a full disk or an I/O error is not a reader that has gone: the
+    # output is lost, so the run must not report the command's exit code
+    for errno_ in (errno.ENOSPC, errno.EIO):
+        for redirect, argv in (
+            (contextlib.redirect_stdout, ["eval", "a * b"]),
+            (contextlib.redirect_stderr, ["eval", "a..b"]),
+        ):
+            with redirect(FailingStream(errno_)), pytest.raises(OSError) as info:
+                main(argv)
+            assert info.value.errno == errno_, (argv, errno_)
 
 
 class Terminal(io.StringIO):
