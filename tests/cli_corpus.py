@@ -46,9 +46,11 @@ EXTRA = (
     "1 < a", "a < 1", "1 > a", "a > 1", "1 & a", "a & (b - b + 1)",
     "a # 1", "1 % a", "1 * a", "1 sh a.b", "1 @ a",
 )
-# JSON only: the zero element, the empty word, exponents and multi-generator
-# letters, and generator names with digits and underscores
+# the zero element, the empty word, exponents and multi-generator letters,
+# and generator names with digits and underscores
 JSON_EXTRA = ("a - a", "1", "2 1", "[a^2 c] * b^3", "x_1 * x_10")
+# text only: coefficients that reduce, beside integral ones
+TEXT_EXTRA = ("1/2 a + b", "2/4 a.b - 3 c")
 
 
 def _check_argvs():
@@ -82,6 +84,9 @@ def _eval_argvs():
     for text in JSON_EXTRA:
         for lam in EVAL_LAMBDAS:
             yield ["eval", text, "--lambda", lam, "--format", "json"]
+    for text in JSON_EXTRA + TEXT_EXTRA:
+        for lam in EVAL_LAMBDAS:
+            yield ["eval", text, "--lambda", lam, "--format", "text"]
 
 
 def _exit2_argvs():
