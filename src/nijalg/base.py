@@ -4,9 +4,9 @@ The base algebra is the polynomial algebra over a set of named generators;
 its basis consists of commutative monomials, with the empty monomial
 ``MONO_UNIT`` acting as the unit ``e``.  A word letter is always a single
 monomial, so the algebra itself needs no element class.  Monomials are
-interned, so equal monomials are one object.  ``exact`` is the one rule for
-a scalar's canonical form, and ``accumulate`` the one loop that adds terms
-into a term map and drops the zeros.
+interned, so equal monomials are one object.  ``exact`` and ``rational_text``
+give a scalar's canonical form and its text, and ``accumulate`` is the one
+loop that adds terms into a term map and drops the zeros.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import re
 import sys
 import weakref
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Tuple, Union
 
 from .errors import ReservedSymbolError
@@ -158,6 +159,13 @@ def exact(c):
             raise TypeError(f"{c!r} is a float, not an exact rational; pass Fraction(\"{c!r}\")")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def rational_text(n: int, d: int) -> str:
+    """n/d as text, for ints n and d ≥ 1: in lowest terms, the sign on the
+    numerator and no ``/1``, as ``str(Fraction(n, d))`` prints it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def accumulate(acc: dict, items: Iterable) -> dict:

@@ -1,12 +1,14 @@
 """Command-line front end: `nijalg eval` and `nijalg check`.
 
-Exit codes: 0 pass, 1 check failure, 2 usage or parse error, or a result
-with an integer of more digits than Python prints.  Output is
-deterministic; ANSI color is used only on a terminal and can be disabled
-with NIJ_COLOR=0.  A stdout or stderr that its reader closes early, or that
-was closed before start (``>&-``, ``2>&-``), gives no traceback: the exit
-code is the one the command decided.  Any other failed write, such as a
-full disk, is raised.  A stdout whose encoding cannot hold the output's
+Exit codes: 0 pass, 1 check failure, 2 usage or parse error, a result
+with an integer of more digits than Python prints, or a stdout that cannot
+be written.  Output is deterministic; ANSI color is used only on a terminal
+and can be disabled with NIJ_COLOR=0.  No failed write gives a traceback.
+A stdout or stderr that its reader closes early, or that was closed before
+start (``>&-``, ``2>&-``), keeps the exit code the command decided, as does
+a stderr that cannot be written.  A stdout that cannot be written for any
+other reason, such as a full disk, exits 2 with ``error: cannot write
+output: …`` on stderr.  A stdout whose encoding cannot hold the output's
 ``·`` is sent its UTF-8 bytes.
 
 ``eval --format json`` writes ``{"lambda": …, "terms": …}`` round
@@ -203,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _write(stream, text: str) -> None:
     """Write ``text`` to ``stream`` (``sys.stdout`` or ``sys.stderr``) and
     flush it.  A stream that cannot encode the text (``·``) gets its UTF-8
-    bytes.  When the reader has gone, what is still buffered goes to the
-    null device, so the flush at exit raises nothing either; any other
-    OSError, such as a full disk, is raised."""
+    bytes.  When a write fails, what is still buffered goes to the null
+    device, so the flush at exit raises nothing either; the OSError is
+    raised unless the reader has gone (a broken pipe)."""
     try:
         try:
             stream.write(text)
@@ -213,14 +215,23 @@ def _write(stream, text: str) -> None:
             stream.flush()
             stream.buffer.write(text.encode())
         stream.flush()
-    except BrokenPipeError:
+    except OSError as err:
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        if not isinstance(err, BrokenPipeError):
+            raise
+
+
+def _to_stderr(text: str) -> None:
+    """Write ``text`` to stderr, or nowhere when stderr cannot be written:
+    the exit code still says what went wrong."""
+    try:
+        _write(sys.stderr, text)
+    except OSError:
+        pass
 
 
 def _error(message) -> None:
-    """Write ``error: message`` to stderr, or nowhere when its reader has
-    gone (``_write``): the exit code still says what went wrong."""
-    _write(sys.stderr, f"error: {message}\n")
+    _to_stderr(f"error: {message}\n")
 
 
 def _cmd_eval(args) -> tuple:
@@ -266,6 +277,9 @@ def _run(argv: list) -> tuple:
         try:
             args = build_parser().parse_args(_join_negative_lambdas(argv))
         except SystemExit as exc:
+            # argparse ignores a stderr it cannot write, but leaves its text
+            # buffered for the flush at exit to fail on
+            _to_stderr("")
             return (exc.code if isinstance(exc.code, int) else 2), ""
     try:
         return (_cmd_eval if args.command == "eval" else _cmd_check)(args)
@@ -288,7 +302,12 @@ def main(argv=None) -> int:
         if getattr(sys, name) is None:
             setattr(sys, name, open(os.devnull, "w", encoding="utf-8"))
     code, out = _run(sys.argv[1:] if argv is None else list(argv))
-    _write(sys.stdout, out)
+    try:
+        _write(sys.stdout, out)
+    except OSError as err:
+        # the output is lost, so the command's own code would not be true
+        _error(f"cannot write output: {err}")
+        return 2
     return code
 
 

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from operator import index
 from typing import Callable, Iterable, Mapping, Tuple
 
-from .base import Monomial, check_generator, exact, record_class
+from .base import Monomial, check_generator, exact, rational_text, record_class
 from .errors import UnmappedGeneratorError
 from .products import aug_mod_quasi_shuffle, aug_quasi_shuffle
 from .tensor import TensorElement, Word, b_plus, fold_letters, require_augmented
@@ -134,7 +134,7 @@ class VectorAlgebraElement:
         return hash((self._nums, self._den))
 
     def __str__(self):
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+        return "(" + ", ".join([rational_text(n, self._den) for n in self._nums]) + ")"
 
     __repr__ = __str__
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Tuple, Union
 
-from .base import MONO_UNIT, Monomial, accumulate, exact
+from .base import MONO_UNIT, Monomial, accumulate, exact, rational_text
 from .errors import EmptyWordTermError
 
 Word = Tuple[Monomial, ...]
@@ -170,17 +170,15 @@ class TensorElement:
         return self._reduced(terms, self._den * q)
 
     def __str__(self):
-        if not self._terms:
-            return "0"
+        terms, den = self._terms, self._den
         parts = []
-        for word, coeff in self.terms():
-            mag = abs(coeff)
-            body = word_str(word) if mag == 1 else f"{mag}·{word_str(word)}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
+        for word in sorted(terms, key=word_sort_key):
+            n = terms[word]
+            mag = abs(n)
+            body = word_str(word) if mag == den else f"{rational_text(mag, den)}·{word_str(word)}"
+            sign = ("+ " if n > 0 else "- ") if parts else ("" if n > 0 else "-")
+            parts.append(sign + body)
+        return " ".join(parts) or "0"
 
     def json_terms(self) -> str:
         """The term list as JSON text, byte for byte what ``json.dumps``
@@ -195,8 +193,7 @@ class TensorElement:
         for word in sorted(terms, key=word_sort_key):
             coeff = terms[word]
             if den != 1:
-                g = gcd(coeff, den)
-                coeff = coeff // g if g == den else f"{coeff // g}/{den // g}"
+                coeff = rational_text(coeff, den)
             texts = []
             for mono in word:
                 text = letters.get(mono)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nijalg import MONO_UNIT, Monomial, ReservedSymbolError, TensorElement, gen
+from nijalg.base import rational_text
 
 
 def monomials_up_to_degree(max_deg, gens=("a", "b")):
@@ -29,6 +30,13 @@ def test_unit_monomial():
     assert e * a == a
     assert e * e == e
     assert str(e) == "e"
+
+
+def test_rational_text_is_the_fraction_text():
+    for n in range(-30, 31):
+        for d in range(1, 31):
+            assert rational_text(n, d) == str(Fraction(n, d)), (n, d)
+    assert rational_text(-(10**30), 4 * 10**29) == "-5/2"
 
 
 def test_mono_mul_examples():

@@ -21,6 +21,7 @@ import nijalg
 from nijalg import MONO_UNIT, Monomial, TensorElement, cli, quasi_shuffle
 from nijalg.cli import main
 from nijalg.suites import SUITES
+from nijalg.tensor import word_str
 
 from conftest import count_calls
 
@@ -139,6 +140,22 @@ def element_to_json(element: TensorElement, lam: Fraction) -> dict:
     }
 
 
+# TensorElement.__str__ before it read the integer numerators, copied
+# verbatim as the reference for the text writer
+def element_to_text(self):
+    if not self._terms:
+        return "0"
+    parts = []
+    for word, coeff in self.terms():
+        mag = abs(coeff)
+        body = word_str(word) if mag == 1 else f"{mag}·{word_str(word)}"
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(parts)
+
+
 json_letters = st.one_of(
     st.just(MONO_UNIT),
     st.dictionaries(st.sampled_from(("a", "x_1", "x_10")), st.integers(1, 12), min_size=1, max_size=3).map(
@@ -160,12 +177,17 @@ json_terms = st.tuples(
     st.sampled_from(("0", "1", "-1/2", "2/3", "5/7")),
 )
 def test_eval_json_is_json_dumps_of_the_reference_form(x, y, lam):
+    # and the text format is the reference __str__
     for element in (x, quasi_shuffle(x, y, Fraction(lam))):
-        out = io.StringIO()
-        with mock.patch.object(cli, "eval_expr", return_value=element):
-            with contextlib.redirect_stdout(out):
-                assert main(["eval", "a", "--lambda", lam, "--format", "json"]) == 0
-        assert out.getvalue() == json.dumps(element_to_json(element, Fraction(lam))) + "\n"
+        for fmt, expected in (
+            ("json", json.dumps(element_to_json(element, Fraction(lam)))),
+            ("text", element_to_text(element)),
+        ):
+            out = io.StringIO()
+            with mock.patch.object(cli, "eval_expr", return_value=element):
+                with contextlib.redirect_stdout(out):
+                    assert main(["eval", "a", "--lambda", lam, "--format", fmt]) == 0
+            assert out.getvalue() == expected + "\n", fmt
 
 
 def test_eval_parse_error_exits_2(capsys):
@@ -454,10 +476,19 @@ def test_other_value_errors_are_not_turned_into_exit_2(monkeypatch):
         main(["eval", "a"])
 
 
+def buffered_env():
+    """The environment of a ``python -m nijalg`` child: this checkout on the
+    path, and its streams buffered, as by default, so that the interpreter's
+    flush at exit still has text to write."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(nijalg.__file__).parent.parent)
+    return env
+
+
 def test_a_closed_stdout_gives_no_traceback():
     # the report (about 470 KB) is far larger than a pipe holds, so the
     # child is still writing when the reader closes its end
-    env = {**os.environ, "PYTHONPATH": str(Path(nijalg.__file__).parent.parent)}
+    env = buffered_env()
     argv = [sys.executable, "-m", "nijalg", "check", "assoc-mqs", "--lambda", "2/3", "--max-len", "6"]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         first = proc.stdout.readline()
@@ -479,7 +510,7 @@ def test_a_closed_stdout_gives_no_traceback():
 
 def run_with_closed(fd, argv):
     """``python -m nijalg argv`` started with descriptor ``fd`` closed."""
-    env = {**os.environ, "PYTHONPATH": str(Path(nijalg.__file__).parent.parent)}
+    env = buffered_env()
     return subprocess.run(
         [sys.executable, "-m", "nijalg", *argv],
         capture_output=True,
@@ -490,7 +521,7 @@ def run_with_closed(fd, argv):
 
 
 def test_a_closed_stderr_keeps_the_exit_code():
-    env = {**os.environ, "PYTHONPATH": str(Path(nijalg.__file__).parent.parent)}
+    env = buffered_env()
     for argv, code in ((["eval", "a..b"], 2), (["eval", "a", "--bogus"], 2), (["eval", "a * b"], 0)):
         read, write = os.pipe()
         os.close(read)
@@ -512,25 +543,62 @@ def test_a_closed_stderr_keeps_the_exit_code():
 
 
 class FailingStream(io.StringIO):
-    def __init__(self, errno_):
+    """A stream on the descriptor ``fd``, as ``sys.stdout`` is, whose every
+    write fails with ``errno_``."""
+
+    def __init__(self, errno_, fd):
         super().__init__()
-        self.errno = errno_
+        self.errno, self.fd = errno_, fd
 
     def write(self, text):
         raise OSError(self.errno, os.strerror(self.errno))
 
+    def fileno(self):
+        return self.fd
 
-def test_a_failed_write_other_than_a_broken_pipe_is_raised():
-    # a full disk or an I/O error is not a reader that has gone: the
-    # output is lost, so the run must not report the command's exit code
+
+def test_a_failed_write_other_than_a_broken_pipe_exits_2():
+    # a full disk or an I/O error is not a reader that has gone: a lost
+    # stdout must not report the command's exit code, and says why on a
+    # working stderr; a lost error message keeps the code it reports
     for errno_ in (errno.ENOSPC, errno.EIO):
-        for redirect, argv in (
-            (contextlib.redirect_stdout, ["eval", "a * b"]),
-            (contextlib.redirect_stderr, ["eval", "a..b"]),
+        for failing, argv in (("stdout", ["eval", "a * b"]), ("stderr", ["eval", "a..b"])):
+            fd = os.open(os.devnull, os.O_WRONLY)
+            streams = {"stdout": io.StringIO(), "stderr": io.StringIO()}
+            streams[failing] = FailingStream(errno_, fd)
+            try:
+                with mock.patch.multiple(sys, **streams):
+                    code = main(argv)
+            finally:
+                os.close(fd)
+            assert code == 2, (argv, errno_)
+            if failing == "stdout":
+                message = f"error: cannot write output: [Errno {errno_}] {os.strerror(errno_)}\n"
+                assert streams["stderr"].getvalue() == message
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_output_to_a_full_device_exits_2_without_a_traceback():
+    # the interpreter's flush at exit neither prints nor changes the code
+    env = buffered_env()
+    message = b"error: cannot write output: [Errno 28] No space left on device\n"
+    with open("/dev/full", "w") as full:
+        for argv in (["eval", "a*b"], ["check", "nijenhuis", "--max-len", "3"], ["--help"]):
+            done = subprocess.run(
+                [sys.executable, "-m", "nijalg", *argv],
+                stdout=full, stderr=subprocess.PIPE, timeout=60, env=env,
+            )
+            assert (done.returncode, done.stderr) == (2, message), argv
+        for argv, code, out in (
+            (["eval", "a..b"], 2, b""),
+            (["eval", "a", "--bogus"], 2, b""),
+            (["eval", "a * b"], 0, b"-[a b] + a.b + b.a\n"),
         ):
-            with redirect(FailingStream(errno_)), pytest.raises(OSError) as info:
-                main(argv)
-            assert info.value.errno == errno_, (argv, errno_)
+            done = subprocess.run(
+                [sys.executable, "-m", "nijalg", *argv],
+                stdout=subprocess.PIPE, stderr=full, timeout=60, env=env,
+            )
+            assert (done.returncode, done.stdout) == (code, out), argv
 
 
 class Terminal(io.StringIO):

@@ -3,6 +3,7 @@ written by ``cli_corpus.py``) still gives the stdout digest, stderr digest
 and exit code it was pinned with."""
 
 import json
+import re
 
 import pytest
 
@@ -23,3 +24,9 @@ def test_pinned_cli_output(part):
 
 def test_every_exit2_row_exits_2():
     assert {row[3] for row in PINNED["exit2"]} == {2}
+
+
+def test_readme_states_the_row_count():
+    readme = (TABLE.parent.parent / "README.md").read_text()
+    (count,) = re.findall(r"(\d+) `nijalg check` /\s+`nijalg eval` argv lists", readme)
+    assert int(count) == sum(map(len, PINNED.values()))

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nijalg import (
     EmptyWordTermError,
@@ -192,3 +193,48 @@ def test_tensor_sums_refuse_a_non_element_operand(ab, other):
     ):
         with pytest.raises(TypeError):
             combine()
+
+
+# coordinates that are zero, negative, integral, or over denominators that
+# differ, so the shared denominator leaves some of them reducible
+coordinates = st.lists(
+    st.one_of(st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=12)),
+    max_size=5,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(coordinates, coordinates)
+def test_vector_text_matches_the_fraction_reference(x, y):
+    # the reference is VectorAlgebraElement.__str__ before it read the
+    # integer numerators; sums, differences and products are reduced
+    # through _reduced rather than the constructor
+    v = VectorAlgebraElement(x)
+    vectors = [v, -v]
+    if len(x) == len(y):
+        w = VectorAlgebraElement(y)
+        vectors += [v + w, v - w, v * w]
+    for u in vectors:
+        reference = "(" + ", ".join(str(c) for c in u.coords) + ")"
+        assert str(u) == repr(u) == reference
+
+
+def test_text_writers_build_no_fraction(ab):
+    # str and json_terms read the integer numerators over the shared
+    # denominator, as a vector's str does
+    a, b = ab
+    x = quasi_shuffle(Fraction(1, 2) * te(a, b) - te(b), Fraction(-2, 3) * te(a), Fraction(2, 3))
+    v = VectorAlgebraElement([Fraction(1, 2), 0, -3, Fraction(-5, 6)])
+    assert x._den > 1 and v._den > 1
+    original = Fraction.__new__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", counting)
+        texts = str(x), x.json_terms(), str(v)
+    assert built == []
+    assert texts[2] == "(1/2, 0, -3, -5/6)"
