@@ -5,7 +5,9 @@ products: enumerate all interleavings of the two factor words, tag every
 letter with its factor of origin, then for every subset of the LEFT→RIGHT
 adjacencies merge the paired letters with a factor of -λ per merge.
 Summing over all subsets (the empty one contributes the unmerged word)
-reproduces the quasi-shuffle exactly.
+reproduces the quasi-shuffle exactly.  At λ = p/q a word with k merges
+carries (-p)^k·q^(top-k) over q^top, top = min(m, n), so the coefficients
+are summed as integers into one dict, wrapped once in lowest terms.
 
 An interleaving of an m-letter and an n-letter word is one choice of the m
 positions, out of m + n, that the left factor's letters fill in order; the
@@ -74,18 +76,20 @@ def _merge(labeled: LabeledWord, chosen, homogeneous: bool) -> Word:
 
 def _mixed(x_word: Word, z_word: Word, lam, homogeneous: bool) -> TensorElement:
     lam = exact(lam)
-    powers = [(-lam) ** k for k in range(min(len(x_word), len(z_word)) + 1)]
-
-    def terms():
-        for labeled in enumerate_shuffles(x_word, z_word):
-            # at λ = 0 every merge has coefficient 0: only the plain shuffle is formed
-            pairs = admissible_pairs(labeled) if lam else ()
-            for size in range(len(pairs) + 1):
-                for chosen in itertools.combinations(pairs, size):
-                    word = _merge(labeled, frozenset(chosen), homogeneous)
-                    yield word, powers[size]
-
-    return TensorElement(terms())
+    p, q = (lam, 1) if type(lam) is int else (lam.numerator, lam.denominator)
+    # a word with k merges has coefficient (-p/q)^k = (-p)^k·q^(top-k) / q^top
+    top = min(len(x_word), len(z_word))
+    powers = [(-p) ** k * q ** (top - k) for k in range(top + 1)]
+    acc: dict = {}
+    for labeled in enumerate_shuffles(x_word, z_word):
+        # at λ = 0 every merge has coefficient 0: only the plain shuffle is formed
+        pairs = admissible_pairs(labeled) if p else ()
+        for size in range(len(pairs) + 1):
+            coeff = powers[size]
+            for chosen in itertools.combinations(pairs, size):
+                word = _merge(labeled, frozenset(chosen), homogeneous)
+                acc[word] = acc.get(word, 0) + coeff
+    return TensorElement._reduced({w: c for w, c in acc.items() if c}, q**top)
 
 
 def mixed_shuffle(x_word: Word, z_word: Word, lam=1) -> TensorElement:

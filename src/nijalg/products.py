@@ -14,14 +14,18 @@ merges (Hoffman), so the product is integral over q^min(|u|, |v|), and
 each grid cell is summed in one pass over that denominator.  Beside each
 recursion ∘ a head memo keeps its one-step term [ab](U ∘ V) the same way:
 ``_qsh_head`` is ⊡, which the dendriform ≺, ≻ and • read as their B⁺ₑ
-forms, and ``_mqsh_head`` is ⊠.  ``clear_caches`` empties these four memos.
+forms, and ``_mqsh_head`` is ⊠.  Beside each recursion a merged-letter
+table keeps its prefix·[ab] for each pair of head letters it has merged.
+``clear_caches`` empties these four memos and the two tables.
 
 One loop, ``_rows``, computes every word product without recursing, over
-the grid of suffix pairs, shortest row first, in two lists that start from
-1 ∘ v = v and u ∘ 1 = u.  A pair of at most MAX_STORED_LETTERS letters reads
-each cell its memo holds and stores each cell it computes: what the memo
-holds changes the work, never the product.  A longer pair touches no dict
-and runs its rows along the shorter word.
+the grid of suffix pairs, shortest row first, in two lists.  It reads
+1 ∘ v = v and u ∘ 1 = u as the words v and u where a cell needs them, and
+builds one element per cell it computes, none for those boundary products.
+A pair of at most MAX_STORED_LETTERS letters reads each cell its memo holds
+and stores each cell it computes: what the memo holds changes the work,
+never the product.  A longer pair touches no dict and runs its rows along
+the shorter word.
 
   quasi_shuffle        aU * bV  = a(U*bV) + b(aU*V) - λ·[ab](U*V)
   aug_quasi_shuffle    aU ⊡ bV = [ab](U*V)               (augmented module)
@@ -34,6 +38,7 @@ at λ = 1, which is why ⊠ hard-codes that value.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
 from math import lcm
 from types import SimpleNamespace
@@ -73,13 +78,29 @@ class _Memo(dict):
         self.lookups = self.misses = 0
 
 
-def _rows(memo: _Memo, merge_prefix: Word, w1: Word, w2: Word, lam) -> TensorElement:
-    """w1 ∘ w2 by Hoffman's recursion, with merged letters behind ``merge_prefix``:
+class _Merges(dict):
+    """One word recursion's merged letters: (a, b) -> merge_prefix·[ab], each
+    pair's product made once and kept until ``clear_caches``."""
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: Word):
+        self.prefix = prefix
+
+    def __missing__(self, pair):
+        merged = self[pair] = (*self.prefix, pair[0] * pair[1])
+        return merged
+
+
+def _rows(memo: _Memo, merges: _Merges, w1: Word, w2: Word, lam) -> TensorElement:
+    """w1 ∘ w2 by Hoffman's recursion, with merged letters behind the prefix
+    of ``merges``:
 
         aU ∘ bV = a(U ∘ bV) + b(aU ∘ V) - λ·merge_prefix[ab](U ∘ V)
 
     Cell j of row i is w1[i:] ∘ w2[j:].  Rows are filled shortest first, in
-    two lists, from 1 ∘ v = v and u ∘ 1 = u; a stored pair reads each other
+    two lists; 1 ∘ v = v and u ∘ 1 = u are read as the words v and u where a
+    cell needs them, and built as no element.  A stored pair reads each other
     cell from ``memo`` if it is there and stores the cells it computes, and a
     longer pair touches no dict and runs its rows along the shorter word.
 
@@ -101,55 +122,73 @@ def _rows(memo: _Memo, merge_prefix: Word, w1: Word, w2: Word, lam) -> TensorEle
     elif m < n:
         w1, w2, m, n = w2, w1, n, m  # both recursions commute
     p, q = lam if type(lam) is tuple else (lam, 1)
-    below = [TensorElement._trusted({w2[j:]: 1}) for j in range(n + 1)]
+    below = None  # row m: 1 ∘ w2[j:] = w2[j:]
     for i in range(m - 1, -1, -1):
         u = w1[i:]
         a = (u[0],)
-        row = [None] * n + [TensorElement._trusted({u: 1})]
+        row = [None] * n
+        right = None  # u ∘ 1 = u
         for j in range(n - 1, -1, -1):
-            out = memo.get((u, w2[j:], lam)) if stored else None
+            v = w2[j:]
+            out = memo.get((u, v, lam)) if stored else None
             if out is None:
                 den = q ** min(m - i, n - j)
-                left, right = below[j], row[j + 1]
-                k = den // left._den
-                acc = {a + w: k * c for w, c in left._terms.items()}  # distinct words
-                b = (w2[j],)
-                k = den // right._den
-                accumulate(acc, [(b + w, k * c) for w, c in right._terms.items()])
+                b = (v[0],)
+                if below is None:
+                    acc = {a + v: den}
+                else:
+                    left = below[j]
+                    k = den // left._den
+                    acc = {a + w: k * c for w, c in left._terms.items()}  # distinct words
+                if right is None:
+                    accumulate(acc, ((b + u, den),))
+                else:
+                    k = den // right._den
+                    accumulate(acc, [(b + w, k * c) for w, c in right._terms.items()])
                 if p:
-                    diag = below[j + 1]
-                    merged = (*merge_prefix, a[0] * b[0])
-                    k = -p * (den // (q * diag._den))
-                    accumulate(acc, [(merged + w, k * c) for w, c in diag._terms.items()])
+                    merged = merges[a[0], b[0]]
+                    if below is None or right is None:
+                        # U ∘ V is the word v[1:] on the last row, else u[1:]
+                        diag = v[1:] if below is None else u[1:]
+                        accumulate(acc, ((merged + diag, -p * (den // q)),))
+                    else:
+                        diag = below[j + 1]
+                        k = -p * (den // (q * diag._den))
+                        accumulate(acc, [(merged + w, k * c) for w, c in diag._terms.items()])
                 out = TensorElement._trusted(acc) if den == 1 else TensorElement._reduced(acc, den)
                 if stored:
-                    memo[u, w2[j:], lam] = out
-            row[j] = out
+                    memo[u, v, lam] = out
+            row[j] = right = out
         below = row  # frees the row below: a long pair holds two rows at most
     return below[0]
 
 
 def _word_recursion(merge_prefix: Word) -> tuple:
-    """The memo of one word recursion ∘ and its head memo of [ab](U ∘ V)."""
+    """The memo of one word recursion ∘, its head memo of [ab](U ∘ V) and its
+    merged-letter table."""
     rec = _Memo(None)
-    rec.compute = partial(_rows, rec, merge_prefix)
+    merges = _Merges(merge_prefix)
+    rec.compute = partial(_rows, rec, merges)
     head = _Memo(
-        lambda w1, w2, lam: _rows(rec, merge_prefix, w1[1:], w2[1:], lam).prepend(w1[0] * w2[0])
+        lambda w1, w2, lam: _rows(rec, merges, w1[1:], w2[1:], lam).prepend(w1[0] * w2[0])
     )
-    return rec, head
+    return rec, head, merges
 
 
-_qsh, _qsh_head = _word_recursion(())
+_qsh, _qsh_head, _qsh_merges = _word_recursion(())
 # merged letters are shifted behind a fresh unit letter, preserving length
-_mqsh, _mqsh_head = _word_recursion((MONO_UNIT,))
+_mqsh, _mqsh_head, _mqsh_merges = _word_recursion((MONO_UNIT,))
 
 
 def _weight(lam):
     """λ as the memos key it: an ``int`` when integral, else its (p, q) pair of ints."""
     if type(lam) is int:
         return lam
-    lam = exact(lam)
-    return lam if type(lam) is int else (lam.numerator, lam.denominator)
+    if type(lam) is not Fraction:
+        lam = exact(lam)
+        if type(lam) is int:
+            return lam
+    return lam.numerator if lam.denominator == 1 else (lam.numerator, lam.denominator)
 
 
 def _bilinear(memo: _Memo, lam, x: TensorElement, y: TensorElement) -> TensorElement:
@@ -235,3 +274,5 @@ def nijenhuis_torsion(x, y, operator: Callable, mul: Callable):
 def clear_caches() -> None:
     for memo in (_qsh, _qsh_head, _mqsh, _mqsh_head):
         memo.cache_clear()
+    _qsh_merges.clear()
+    _mqsh_merges.clear()

@@ -1,14 +1,19 @@
 """Non-recursive mixed-shuffle oracle against the recursive products."""
 
 import inspect
+import itertools
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nijalg import (
     LEFT,
     RIGHT,
     MONO_UNIT,
+    TensorElement,
     admissible_pairs,
     enumerate_shuffles,
     gen,
@@ -19,6 +24,9 @@ from nijalg import (
     shuffle,
 )
 from nijalg import oracle
+from nijalg.base import exact
+from nijalg.oracle import _merge
+from nijalg.tensor import Word
 from conftest import count_calls, te, words_over
 
 LAMBDAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(5, 7))
@@ -173,3 +181,66 @@ def test_the_weight_zero_oracle_forms_no_merged_word(monkeypatch, ab):
         assert build(x, z, 0) == product(te(*x), te(*z))
         assert len(merges) == len(shuffles) == comb(7, 3)
         assert all(not chosen for _, chosen, _ in merges)
+
+
+def _fraction_mixed(x_word: Word, z_word: Word, lam, homogeneous: bool) -> TensorElement:
+    """The oracle's summation before it ran on integer numerators: every term
+    carries its power of -λ as a ``Fraction`` into the coercing constructor."""
+    lam = exact(lam)
+    powers = [(-lam) ** k for k in range(min(len(x_word), len(z_word)) + 1)]
+
+    def terms():
+        for labeled in enumerate_shuffles(x_word, z_word):
+            # at λ = 0 every merge has coefficient 0: only the plain shuffle is formed
+            pairs = admissible_pairs(labeled) if lam else ()
+            for size in range(len(pairs) + 1):
+                for chosen in itertools.combinations(pairs, size):
+                    word = _merge(labeled, frozenset(chosen), homogeneous)
+                    yield word, powers[size]
+
+    return TensorElement(terms())
+
+
+A, B = gen("a"), gen("b")
+ORACLE_LETTERS = (MONO_UNIT, A, B, A * A, A * B)
+ORACLE_WEIGHTS = (0, 1, -1, Fraction(2, 3), Fraction(-1, 2), Fraction(5, 7), 7)
+oracle_words = st.lists(st.sampled_from(ORACLE_LETTERS), max_size=4).map(tuple)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(oracle_words, oracle_words, st.sampled_from(ORACLE_WEIGHTS), st.booleans())
+# at λ = 1 the merge e·[ea] of the modified product cancels the unmerged e.a
+@example((MONO_UNIT,), (A,), 1, True)
+@example((A, MONO_UNIT), (B, MONO_UNIT, A), 1, True)
+@example((MONO_UNIT, A * B), (MONO_UNIT,), Fraction(2, 3), True)
+def test_integer_oracle_matches_the_fraction_summation(x, z, lam, homogeneous):
+    result = oracle._mixed(x, z, lam, homogeneous)
+    assert result == _fraction_mixed(x, z, lam, homogeneous)
+    assert gcd(result._den, *result._terms.values()) == 1
+    assert all(result._terms.values())
+
+
+def test_cancelling_merges_leave_no_term():
+    # e.a + a.e - λ·e.[ea] at λ = 1: the merged word is e.a, which cancels
+    assert mod_quasi_shuffle_oracle((MONO_UNIT,), (A,), 1) == te(A, MONO_UNIT)
+    assert mod_quasi_shuffle_oracle((MONO_UNIT,), (A,), 2) == te(A, MONO_UNIT) - te(MONO_UNIT, A)
+
+
+@pytest.mark.parametrize("lam", [Fraction(2, 3), Fraction(-5, 7), 1, 0])
+def test_the_oracle_builds_no_fraction(lam):
+    # the coefficients are summed as integer numerators over q^min(m, n)
+    x, z = (A, MONO_UNIT, A * B), (B, A)
+    original = Fraction.__new__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", counting)
+        mixed = mixed_shuffle(x, z, lam)
+        mod = mod_quasi_shuffle_oracle(x, z, lam)
+    assert built == []
+    assert mixed == quasi_shuffle(te(*x), te(*z), lam)
+    assert mod == mod_quasi_shuffle(te(*x), te(*z), lam)

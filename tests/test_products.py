@@ -25,6 +25,7 @@ from nijalg import (
 )
 from nijalg.expr import eval_expr, parse_expr
 from nijalg.oracle import mixed_shuffle, mod_quasi_shuffle_oracle
+from nijalg import products
 from nijalg.products import MAX_STORED_LETTERS, _mqsh, _qsh, _qsh_head, clear_caches
 from conftest import count_calls, in_exact_form, product_memos, te, words_over
 
@@ -480,3 +481,54 @@ def test_grid_cells_are_built_without_element_arithmetic(ab, monkeypatch, produc
     monkeypatch.undo()
     assert calls == [[], [], [], []]
     assert result == expected
+
+
+@pytest.mark.parametrize("lam", [0, 1, Fraction(2, 3)])
+@pytest.mark.parametrize("product", [quasi_shuffle, mod_quasi_shuffle])
+def test_a_cold_grid_builds_one_element_per_computed_cell(ab, monkeypatch, product, lam):
+    # 1 ∘ v and u ∘ 1 are read as the words v and u, so an m×n grid on cold
+    # memos wraps m·n elements, each once: through _reduced where its
+    # denominator q^min can exceed 1, else through _trusted alone
+    a, b = ab
+    c = gen("c")
+    stored = ((a, b, c), (b, MONO_UNIT, a * b, a))
+    long = ((b,), (a,) * MAX_STORED_LETTERS)  # kept by no memo
+    oracle = mixed_shuffle if product is quasi_shuffle else mod_quasi_shuffle_oracle
+    trusted = TensorElement._trusted.__func__
+    built = []
+
+    def counting(cls, terms, den=1):
+        built.append(den)
+        return trusted(cls, terms, den)
+
+    for u, v in (stored, long):
+        x, y = te(*u), te(*v)
+        clear_caches()
+        built.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(TensorElement, "_trusted", classmethod(counting))
+            reduced = count_calls(mp, TensorElement, "_reduced")
+            result = product(x, y, lam)
+        assert len(built) == len(u) * len(v)
+        assert len(reduced) == (len(built) if type(lam) is Fraction else 0)
+        assert result == oracle(u, v, lam)
+
+
+def test_clear_caches_empties_the_merged_letter_tables(ab):
+    # each word recursion keeps prefix·[ab] per pair of head letters it
+    # merged; λ = 0 merges none
+    tables = [value for value in vars(products).values() if isinstance(value, products._Merges)]
+    assert len(tables) == 2
+    assert not any(hasattr(table, "__dict__") for table in tables)
+    a, b = ab
+    x, y = te(a, b), te(b)
+    clear_caches()
+    shuffle(x, y)
+    mod_quasi_shuffle(x, y, 0)
+    assert tables == [{}, {}]
+    quasi_shuffle(x, y, Fraction(2, 3))
+    mod_quasi_shuffle(x, y, 1)
+    assert {(a, b): (a * b,), (b, b): (b * b,)} in tables
+    assert {(a, b): (MONO_UNIT, a * b), (b, b): (MONO_UNIT, b * b)} in tables
+    clear_caches()
+    assert tables == [{}, {}]
