@@ -23,9 +23,9 @@ from nijalg import (
     quasi_shuffle,
     shuffle,
 )
+from nijalg import products
 from nijalg.expr import eval_expr, parse_expr
 from nijalg.oracle import mixed_shuffle, mod_quasi_shuffle_oracle
-from nijalg import products
 from nijalg.products import MAX_STORED_LETTERS, _mqsh, _qsh, _qsh_head, clear_caches
 from conftest import count_calls, in_exact_form, product_memos, te, words_over
 
@@ -494,23 +494,27 @@ def test_a_cold_grid_builds_one_element_per_computed_cell(ab, monkeypatch, produ
     stored = ((a, b, c), (b, MONO_UNIT, a * b, a))
     long = ((b,), (a,) * MAX_STORED_LETTERS)  # kept by no memo
     oracle = mixed_shuffle if product is quasi_shuffle else mod_quasi_shuffle_oracle
-    trusted = TensorElement._trusted.__func__
-    built = []
 
-    def counting(cls, terms, den=1):
-        built.append(den)
-        return trusted(cls, terms, den)
+    def counted(mp, name):
+        original = getattr(TensorElement, name).__func__
+        calls = []
+
+        def counting(cls, *args):
+            calls.append(args)
+            return original(cls, *args)
+
+        mp.setattr(TensorElement, name, classmethod(counting))
+        return calls
 
     for u, v in (stored, long):
         x, y = te(*u), te(*v)
         clear_caches()
-        built.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(TensorElement, "_trusted", classmethod(counting))
-            reduced = count_calls(mp, TensorElement, "_reduced")
+            trusted, reduced = counted(mp, "_trusted"), counted(mp, "_reduced")
             result = product(x, y, lam)
-        assert len(built) == len(u) * len(v)
-        assert len(reduced) == (len(built) if type(lam) is Fraction else 0)
+        # _reduced wraps its terms through _trusted
+        assert len(trusted) == len(u) * len(v)
+        assert len(reduced) == (len(trusted) if type(lam) is Fraction else 0)
         assert result == oracle(u, v, lam)
 
 
