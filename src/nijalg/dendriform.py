@@ -30,6 +30,8 @@ class DendriformContext:
 
     def __init__(self, lam=1):
         self.lam = exact(lam)
+        # −λ as ints p/q, which • scales by without building a Fraction
+        self._neg_lam = -self.lam.numerator, self.lam.denominator
 
     def prec(self, x: TensorElement, y: TensorElement) -> TensorElement:
         """x ≺ y = x ⊡ B⁺ₑ(y): the quasi-shuffle terms led by the first factor's head."""
@@ -45,7 +47,10 @@ class DendriformContext:
     def bullet(self, x: TensorElement, y: TensorElement) -> TensorElement:
         """x • y = −λ·(x ⊡ y): the quasi-shuffle terms that merge both heads."""
         require_augmented("bullet", x, y)
-        return -self.lam * aug_quasi_shuffle(x, y, self.lam)
+        p, q = self._neg_lam
+        if not p:
+            return TensorElement._trusted({})
+        return aug_quasi_shuffle(x, y, self.lam)._scaled(p, q)
 
     def star(self, x: TensorElement, y: TensorElement) -> TensorElement:
         """≺ + ≻ + •, which equals the quasi-shuffle product."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import index
+from operator import index, mul
 from typing import Callable, Iterable, Mapping, Tuple
 
 from .base import Monomial, check_generator, exact, rational_text, record_class
@@ -236,7 +236,7 @@ def phi_extend(
 
     The value is computed in exact integers: the letter stage sums
     c_w·φ(a₁)⋯φ(aₙ) over the words w of each length n, and ``_at_points``
-    folds those sums with dᵢ^(n-1) in each coordinate i.
+    weights those sums with dᵢ^(n-1) in each coordinate i.
     """
     if operator is None:
         operator = make_n_tau(target)
@@ -254,7 +254,9 @@ def _letter_stage(target: NijenhuisTarget):
     from each word length n of x to the sum Σ_{|w|=n} c_w·φ(a₁)⋯φ(aₙ), as
     (integer numerators, positive denominator), not necessarily in lowest
     terms.  It keeps a memo of φ(letter) and one of φ(a₁)⋯φ(aₙ) per word,
-    which live as long as the caller keeps the function.
+    which live as long as the caller keeps the function; a new word's image
+    is built letter by letter, each step one ``map(mul, …)`` over the
+    coordinates.
     """
     letters = {}  # letter -> φ(letter)
     words = {}  # word -> φ(a₁)⋯φ(aₙ) as (integer numerators, positive denominator)
@@ -270,7 +272,7 @@ def _letter_stage(target: NijenhuisTarget):
                     image = letters.get(mono)
                     if image is None:
                         image = letters[mono] = phi_monomial(target, mono)
-                    nums = [a * b for a, b in zip(nums, image._nums)]
+                    nums = list(map(mul, nums, image._nums))
                     den *= image._den
                 value = words[word] = nums, den
             nums, den = value
@@ -372,7 +374,18 @@ def _at_points(sums: dict, points) -> list:
     """φ̃ᵢ of an element at each (i, p, q) of ``points``, for an operator
     whose diagonal entry dᵢ is p/q, q > 0, from the element's letter-stage
     ``sums``: φ̃ᵢ = Σ_n dᵢ^(n-1)·S_n[i], one (integer numerator, positive
-    denominator) pair per point, not necessarily in lowest terms."""
+    denominator) pair per point, not necessarily in lowest terms.
+
+    An element whose words all have one length n (a word, B⁺ₑ of a word,
+    x ⊠ y and the shuffle x ⊡ y at λ = 0 of two words) has the one sum S_n
+    over D, and its pairs are (S_n[i]·p^(n-1), D·q^(n-1)) in closed form,
+    the pairs the fold over lengths returns for a one-term sum.  Elements
+    of several lengths, such as x ⊡ y at λ ≠ 0, whose merges shorten
+    words, and the zero element, with no sums, keep the fold."""
+    if len(sums) == 1:
+        ((n, (nums, den)),) = sums.items()
+        k = n - 1
+        return [(nums[i] * p ** k, den * q ** k) for i, p, q in points]
     terms = [(n - 1, nums, den) for n, (nums, den) in sums.items()]
     values = []
     for i, p, q in points:

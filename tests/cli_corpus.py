@@ -7,12 +7,20 @@ exit code, with `cli.main` called in process.
 writes ``cli_corpus.json`` beside this file from the code on the path.  The
 table is written once and then only read, by ``test_cli_corpus.py``: a change
 that means to alter output re-pins the rows it names, and a refactor re-pins
-nothing.  argparse's messages differ between Python versions; the table was
-written under Python 3.11 with the default digit limit of 4300.
+nothing.
+
+    PYTHONPATH=src python tests/cli_corpus.py --check
+
+regenerates every row and compares it with the table without pytest, since
+this module uses the standard library alone: it prints one JSON line per row
+that differs and exits 1 if any does, else 0.  The table was written under
+Python 3.11 with the default digit limit of 4300; every row, argparse's
+messages included, also matches under Python 3.10.13, 3.12.1 and 3.13.0.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -170,7 +178,26 @@ def run(argv) -> list:
     ]
 
 
-def main() -> None:
+def check() -> int:
+    """Regenerate every row of the table and print each one that differs from
+    its pinned row, in argv, digests or exit code, as one JSON line; 1 if any
+    row differs, else 0."""
+    pinned, generated = json.loads(TABLE.read_text()), corpus()
+    total = differ = 0
+    for part in sorted(pinned.keys() | generated.keys()):
+        rows, argvs = pinned.get(part, []), generated.get(part, [])
+        for k in range(max(len(rows), len(argvs))):
+            want = rows[k] if k < len(rows) else None
+            got = [argvs[k], *run(argvs[k])] if k < len(argvs) else None
+            total += 1
+            if got != want:
+                differ += 1
+                print(json.dumps({"part": part, "row": k, "pinned": want, "now": got}))
+    print(f"{total - differ} of {total} rows match", file=sys.stderr)
+    return 1 if differ else 0
+
+
+def write() -> None:
     table = {part: [[argv, *run(argv)] for argv in argvs] for part, argvs in corpus().items()}
     with TABLE.open("w") as fh:
         fh.write("{\n")
@@ -182,5 +209,16 @@ def main() -> None:
     print(f"wrote {sum(map(len, table.values()))} rows to {TABLE.name}", file=sys.stderr)
 
 
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Write or check the pinned CLI corpus.")
+    parser.add_argument(
+        "--check", action="store_true", help="compare every row with the table; write nothing"
+    )
+    if parser.parse_args(argv).check:
+        return check()
+    write()
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

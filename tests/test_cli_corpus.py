@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+import cli_corpus
 from cli_corpus import TABLE, corpus, run
 
 PINNED = json.loads(TABLE.read_text())
@@ -30,3 +31,23 @@ def test_readme_states_the_row_count():
     readme = (TABLE.parent.parent / "README.md").read_text()
     (count,) = re.findall(r"(\d+) `nijalg check` /\s+`nijalg eval` argv lists", readme)
     assert int(count) == sum(map(len, PINNED.values()))
+
+
+def test_the_check_mode_prints_each_row_that_differs(tmp_path, monkeypatch, capsys):
+    # one row of two pinned with another exit code, and one generated row the
+    # table lacks: both are printed, and the check exits 1
+    argvs = [["eval", "a * b"], ["eval", "a..b"], ["eval", "b"]]
+    rows = [[argv, *run(argv)] for argv in argvs[:2]]
+    rows[1][3] = 0
+    table = tmp_path / "corpus.json"
+    table.write_text(json.dumps({"eval": rows}))
+    monkeypatch.setattr(cli_corpus, "TABLE", table)
+    monkeypatch.setattr(cli_corpus, "corpus", lambda: {"eval": argvs})
+    assert cli_corpus.main(["--check"]) == 1
+    out, err = capsys.readouterr()
+    printed = [json.loads(line) for line in out.splitlines()]
+    assert [(row["row"], row["pinned"] is None) for row in printed] == [(1, False), (2, True)]
+    assert printed[0]["now"][3] == 2
+    assert err == "1 of 3 rows match\n"
+    table.write_text(json.dumps({"eval": [[argv, *run(argv)] for argv in argvs]}))
+    assert cli_corpus.main(["--check"]) == 0

@@ -112,6 +112,27 @@ def test_bullet_conventions(ab):
             assert ctx.bullet(te(*x), te(*y)) == -lam * aug_quasi_shuffle(te(*x), te(*y), lam)
 
 
+def test_bullet_builds_no_fraction(ab):
+    # • scales x ⊡ y by −λ as an integer numerator and denominator
+    a, b = ab
+    lam = Fraction(2, 3)
+    ctx = DendriformContext(lam)
+    x, y = te(a, b), te(b, a, a)
+    original = Fraction.__new__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", counting)
+        bullet = ctx.bullet(x, y)
+    assert built == []
+    assert bullet._den > 1
+    assert bullet == -lam * aug_quasi_shuffle(x, y, lam)
+
+
 def test_splitting_sums_to_quasi_shuffle(ab):
     for lam in (Fraction(0), Fraction(1), Fraction(-1)):
         ctx = DendriformContext(lam)

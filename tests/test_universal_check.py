@@ -42,6 +42,7 @@ from nijalg import (
     aug_mod_quasi_shuffle,
     aug_quasi_shuffle,
     b_plus,
+    gen,
     make_n_tau,
     mod_quasi_shuffle,
     nijenhuis_defect,
@@ -569,3 +570,53 @@ def test_the_sweeps_evaluate_each_point_once(monkeypatch):
     calls.clear()
     suites.rb_universal_sweep(6, 2, samples)
     assert sorted(map(len, calls)) == sorted([12] * 3 * samples + [4, 6, 6] * samples)
+
+
+def ref_at_points(sums, points):
+    """The fold over word lengths that ``_at_points`` ran for every element
+    before its one-length closed form, kept verbatim."""
+    terms = [(n - 1, nums, den) for n, (nums, den) in sums.items()]
+    values = []
+    for i, p, q in points:
+        num, den = 0, 1
+        for k, nums, d in terms:
+            a, b = nums[i] * p ** k, d * q ** k
+            num, den = num * b + a * den, den * b
+        values.append((num, den))
+    return values
+
+
+# name -> (the element made from a coefficient and two words, its number of
+# word lengths): one length, including n = 1 where dᵢ = 0 gives 0**0, two
+# lengths, and the zero element, whose sums are empty
+CLOSED_FORM_ELEMENTS = {
+    "word": (lambda c, x, y: c * x, 1),
+    "⊠ product": (lambda c, x, y: c * aug_mod_quasi_shuffle(x, y), 1),
+    "x + B+x": (lambda c, x, y: c * x + b_plus(x), 2),
+    "zero": (lambda c, x, y: c * x - c * x, 0),
+}
+DIAGONAL_ENTRIES = tuple(map(Fraction, (0, 1, -1, 2, "-5/3", "2/3")))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    kind=st.sampled_from(sorted(CLOSED_FORM_ELEMENTS)),
+    seed=st.integers(0, 2**16),
+    coeff=st.sampled_from((Fraction(1), Fraction(-2), Fraction(3, 4))),
+    words=st.tuples(*[st.lists(st.sampled_from(suites.GENERATORS), min_size=1, max_size=4)] * 2),
+    entries=st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from(DIAGONAL_ENTRIES)), min_size=1, max_size=8
+    ),
+)
+@example(kind="word", seed=0, coeff=Fraction(1), words=(["a"], ["b"]), entries=[(0, Fraction(0))])
+@example(
+    kind="x + B+x", seed=0, coeff=Fraction(1), words=(["a"], ["b"]), entries=[(2, Fraction(0))]
+)
+def test_the_closed_form_matches_the_fold(kind, seed, coeff, words, entries):
+    make, lengths = CLOSED_FORM_ELEMENTS[kind]
+    target = NijenhuisTarget(4, frozenset(), 0, random_images(random.Random(seed)))
+    x, y = [TensorElement.from_word([gen(g) for g in word]) for word in words]
+    sums = operators._letter_stage(target)(make(coeff, x, y))
+    assert len(sums) == lengths
+    points = [(i, d.numerator, d.denominator) for i, d in entries]
+    assert operators._at_points(sums, points) == ref_at_points(sums, points)
