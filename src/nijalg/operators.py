@@ -254,9 +254,10 @@ def _letter_stage(target: NijenhuisTarget):
     from each word length n of x to the sum Σ_{|w|=n} c_w·φ(a₁)⋯φ(aₙ), as
     (integer numerators, positive denominator), not necessarily in lowest
     terms.  It keeps a memo of φ(letter) and one of φ(a₁)⋯φ(aₙ) per word,
-    which live as long as the caller keeps the function; a new word's image
-    is built letter by letter, each step one ``map(mul, …)`` over the
-    coordinates.
+    which live as long as the caller keeps the function.  A new word's image
+    is built letter by letter, not from a stored suffix: words of one
+    product share suffixes, but keying the memo by suffix measured no
+    resolvable gain.
     """
     letters = {}  # letter -> φ(letter)
     words = {}  # word -> φ(a₁)⋯φ(aₙ) as (integer numerators, positive denominator)
