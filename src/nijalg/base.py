@@ -4,9 +4,10 @@ The base algebra is the polynomial algebra over a set of named generators;
 its basis consists of commutative monomials, with the empty monomial
 ``MONO_UNIT`` acting as the unit ``e``.  A word letter is always a single
 monomial, so the algebra itself needs no element class.  Monomials are
-interned, so equal monomials are one object.  ``exact`` and ``rational_text``
-give a scalar's canonical form and its text, and ``accumulate`` is the one
-loop that adds terms into a term map and drops the zeros.
+interned, so equal monomials are one object.  ``exact``, ``ratio`` and
+``rational_text`` give a scalar's canonical form, its ints p/q and its text,
+and ``accumulate`` is the one loop that adds terms into a term map and drops
+the zeros.
 """
 
 from __future__ import annotations
@@ -159,6 +160,16 @@ def exact(c):
             raise TypeError(f"{c!r} is a float, not an exact rational; pass Fraction(\"{c!r}\")")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def ratio(c) -> Tuple[int, int]:
+    """The ints (p, q) of the rational scalar ``c`` = p/q in lowest terms, q ≥ 1:
+    the one place a scalar is split.  A float raises ``TypeError``, as in ``exact``."""
+    if type(c) is int:
+        return c, 1
+    if type(c) is not Fraction:
+        c = Fraction(exact(c))
+    return c.numerator, c.denominator
 
 
 def rational_text(n: int, d: int) -> str:

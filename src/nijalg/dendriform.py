@@ -17,7 +17,7 @@ memo entry that Z ≺ X writes.
 
 from __future__ import annotations
 
-from .base import exact
+from .base import exact, ratio
 from .products import aug_quasi_shuffle
 # unused here, but nijbench's tracing test checks that its wrappers reach
 # this binding
@@ -30,8 +30,8 @@ class DendriformContext:
 
     def __init__(self, lam=1):
         self.lam = exact(lam)
-        # −λ as ints p/q, which • scales by without building a Fraction
-        self._neg_lam = -self.lam.numerator, self.lam.denominator
+        p, q = ratio(self.lam)
+        self._neg_lam = -p, q  # −λ as ints, which • scales by without a Fraction
 
     def prec(self, x: TensorElement, y: TensorElement) -> TensorElement:
         """x ≺ y = x ⊡ B⁺ₑ(y): the quasi-shuffle terms led by the first factor's head."""

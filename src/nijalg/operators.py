@@ -15,7 +15,7 @@ from math import gcd, lcm
 from operator import index, mul
 from typing import Callable, Iterable, Mapping, Tuple
 
-from .base import Monomial, check_generator, exact, rational_text, record_class
+from .base import Monomial, check_generator, exact, ratio, rational_text, record_class
 from .errors import UnmappedGeneratorError
 from .products import aug_mod_quasi_shuffle, aug_quasi_shuffle
 from .tensor import TensorElement, Word, b_plus, fold_letters, require_augmented
@@ -50,11 +50,11 @@ class VectorAlgebraElement:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, coords: Iterable):
-        values = [exact(c) for c in coords]
+        pairs = [ratio(c) for c in coords]
         # the lcm of the reduced denominators shares no factor with every
         # numerator over it: no gcd is needed
-        den = lcm(*[c.denominator for c in values])
-        self._nums = tuple([c.numerator * (den // c.denominator) for c in values])
+        den = lcm(*[q for _, q in pairs])
+        self._nums = tuple([p * (den // q) for p, q in pairs])
         self._den = den
 
     @classmethod
@@ -107,10 +107,8 @@ class VectorAlgebraElement:
             return self._reduced(
                 tuple([a * b for a, b in self._zip(other)]), self._den * other._den
             )
-        c = exact(other)
-        return self._reduced(
-            tuple([a * c.numerator for a in self._nums]), self._den * c.denominator
-        )
+        p, q = ratio(other)
+        return self._reduced(tuple([a * p for a in self._nums]), self._den * q)
 
     __rmul__ = __mul__  # a scalar on the left; the product is commutative
 
@@ -338,10 +336,10 @@ def _universal_check(target, pairs, checks) -> list:
     groups = {}  # product -> its checks: (result index, points' bits, their numbers)
     for index, (product, operator, lam) in enumerate(checks):
         points = _points(operator.diagonal)
-        if lam is not None and any(
-            p * (lam.numerator * q - lam.denominator * p) for _, p, q in points
-        ):
-            raise ValueError(f"target operator {operator.name} fails its relation")
+        if lam is not None:
+            lp, lq = ratio(lam)
+            if any(p * (lp * q - lq * p) for _, p, q in points):
+                raise ValueError(f"target operator {operator.name} fails its relation")
         ks = [numbers.setdefault(point, len(numbers)) for point in points]
         groups.setdefault(product, []).append((index, sum(1 << k for k in ks), ks))
     points = list(numbers)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import List, Tuple
 
-from .base import MONO_UNIT, Monomial, exact
+from .base import MONO_UNIT, Monomial, ratio
 from .tensor import TensorElement, Word
 
 LEFT = "L"
@@ -75,8 +75,7 @@ def _merge(labeled: LabeledWord, chosen, homogeneous: bool) -> Word:
 
 
 def _mixed(x_word: Word, z_word: Word, lam, homogeneous: bool) -> TensorElement:
-    lam = exact(lam)
-    p, q = (lam, 1) if type(lam) is int else (lam.numerator, lam.denominator)
+    p, q = ratio(lam)
     # a word with k merges has coefficient (-p/q)^k = (-p)^k·q^(top-k) / q^top
     top = min(len(x_word), len(z_word))
     powers = [(-p) ** k * q ** (top - k) for k in range(top + 1)]

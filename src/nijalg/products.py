@@ -4,10 +4,10 @@ All four products are defined on basis words by recursion and extended
 bilinearly.  The quasi-shuffle * and the modified quasi-shuffle ⊛ share one
 word recursion, which differs between them only in the letters written
 before a merged letter [ab]: none for *, the unit letter e for ⊛.  Their
-products are kept in memos, dicts keyed by (word, word, λ) that never change
-results; λ enters as an ``int`` when it is integral, however it was given
-(1, Fraction(1), "2/2"), and otherwise as the int pair (p, q) of λ = p/q in
-lowest terms (Fraction(2, 3), "4/6"), so no ``Fraction`` is hashed.  The
+products are kept in memos, dicts keyed by (word, word, p, q) that never
+change results: (p, q) is ``base.ratio(λ)``, the ints of λ = p/q in lowest
+terms, however λ was given (1, "2/2" and Fraction(1) key as (1, 1), and
+Fraction(2, 3) and "4/6" as (2, 3)), so no ``Fraction`` is hashed.  The
 elements hold integer numerators over a shared denominator, and every
 product runs on ints: each term of u ∘ v carries at most min(|u|, |v|)
 merges (Hoffman), so the product is integral over q^min(|u|, |v|), and
@@ -38,13 +38,12 @@ at λ = 1, which is why ⊠ hard-codes that value.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 from math import lcm
 from types import SimpleNamespace
 from typing import Callable
 
-from .base import MONO_UNIT, accumulate, exact
+from .base import MONO_UNIT, accumulate, ratio
 from .tensor import TensorElement, Word, require_augmented
 
 # Most letters (m + n) of a pair a memo stores; an m-letter grid holds O(m³) letters
@@ -52,8 +51,9 @@ MAX_STORED_LETTERS = 100
 
 
 class _Memo(dict):
-    """Word products keyed by (w1, w2, λ); ``compute`` makes a missing one, kept if
-    the pair has at most MAX_STORED_LETTERS letters.  ``lookups`` counts ``_bilinear``'s reads."""
+    """Word products keyed by (w1, w2, p, q) at λ = p/q; ``compute`` makes a
+    missing one, kept if the pair has at most MAX_STORED_LETTERS letters.
+    ``lookups`` counts ``_bilinear``'s reads."""
 
     # slots: attributes of a dict subclass's instance __dict__ are slow to update
     __slots__ = ("compute", "lookups", "misses")
@@ -92,36 +92,36 @@ class _Merges(dict):
         return merged
 
 
-def _rows(memo: _Memo, merges: _Merges, w1: Word, w2: Word, lam) -> TensorElement:
-    """w1 ∘ w2 by Hoffman's recursion, with merged letters behind the prefix
-    of ``merges``:
+def _rows(memo: _Memo, merges: _Merges, w1: Word, w2: Word, p: int, q: int) -> TensorElement:
+    """w1 ∘ w2 at λ = p/q, p and q the ints of ``base.ratio(λ)``, by
+    Hoffman's recursion, with merged letters behind the prefix of ``merges``:
 
         aU ∘ bV = a(U ∘ bV) + b(aU ∘ V) - λ·merge_prefix[ab](U ∘ V)
 
     Cell j of row i is w1[i:] ∘ w2[j:].  Rows are filled shortest first, in
     two lists; 1 ∘ v = v and u ∘ 1 = u are read as the words v and u where a
     cell needs them, and built as no element.  A stored pair reads each other
-    cell from ``memo`` if it is there and stores the cells it computes, and a
-    longer pair touches no dict and runs its rows along the shorter word.
+    cell from ``memo``, under the key (w1[i:], w2[j:], p, q), if it is there
+    and stores the cells it computes, and a longer pair touches no dict and
+    runs its rows along the shorter word.
 
-    At λ = p/q a cell is integral over D = q^min(m - i, n - j), its most
-    merges, and so are its three neighbours.  Its terms are summed in one
-    dict from their numerators, each scaled to D: a· the cell below, b· the
-    cell to its right, and -p·merge_prefix[ab]· the cell diagonally below,
-    whose denominator divides D/q.  The dict is wrapped once, reduced to
-    lowest terms when D > 1; at an integral λ, D = 1 and no gcd is taken.
+    A cell is integral over D = q^min(m - i, n - j), its most merges, and
+    so are its three neighbours.  Its terms are summed in one dict from
+    their numerators, each scaled to D: a· the cell below, b· the cell to
+    its right, and -p·merge_prefix[ab]· the cell diagonally below, whose
+    denominator divides D/q.  The dict is wrapped once, reduced to lowest
+    terms when D > 1; at an integral λ, q = D = 1 and no gcd is taken.
     """
     if not w1 or not w2:
         return TensorElement._trusted({w1 or w2: 1})
     m, n = len(w1), len(w2)
     stored = m + n <= MAX_STORED_LETTERS
     if stored:
-        known = memo.get((w1, w2, lam))  # the head memos pass stored pairs too
+        known = memo.get((w1, w2, p, q))  # the head memos pass stored pairs too
         if known is not None:
             return known
     elif m < n:
         w1, w2, m, n = w2, w1, n, m  # both recursions commute
-    p, q = lam if type(lam) is tuple else (lam, 1)
     below = None  # row m: 1 ∘ w2[j:] = w2[j:]
     for i in range(m - 1, -1, -1):
         u = w1[i:]
@@ -130,7 +130,7 @@ def _rows(memo: _Memo, merges: _Merges, w1: Word, w2: Word, lam) -> TensorElemen
         right = None  # u ∘ 1 = u
         for j in range(n - 1, -1, -1):
             v = w2[j:]
-            out = memo.get((u, v, lam)) if stored else None
+            out = memo.get((u, v, p, q)) if stored else None
             if out is None:
                 den = q ** min(m - i, n - j)
                 b = (v[0],)
@@ -157,7 +157,7 @@ def _rows(memo: _Memo, merges: _Merges, w1: Word, w2: Word, lam) -> TensorElemen
                         accumulate(acc, [(merged + w, k * c) for w, c in diag._terms.items()])
                 out = TensorElement._trusted(acc) if den == 1 else TensorElement._reduced(acc, den)
                 if stored:
-                    memo[u, v, lam] = out
+                    memo[u, v, p, q] = out
             row[j] = right = out
         below = row  # frees the row below: a long pair holds two rows at most
     return below[0]
@@ -170,7 +170,7 @@ def _word_recursion(merge_prefix: Word) -> tuple:
     merges = _Merges(merge_prefix)
     rec.compute = partial(_rows, rec, merges)
     head = _Memo(
-        lambda w1, w2, lam: _rows(rec, merges, w1[1:], w2[1:], lam).prepend(w1[0] * w2[0])
+        lambda w1, w2, p, q: _rows(rec, merges, w1[1:], w2[1:], p, q).prepend(w1[0] * w2[0])
     )
     return rec, head, merges
 
@@ -180,20 +180,10 @@ _qsh, _qsh_head, _qsh_merges = _word_recursion(())
 _mqsh, _mqsh_head, _mqsh_merges = _word_recursion((MONO_UNIT,))
 
 
-def _weight(lam):
-    """λ as the memos key it: an ``int`` when integral, else its (p, q) pair of ints."""
-    if type(lam) is int:
-        return lam
-    if type(lam) is not Fraction:
-        lam = exact(lam)
-        if type(lam) is int:
-            return lam
-    return lam.numerator if lam.denominator == 1 else (lam.numerator, lam.denominator)
-
-
-def _bilinear(memo: _Memo, lam, x: TensorElement, y: TensorElement) -> TensorElement:
+def _bilinear(memo: _Memo, p: int, q: int, x: TensorElement, y: TensorElement) -> TensorElement:
     """The bilinear extension to x ⊗ y of the word products in ``memo`` at
-    weight ``lam``, in integer numerators, one counted read per word pair.
+    weight λ = p/q, p and q the ints of ``base.ratio(λ)``, in integer
+    numerators, one counted read per word pair.
 
     A product of two single words with coefficient product 1 is the element
     the memo holds: elements are immutable, so it is shared, not copied.
@@ -207,14 +197,14 @@ def _bilinear(memo: _Memo, lam, x: TensorElement, y: TensorElement) -> TensorEle
         ((w1, c1),) = x._terms.items()
         ((w2, c2),) = y._terms.items()
         weight = c1 * c2
-        product = memo[w1, w2, lam]
+        product = memo[w1, w2, p, q]
         return product if weight == scale else product._scaled(weight, scale)
     memo.lookups += len(x._terms) * len(y._terms)
     acc: dict = {}
     den = 1
     for w1, c1 in x._terms.items():
         for w2, c2 in y._terms.items():
-            product = memo[w1, w2, lam]
+            product = memo[w1, w2, p, q]
             weight = c1 * c2
             if product._den != den:
                 common = lcm(den, product._den)
@@ -232,7 +222,7 @@ def _bilinear(memo: _Memo, lam, x: TensorElement, y: TensorElement) -> TensorEle
 
 def quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
     """Hoffman's quasi-shuffle product; associative and commutative for any λ."""
-    return _bilinear(_qsh, _weight(lam), x, y)
+    return _bilinear(_qsh, *ratio(lam), x, y)
 
 
 def shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
@@ -243,13 +233,13 @@ def shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
 def aug_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
     """The product aU ⊡ bV = [ab](U*V) on the augmented module; unit is e."""
     require_augmented("aug_quasi_shuffle", x, y)
-    return _bilinear(_qsh_head, _weight(lam), x, y)
+    return _bilinear(_qsh_head, *ratio(lam), x, y)
 
 
 def mod_quasi_shuffle(x: TensorElement, y: TensorElement, lam=1) -> TensorElement:
     """Length-homogeneous quasi-shuffle variant; associative iff the merge
     term is present with λ = 1."""
-    return _bilinear(_mqsh, _weight(lam), x, y)
+    return _bilinear(_mqsh, *ratio(lam), x, y)
 
 
 def aug_mod_quasi_shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
@@ -258,7 +248,7 @@ def aug_mod_quasi_shuffle(x: TensorElement, y: TensorElement) -> TensorElement:
     Every term of an (m-word ⊠ n-word) has length m + n - 1.
     """
     require_augmented("aug_mod_quasi_shuffle", x, y)
-    return _bilinear(_mqsh_head, 1, x, y)
+    return _bilinear(_mqsh_head, 1, 1, x, y)
 
 
 def mu_product(x, y, operator: Callable, mul: Callable):

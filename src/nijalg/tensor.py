@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Tuple, Union
 
-from .base import MONO_UNIT, Monomial, accumulate, exact, rational_text
+from .base import MONO_UNIT, Monomial, accumulate, exact, ratio, rational_text
 from .errors import EmptyWordTermError
 
 Word = Tuple[Monomial, ...]
@@ -155,12 +155,12 @@ class TensorElement:
         return self + (-other)
 
     def _scale(self, coeff):
-        c = exact(coeff)
-        if not c:
+        p, q = ratio(coeff)
+        if not p:
             return self._trusted({})
-        if type(c) is int and self._den == 1:
-            return self._trusted({word: n * c for word, n in self._terms.items()})
-        return self._scaled(c.numerator, c.denominator)
+        if q == 1 and self._den == 1:
+            return self._trusted({word: n * p for word, n in self._terms.items()})
+        return self._scaled(p, q)
 
     __mul__ = __rmul__ = _scale
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nijalg import MONO_UNIT, Monomial, ReservedSymbolError, TensorElement, gen
-from nijalg.base import rational_text
+from nijalg.base import exact, ratio, rational_text
 
 
 def monomials_up_to_degree(max_deg, gens=("a", "b")):
@@ -37,6 +37,38 @@ def test_rational_text_is_the_fraction_text():
         for d in range(1, 31):
             assert rational_text(n, d) == str(Fraction(n, d)), (n, d)
     assert rational_text(-(10**30), 4 * 10**29) == "-5/2"
+
+
+def test_every_form_of_a_rational_has_one_ratio():
+    # an int, a Fraction, an integral Fraction and text, in lowest terms or not
+    for pair, forms in (
+        ((2, 3), (Fraction(2, 3), Fraction(4, 6), "2/3", "4/6", " 4/6 ")),
+        ((1, 1), (1, Fraction(1), Fraction(2, 2), "1", "2/2", True)),
+        ((1, 2), (Fraction(1, 2), "0.5", "2/4", "5e-1")),
+        ((0, 1), (0, Fraction(0), "0", "-0", "0/7")),
+        ((-3, 2), (Fraction(-3, 2), Fraction(3, -2), "-1.5", "-6/4")),
+    ):
+        for c in forms:
+            assert ratio(c) == pair, c
+            assert all(type(n) is int for n in ratio(c)), c
+
+
+def test_ratio_is_the_fraction_of_exact():
+    # over the grid of test_rational_text_is_the_fraction_text, by int, by
+    # Fraction and by text
+    for n in range(-30, 31):
+        for d in range(1, 31):
+            value = Fraction(exact(Fraction(n, d)))
+            expected = value.numerator, value.denominator
+            assert ratio(Fraction(n, d)) == ratio(f"{n}/{d}") == expected, (n, d)
+            assert expected[1] >= 1
+        assert ratio(n) == (n, 1)
+
+
+def test_ratio_refuses_a_float():
+    for c in (0.5, 1.0, float("nan")):
+        with pytest.raises(TypeError):
+            ratio(c)
 
 
 def test_mono_mul_examples():

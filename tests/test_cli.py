@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import functools
 import io
 import json
 import os
@@ -485,120 +486,186 @@ def buffered_env():
     return env
 
 
-def test_a_closed_stdout_gives_no_traceback():
-    # the report (about 470 KB) is far larger than a pipe holds, so the
-    # child is still writing when the reader closes its end
-    env = buffered_env()
-    argv = [sys.executable, "-m", "nijalg", "check", "assoc-mqs", "--lambda", "2/3", "--max-len", "6"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=60)
-    assert first.startswith(b"FAIL assoc lambda=2/3 ")
-    assert (code, err) == (1, b"")
-    # a stdout closed before start, as by `>&-`
-    for argv, code in (
-        (["eval", "a*b"], 0),
-        (["check", "nijenhuis", "--max-len", "3"], 0),
-        (["eval", "a", "--format", "xml"], 2),
-    ):
-        done = run_with_closed(1, argv)
-        assert done.returncode == code and b"Traceback" not in done.stderr, (argv, done.stderr)
-        assert done.stderr.startswith(b"usage: ") if code else done.stderr == b"", argv
+# one argv of each kind the CLI handles, and the exit code it decides
+CONTRACT_ARGVS = {
+    "eval-text": (["eval", "2 a*b"], 0),  # its text holds "·"
+    "eval-json": (["eval", "a*b", "--format", "json"], 0),
+    "check-pass": (["check", "nijenhuis", "--max-len", "3"], 0),
+    # about 470 KB, far more than a pipe holds, and its text holds "·"
+    "check-fail": (["check", "assoc-mqs", "--lambda", "2/3", "--max-len", "6"], 1),
+    "parse-error": (["eval", "a..b"], 2),
+    "argparse-error": (["eval", "a", "--bogus"], 2),
+    "argparse-choice": (["eval", "a", "--format", "xml"], 2),
+    "help": (["--help"], 0),
+    "too-long": (["eval", f"{NINES}*({NINES}*a)"], 2),
+}
 
 
-def run_with_closed(fd, argv):
-    """``python -m nijalg argv`` started with descriptor ``fd`` closed."""
-    env = buffered_env()
-    return subprocess.run(
-        [sys.executable, "-m", "nijalg", *argv],
-        capture_output=True,
-        timeout=60,
-        env=env,
-        preexec_fn=lambda: os.close(fd),
+def text_streams(encoding="utf-8"):
+    """A stdout and a stderr that keep the bytes written to them."""
+    return (
+        io.TextIOWrapper(io.BytesIO(), encoding=encoding),
+        io.TextIOWrapper(io.BytesIO(), encoding=encoding, errors="backslashreplace"),
     )
 
 
-def test_a_closed_stderr_keeps_the_exit_code():
-    env = buffered_env()
-    for argv, code in ((["eval", "a..b"], 2), (["eval", "a", "--bogus"], 2), (["eval", "a * b"], 0)):
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "nijalg", *argv], stdout=write, stderr=write, timeout=30, env=env
-            )
-        finally:
-            os.close(write)
-        assert done.returncode == code, argv
-    # a stderr closed before start, as by `2>&-`: its text reaches no stream
-    for argv, code, out in (
-        (["eval", "a..b"], 2, b""),
-        (["eval", "a", "--bogus"], 2, b""),
-        (["eval", "a * b"], 0, b"-[a b] + a.b + b.a\n"),
-    ):
-        done = run_with_closed(2, argv)
-        assert (done.returncode, done.stdout) == (code, out), argv
+def in_process(argv, stdout, stderr):
+    """(exit code, stdout bytes, stderr bytes) of ``main(argv)`` on these
+    streams; None for a stream that is not a ``text_streams`` one."""
+    with mock.patch.multiple(sys, stdout=stdout, stderr=stderr):
+        code = main(argv)
+    read = [None, None]
+    for k, stream in enumerate((stdout, stderr)):
+        if isinstance(stream, io.TextIOWrapper):
+            stream.flush()
+            read[k] = stream.buffer.getvalue()
+    return code, *read
+
+
+@functools.cache
+def working_run(name):
+    """``in_process`` of the argv ``name`` on streams that work."""
+    return in_process(CONTRACT_ARGVS[name][0], *text_streams())
 
 
 class FailingStream(io.StringIO):
-    """A stream on the descriptor ``fd``, as ``sys.stdout`` is, whose every
-    write fails with ``errno_``."""
+    """A stream on the descriptor ``fd``, as ``sys.stdout`` is, whose flush
+    of written text fails with EIO, as a device's after an I/O error does."""
 
-    def __init__(self, errno_, fd):
+    def __init__(self, fd):
         super().__init__()
-        self.errno, self.fd = errno_, fd
+        self.fd = fd
 
-    def write(self, text):
-        raise OSError(self.errno, os.strerror(self.errno))
+    def flush(self):
+        if self.getvalue():
+            self.seek(0)
+            self.truncate()
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
 
     def fileno(self):
         return self.fd
 
 
-def test_a_failed_write_other_than_a_broken_pipe_exits_2():
-    # a full disk or an I/O error is not a reader that has gone: a lost
-    # stdout must not report the command's exit code, and says why on a
-    # working stderr; a lost error message keeps the code it reports
-    for errno_ in (errno.ENOSPC, errno.EIO):
-        for failing, argv in (("stdout", ["eval", "a * b"]), ("stderr", ["eval", "a..b"])):
-            fd = os.open(os.devnull, os.O_WRONLY)
-            streams = {"stdout": io.StringIO(), "stderr": io.StringIO()}
-            streams[failing] = FailingStream(errno_, fd)
-            try:
-                with mock.patch.multiple(sys, **streams):
-                    code = main(argv)
-            finally:
-                os.close(fd)
-            assert code == 2, (argv, errno_)
-            if failing == "stdout":
-                message = f"error: cannot write output: [Errno {errno_}] {os.strerror(errno_)}\n"
-                assert streams["stderr"].getvalue() == message
+def failing(name, argv):
+    """``main(argv)`` in process with the stream ``name`` failing with EIO."""
+    fd = os.open(os.devnull, os.O_WRONLY)
+    try:
+        streams = dict(zip(("stdout", "stderr"), text_streams()))
+        streams[name] = FailingStream(fd)
+        return in_process(argv, streams["stdout"], streams["stderr"])
+    finally:
+        os.close(fd)
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
-def test_output_to_a_full_device_exits_2_without_a_traceback():
-    # the interpreter's flush at exit neither prints nor changes the code
-    env = buffered_env()
-    message = b"error: cannot write output: [Errno 28] No space left on device\n"
+def child(argv, closed=None, **streams):
+    """(exit code, stdout bytes, stderr bytes) of ``python -m nijalg argv``,
+    each stream piped unless given in ``streams`` (then None), started with
+    the descriptor ``closed`` closed."""
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    done = subprocess.run(
+        [sys.executable, "-m", "nijalg", *argv],
+        timeout=60,
+        env=buffered_env(),
+        preexec_fn=None if closed is None else lambda: os.close(closed),
+        **streams,
+    )
+    piped = [streams[name] is subprocess.PIPE for name in ("stdout", "stderr")]
+    return done.returncode, *[v if p else None for v, p in zip((done.stdout, done.stderr), piped)]
+
+
+def to_dev_full(name, argv):
     with open("/dev/full", "w") as full:
-        for argv in (["eval", "a*b"], ["check", "nijenhuis", "--max-len", "3"], ["--help"]):
-            done = subprocess.run(
-                [sys.executable, "-m", "nijalg", *argv],
-                stdout=full, stderr=subprocess.PIPE, timeout=60, env=env,
-            )
-            assert (done.returncode, done.stderr) == (2, message), argv
-        for argv, code, out in (
-            (["eval", "a..b"], 2, b""),
-            (["eval", "a", "--bogus"], 2, b""),
-            (["eval", "a * b"], 0, b"-[a b] + a.b + b.a\n"),
-        ):
-            done = subprocess.run(
-                [sys.executable, "-m", "nijalg", *argv],
-                stdout=subprocess.PIPE, stderr=full, timeout=60, env=env,
-            )
-            assert (done.returncode, done.stdout) == (code, out), argv
+        return child(argv, **{name: full})
+
+
+def to_a_pipe_closed_after_one_read(argv):
+    with subprocess.Popen(
+        [sys.executable, "-m", "nijalg", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=buffered_env(),
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return proc.wait(timeout=60), first, err
+
+
+def to_a_pipe_without_reader(argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return child(argv, stdout=write, stderr=write)
+    finally:
+        os.close(write)
+
+
+def cannot_write(errno_):
+    return f"error: cannot write output: [Errno {errno_}] {os.strerror(errno_)}\n".encode()
+
+
+def lost_stdout(errno_):
+    """What a stdout that fails with ``errno_`` leaves, from the working run:
+    exit 2 and the reason on stderr if there was text to write."""
+
+    def expect(code, out, err):
+        return (2, None, err + cannot_write(errno_)) if out else (code, None, err)
+
+    return expect
+
+
+# condition -> (how argv runs under it, its outcome from the working run's
+# (code, out, err)); a stream the condition leaves unreadable reads None.
+# Closed descriptors, full devices and pipes run in a child, whose flush at
+# exit takes part; the others run in process on fake streams.
+STREAM_CONDITIONS = {
+    "normal": (lambda argv: in_process(argv, *text_streams()), lambda *run: run),
+    "stdout-closed": (lambda argv: child(argv, closed=1), lambda c, o, e: (c, b"", e)),
+    "stderr-closed": (lambda argv: child(argv, closed=2), lambda c, o, e: (c, o, b"")),
+    "pipe-closed-after-one-read": (
+        to_a_pipe_closed_after_one_read,
+        lambda c, o, e: (c, io.BytesIO(o).readline(), e),
+    ),
+    "pipe-without-reader": (to_a_pipe_without_reader, lambda c, o, e: (c, None, None)),
+    "stdout-dev-full": (functools.partial(to_dev_full, "stdout"), lost_stdout(errno.ENOSPC)),
+    "stderr-dev-full": (functools.partial(to_dev_full, "stderr"), lambda c, o, e: (c, o, None)),
+    "stdout-eio": (functools.partial(failing, "stdout"), lost_stdout(errno.EIO)),
+    "stderr-eio": (functools.partial(failing, "stderr"), lambda c, o, e: (c, o, None)),
+    # the stdout gets the UTF-8 bytes of text its encoding cannot hold
+    "pythonioencoding-ascii": (
+        lambda argv: in_process(argv, *text_streams("ascii")),
+        lambda *run: run,
+    ),
+}
+
+
+@pytest.mark.parametrize("condition", STREAM_CONDITIONS)
+@pytest.mark.parametrize("name", CONTRACT_ARGVS)
+def test_the_exit_code_contract_holds_on_every_stream(name, condition):
+    # the decided exit code, 2 where a lost stdout had text to write; no
+    # traceback on stderr, no error text on stdout, and every stream that
+    # works gets the bytes it gets when all work
+    if "dev-full" in condition and not os.path.exists("/dev/full"):
+        pytest.skip("needs a full device")
+    argv, decided = CONTRACT_ARGVS[name]
+    run, outcome = STREAM_CONDITIONS[condition]
+    working = working_run(name)
+    assert working[0] == decided
+    code, out, err = result = run(argv)
+    assert result == outcome(*working)
+    assert b"Traceback" not in (err or b"") and b"Exception ignored" not in (err or b"")
+    assert b"error: " not in (out or b"")
+
+
+def test_the_contract_table_covers_what_it_names():
+    # the "·" rows test the UTF-8 fallback, the long report outlasts a pipe
+    # and each refusal writes its reason to stderr
+    texts = {name: working_run(name) for name in CONTRACT_ARGVS}
+    assert all("·".encode() in texts[name][1] for name in ("eval-text", "check-fail"))
+    assert len(texts["check-fail"][1]) > 400_000
+    assert texts["help"][1].startswith(b"usage: nijalg ")
+    for name in ("argparse-error", "argparse-choice"):
+        assert texts[name][1:] == (b"", texts[name][2]) and texts[name][2].startswith(b"usage: ")
+    assert texts["parse-error"][1:] == (b"", b"error: 1:3: expected a letter, got '.'\n")
+    assert texts["too-long"][1] == b"" and b"too long to print" in texts["too-long"][2]
 
 
 class Terminal(io.StringIO):
@@ -623,21 +690,6 @@ def test_the_verdict_is_coloured_on_a_terminal_unless_nij_color_is_0():
             with mock.patch.dict(os.environ, env, clear=True), contextlib.redirect_stdout(out):
                 assert main(argv) == code
             assert out.getvalue().endswith(f" -> {verdict}\n"), (argv, color)
-
-
-def test_a_stdout_that_cannot_encode_the_output_gets_its_utf8_bytes(capsys):
-    env = {
-        **os.environ,
-        "PYTHONPATH": str(Path(nijalg.__file__).parent.parent),
-        "PYTHONIOENCODING": "ascii",
-    }
-    for argv in (["eval", "2 a"], ["check", "assoc-mqs", "--lambda", "2", "--max-len", "3"]):
-        code, out, _ = run(capsys, *argv)
-        assert "·" in out
-        done = subprocess.run(
-            [sys.executable, "-m", "nijalg", *argv], capture_output=True, timeout=60, env=env
-        )
-        assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), b""), argv
 
 
 # tokens at the edges of the shape _plain_eval reads: abbreviations, "=",

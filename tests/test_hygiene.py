@@ -107,6 +107,31 @@ def test_import_loads_no_code_generation_modules():
     assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 
+def split_scalars(source: str):
+    """(line, attribute) of each ``numerator`` or ``denominator`` attribute
+    that ``source`` reads."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")
+    )
+
+
+@pytest.mark.parametrize("name", ["products.py", "oracle.py", "dendriform.py"])
+def test_scalars_are_split_only_by_ratio(name):
+    # these modules compute with λ's ints (p, q), which base.ratio gives
+    assert split_scalars((SRC / name).read_text()) == []
+
+
+def test_split_scalar_is_detected():
+    source = (
+        '"""the numerator of lam"""\nlam = 2\n'
+        "p, q = (lam.numerator,\n        lam.denominator)\n"
+        'numerator = getattr(lam, "numerator")\n'
+    )
+    assert split_scalars(source) == [(3, "numerator"), (4, "denominator")]
+
+
 # the definitions only tests call, each kept for a reason
 TEST_ONLY = {
     "grade_lengths": "the acceptance gate asserts the grading of every product with it",

@@ -26,7 +26,14 @@ from nijalg import (
 from nijalg import products
 from nijalg.expr import eval_expr, parse_expr
 from nijalg.oracle import mixed_shuffle, mod_quasi_shuffle_oracle
-from nijalg.products import MAX_STORED_LETTERS, _mqsh, _qsh, _qsh_head, clear_caches
+from nijalg.products import (
+    MAX_STORED_LETTERS,
+    _mqsh,
+    _mqsh_head,
+    _qsh,
+    _qsh_head,
+    clear_caches,
+)
 from conftest import count_calls, in_exact_form, product_memos, te, words_over
 
 LAMBDAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))
@@ -308,6 +315,15 @@ def test_bilinear_weights_that_multiply_to_an_integer_store_ints(ab):
     }
 
 
+# the products that take λ, each with the memo its word pairs are read from
+WEIGHTED = ((quasi_shuffle, _qsh), (mod_quasi_shuffle, _mqsh), (aug_quasi_shuffle, _qsh_head))
+
+
+def lambda_keys(memo) -> set:
+    """The (p, q) of λ in every key (w1, w2, p, q) of ``memo``."""
+    return {key[2:] for key in memo}
+
+
 def test_every_form_of_an_integral_lambda_is_one_cache_entry(ab):
     a, b = ab
     x, y = te(a, b), te(b, a)
@@ -316,15 +332,17 @@ def test_every_form_of_an_integral_lambda_is_one_cache_entry(ab):
         return str(element), [(word, repr(coeff)) for word, coeff in element.terms()]
 
     clear_caches()
-    first = quasi_shuffle(x, y, 1)
+    firsts = [product(x, y, 1) for product, _ in WEIGHTED]
     evaluated = pinned(eval_expr(parse_expr("a.b * b.a - 1/2 a.b # b.a"), 1))
-    entries = _qsh.cache_info().currsize
+    entries = [len(memo) for _, memo in WEIGHTED]
     for lam in (1, Fraction(1), "1", "2/2"):
         # a word pair of weight 1 returns its cached product itself
-        assert quasi_shuffle(x, y, lam) is first
+        for (product, _), first in zip(WEIGHTED, firsts):
+            assert product(x, y, lam) is first
         assert pinned(eval_expr(parse_expr("a.b * b.a - 1/2 a.b # b.a"), lam)) == evaluated
-    assert _qsh.cache_info().currsize == entries
-    assert all(type(coeff) is int for _, coeff in first.iterterms())
+    assert [len(memo) for _, memo in WEIGHTED] == entries
+    assert [lambda_keys(memo) for _, memo in WEIGHTED] == [{(1, 1)}] * len(WEIGHTED)
+    assert all(type(coeff) is int for first in firsts for _, coeff in first.iterterms())
 
 
 def test_every_form_of_a_rational_lambda_is_one_cache_entry(ab):
@@ -332,12 +350,23 @@ def test_every_form_of_a_rational_lambda_is_one_cache_entry(ab):
     a, b = ab
     x, y = te(a, b), te(b, a)
     clear_caches()
-    first = quasi_shuffle(x, y, Fraction(2, 3))
-    entries = _qsh.cache_info().currsize
+    firsts = [product(x, y, Fraction(2, 3)) for product, _ in WEIGHTED]
+    entries = [len(memo) for _, memo in WEIGHTED]
     for lam in (Fraction(2, 3), "2/3", "4/6", Fraction(4, 6)):
-        assert quasi_shuffle(x, y, lam) is first
-    assert _qsh.cache_info().currsize == entries
-    assert first == mixed_shuffle((a, b), (b, a), Fraction(2, 3))
+        for (product, _), first in zip(WEIGHTED, firsts):
+            assert product(x, y, lam) is first
+    assert [len(memo) for _, memo in WEIGHTED] == entries
+    assert [lambda_keys(memo) for _, memo in WEIGHTED] == [{(2, 3)}] * len(WEIGHTED)
+    assert firsts[0] == mixed_shuffle((a, b), (b, a), Fraction(2, 3))
+
+
+def test_the_mod_head_memo_keys_lambda_one(ab):
+    # ⊠ fixes λ = 1, so it reads and writes the cells of ⊛ at λ = 1 in any form
+    a, b = ab
+    clear_caches()
+    aug_mod_quasi_shuffle(te(a, b), te(b, a, a))
+    assert lambda_keys(_mqsh_head) == lambda_keys(_mqsh) == {(1, 1)}
+    assert mod_quasi_shuffle(te(b), te(a, a), "2/2") is _mqsh[(b,), (a, a), 1, 1]
 
 
 def test_products_at_a_rational_lambda_hash_no_fraction(ab, monkeypatch):

@@ -404,8 +404,8 @@ def test_every_stored_grid_cell_is_canonical_and_matches_the_oracle(u, v, lam):
         if oracle is None:  # the ⊡ and ⊠ head terms, which neither product reads
             assert not memo
             continue
-        for (w1, w2, weight), cell in memo.items():
-            assert weight == (lam.numerator, lam.denominator)
+        for (w1, w2, p, q), cell in memo.items():
+            assert (p, q) == (lam.numerator, lam.denominator)
             assert_canonical(cell)
             assert cell == oracle(w1, w2, lam)
             cells += 1
